@@ -14,8 +14,13 @@ from __future__ import annotations
 from collections import deque
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol
-from .errors import InconsistentSampleError
+from .errors import InconsistentSampleError, SampleFormatError
 from .sample_io import Sample, TraceLabel
+
+# Merging sums squared targets and attributes over states, and a saved model
+# holds only finite sums.  Capping the sample-wide total far below the float
+# range keeps every partial sum finite, in any summation order.
+_MAX_POOLED_MAGNITUDE = 1e300
 
 
 class _Node:
@@ -42,11 +47,13 @@ def build_apta(sample: Sample) -> Automaton:
     Duplicate traces are allowed and add up in the aggregates.  Empty traces
     end at the root, so the root can itself be accepting or rejecting.
     Raises :class:`InconsistentSampleError` when one word is both positive
-    and negative.
+    and negative, and :class:`SampleFormatError` when targets or attributes
+    are so large that pooling them could overflow.
     """
     arity = sample.attribute_arity
     root = _Node(arity)
-    for trace in sample.traces:
+    magnitude = 0.0  # sum of squared targets and of absolute attribute values
+    for n, trace in enumerate(sample.traces, 1):
         node = root
         node.total += 1
         for inst in trace.symbols:
@@ -64,9 +71,14 @@ def build_apta(sample: Sample) -> Automaton:
             if inst.target is not None:
                 node.tcount += 1
                 node.tsum += inst.target
-                node.tsumsq += inst.target * inst.target
+                square = inst.target * inst.target
+                node.tsumsq += square
+                magnitude += square
             for i, v in enumerate(inst.attributes):
                 node.attrs[i] += v
+                magnitude += abs(v)
+        if not magnitude < _MAX_POOLED_MAGNITUDE:
+            raise SampleFormatError(f"trace {n}: target or attribute values too large to pool")
         if trace.label is TraceLabel.POSITIVE:
             node.end_pos += 1
         elif trace.label is TraceLabel.NEGATIVE:

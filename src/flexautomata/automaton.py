@@ -73,9 +73,18 @@ class StateAggregate:
 
     def sse(self) -> float:
         """Within-state sum of squared target residuals (0 when no targets)."""
-        if self.target_count == 0:
-            return 0.0
-        return self.target_sumsq - self.target_sum * self.target_sum / self.target_count
+        return squared_error(self.target_count, self.target_sum, self.target_sumsq)
+
+
+def squared_error(count: int, total: float, sumsq: float) -> float:
+    """Sum of squared residuals around the mean of ``count`` values.
+
+    ``total`` and ``sumsq`` are the values' sum and sum of squares; no
+    values means no error.
+    """
+    if count == 0:
+        return 0.0
+    return sumsq - total * total / count
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,7 @@ messages can point at the offending line of the input file.
 from __future__ import annotations
 
 
-class SampleFormatError(ValueError):
-    """A trace file that does not follow the expected line grammar."""
-
+class _LineError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
@@ -17,11 +15,15 @@ class SampleFormatError(ValueError):
         super().__init__(message)
 
 
+class SampleFormatError(_LineError):
+    """A trace file that does not follow the expected line grammar."""
+
+
 class InconsistentSampleError(ValueError):
     """The same word occurs both as a positive and as a negative trace."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(_LineError):
     """A model file that cannot be loaded back into a valid automaton."""
 
 

@@ -1,8 +1,8 @@
 """Evidence heuristics: how promising is a candidate merge?
 
-Every heuristic runs the same trial merge and turns its statistics into a
-single comparable score, or a failure when the merge should not be taken at
-all.  Three stock heuristics are provided:
+Every heuristic turns the statistics of a trial merge into a single
+comparable score, or a failure when the merge should not be taken at all.
+Three stock heuristics are provided:
 
 * :class:`Edsm` counts the merged pairs whose labels agree; more agreement
   means more evidence.
@@ -15,27 +15,52 @@ all.  Three stock heuristics are provided:
   when the trial touched no target data at all, since the score would be
   meaningless.
 
-All scoring is pure and reads only the trial statistics, so the learner can
-feed it cheap in-place trials while the public ``evidence_*`` functions run
-full merges.
+Each heuristic also says what a trial merge must pool for it to score:
+``statistic`` reads that from a state's aggregate, and ``fold`` pools it for
+one merged pair while recording the pair's evidence (see
+:class:`~flexautomata.merging.MergeArena`).  EDSM reads labels alone, so its
+``fold`` is None.  Scoring is pure and reads only the merge outcome, with one
+rule per heuristic whether the outcome comes from the learner's cheap
+in-place trials or from the full merges that the public ``evidence_*``
+functions run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
-from .automaton import Automaton, StateId
-from .merging import MergeOutcome, merge
+from .automaton import Automaton, StateAggregate, StateId, Symbol
+from .merging import (
+    MergeOutcome,
+    MergeTally,
+    PairDistribution,
+    TargetStats,
+    merge,
+    pool_targets,
+    target_stats,
+)
 
 FAIL_LABEL_CONFLICT = "label_conflict"
 FAIL_DISTRIBUTION = "distribution_reject"
 FAIL_NO_TARGETS = "no_targets"
 
+Frequencies = tuple[int, Mapping[Symbol, int]]  # visit count, per-symbol counts
+
 
 @dataclass(frozen=True)
 class Edsm:
     """Label-agreement evidence."""
+
+    # Every fold counts label matches, so a trial pools nothing more.
+    statistic = None
+    fold = None
+
+    def score(self, outcome: MergeOutcome) -> EvidenceScore:
+        if outcome.label_conflict:
+            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+        return EvidenceScore(float(outcome.label_matches))
 
 
 @dataclass(frozen=True)
@@ -48,6 +73,52 @@ class Alergia:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
+    def rejects(
+        self, n1: int, out1: Mapping[Symbol, int], n2: int, out2: Mapping[Symbol, int]
+    ) -> bool:
+        """The Hoeffding test of one merged pair, given visit and per-symbol counts.
+
+        True iff the stop frequency or some symbol's frequency differs beyond
+        the bound; vacuously False when either state was never visited.
+        """
+        if n1 == 0 or n2 == 0:
+            return False
+        bound = hoeffding_bound(n1, n2, self.alpha)
+        end1 = n1 - sum(out1.values())
+        end2 = n2 - sum(out2.values())
+        if abs(end1 / n1 - end2 / n2) > bound:
+            return True
+        for sym in out1.keys() | out2.keys():
+            if abs(out1.get(sym, 0) / n1 - out2.get(sym, 0) / n2) > bound:
+                return True
+        return False
+
+    def statistic(self, agg: StateAggregate) -> Frequencies:
+        return (agg.total_count, agg.out_counts)
+
+    def fold(self, tally: MergeTally, x: StateId, fx: Frequencies,
+             y: StateId, fy: Frequencies) -> Frequencies:
+        """Pool one pair's frequencies, testing it unless an earlier pair failed."""
+        (n1, out1), (n2, out2) = fx, fy
+        if not tally.distribution_stats and self.rejects(n1, out1, n2, out2):
+            tally.distribution_stats.append(PairDistribution(
+                left=x, right=y, n_left=n1, n_right=n2,
+                out_left=dict(out1), out_right=dict(out2),
+                end_left=n1 - sum(out1.values()), end_right=n2 - sum(out2.values()),
+            ))
+        out = dict(out1)
+        for sym, c in out2.items():
+            out[sym] = out.get(sym, 0) + c
+        return (n1 + n2, out)
+
+    def score(self, outcome: MergeOutcome) -> EvidenceScore:
+        if outcome.label_conflict:
+            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+        for p in outcome.distribution_stats:
+            if self.rejects(p.n_left, p.out_left, p.n_right, p.out_right):
+                return EvidenceScore.fail(FAIL_DISTRIBUTION)
+        return EvidenceScore(float(len(outcome.merged_pairs)))
+
 
 @dataclass(frozen=True)
 class Mse:
@@ -55,9 +126,22 @@ class Mse:
 
     penalty: float = 0.0
 
+    statistic = staticmethod(target_stats)
+
     def __post_init__(self):
         if self.penalty < 0.0 or not math.isfinite(self.penalty):
             raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
+
+    def fold(self, tally: MergeTally, x: StateId, tx: TargetStats,
+             y: StateId, ty: TargetStats) -> TargetStats:
+        return pool_targets(tally, tx, ty)
+
+    def score(self, outcome: MergeOutcome) -> EvidenceScore:
+        if outcome.label_conflict:
+            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+        if not outcome.targets_touched:
+            return EvidenceScore.fail(FAIL_NO_TARGETS)
+        return EvidenceScore(-outcome.sse_delta + self.penalty * len(outcome.merged_pairs))
 
 
 HeuristicId = Edsm | Alergia | Mse
@@ -101,64 +185,21 @@ def hoeffding_compatible(f1: int, n1: int, f2: int, n2: int, alpha: float) -> bo
     return abs(f1 / n1 - f2 / n2) <= hoeffding_bound(n1, n2, alpha)
 
 
-def _score_edsm(outcome: MergeOutcome) -> EvidenceScore:
-    if outcome.label_conflict:
-        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-    return EvidenceScore(float(outcome.label_matches))
-
-
-def _score_alergia(outcome: MergeOutcome, alpha: float) -> EvidenceScore:
-    if outcome.label_conflict:
-        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-    for pair in outcome.distribution_stats:
-        n1, n2 = pair.n_left, pair.n_right
-        if n1 == 0 or n2 == 0:
-            continue
-        bound = hoeffding_bound(n1, n2, alpha)
-        if abs(pair.end_left / n1 - pair.end_right / n2) > bound:
-            return EvidenceScore.fail(FAIL_DISTRIBUTION)
-        for sym in pair.out_left.keys() | pair.out_right.keys():
-            f1 = pair.out_left.get(sym, 0)
-            f2 = pair.out_right.get(sym, 0)
-            if abs(f1 / n1 - f2 / n2) > bound:
-                return EvidenceScore.fail(FAIL_DISTRIBUTION)
-    return EvidenceScore(float(len(outcome.merged_pairs)))
-
-
-def _score_mse(outcome: MergeOutcome, penalty: float) -> EvidenceScore:
-    if outcome.label_conflict:
-        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-    if not outcome.targets_touched:
-        return EvidenceScore.fail(FAIL_NO_TARGETS)
-    return EvidenceScore(-outcome.sse_delta + penalty * len(outcome.merged_pairs))
-
-
 def score_outcome(outcome: MergeOutcome, heuristic: HeuristicId) -> EvidenceScore:
     """Score an already-computed merge outcome under ``heuristic``."""
-    if isinstance(heuristic, Edsm):
-        return _score_edsm(outcome)
-    if isinstance(heuristic, Alergia):
-        return _score_alergia(outcome, heuristic.alpha)
-    if isinstance(heuristic, Mse):
-        return _score_mse(outcome, heuristic.penalty)
-    raise TypeError(f"unknown heuristic {heuristic!r}")
-
-
-def needs_distributions(heuristic: HeuristicId) -> bool:
-    """Whether scoring this heuristic reads per-pair frequency snapshots."""
-    return isinstance(heuristic, Alergia)
+    return heuristic.score(outcome)
 
 
 def evidence_edsm(a: Automaton, q1: StateId, q2: StateId) -> EvidenceScore:
     """Trial-merge q1 and q2 and count label-agreeing merged pairs."""
-    return _score_edsm(merge(a, q1, q2))
+    return Edsm().score(merge(a, q1, q2))
 
 
 def evidence_alergia(a: Automaton, q1: StateId, q2: StateId, alpha: float = 0.05) -> EvidenceScore:
     """Trial-merge q1 and q2 and test outgoing-frequency compatibility."""
-    return _score_alergia(merge(a, q1, q2), Alergia(alpha).alpha)
+    return Alergia(alpha).score(merge(a, q1, q2))
 
 
 def evidence_mse(a: Automaton, q1: StateId, q2: StateId, penalty: float = 0.0) -> EvidenceScore:
     """Trial-merge q1 and q2 and score the squared-error cost of pooling."""
-    return _score_mse(merge(a, q1, q2), Mse(penalty).penalty)
+    return Mse(penalty).score(merge(a, q1, q2))

@@ -16,13 +16,12 @@ fresh increasing ids, so identical inputs yield byte-identical models.
 from __future__ import annotations
 
 import sys
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .apta import build_apta
 from .automaton import Automaton, StateId
 from .errors import IterationLimitError
-from .heuristics import Edsm, EvidenceScore, HeuristicId, needs_distributions, score_outcome
+from .heuristics import Edsm, EvidenceScore, HeuristicId, score_outcome
 from .merging import MergeArena
 from .sample_io import Sample
 
@@ -51,9 +50,10 @@ class LearnerState:
 class LearnLog:
     """Line-oriented record of what the learner did.
 
-    ``events`` holds one tuple per loop iteration: ``("PROMOTE", id)``,
-    ``("MERGE", red, blue, score)`` or ``("PRUNE", ids...)`` for states
-    dropped as unreachable after a merge.
+    ``events`` holds one tuple per loop iteration: ``("PROMOTE", id)`` or
+    ``("MERGE", red, blue, score)``.  No state is ever dropped: merging
+    states of an automaton whose states are all reachable leaves every
+    class reachable.
     """
 
     events: list[tuple] = field(default_factory=list)
@@ -62,19 +62,19 @@ class LearnLog:
 
     @property
     def iterations(self) -> int:
-        return sum(1 for e in self.events if e[0] in ("PROMOTE", "MERGE"))
+        return len(self.events)
 
     def lines(self) -> list[str]:
-        out = []
-        for e in self.events:
-            if e[0] == "MERGE":
-                out.append(f"MERGE {e[1]} {e[2]} {e[3]!r}")
-            else:
-                out.append(" ".join(str(x) for x in e))
-        return out
+        return [_event_line(e) for e in self.events]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.events else "")
+
+
+def _event_line(e: tuple) -> str:
+    if e[0] == "MERGE":
+        return f"MERGE {e[1]} {e[2]} {e[3]!r}"
+    return " ".join(str(x) for x in e)
 
 
 def promote(state: LearnerState, b: StateId, a: Automaton) -> LearnerState:
@@ -95,25 +95,14 @@ def _frontier(a: Automaton, red: set[StateId]) -> tuple[StateId, ...]:
     return tuple(sorted(blue))
 
 
-def _prune_unreachable(a: Automaton) -> tuple[Automaton, list[StateId]]:
-    seen = {a.start}
-    queue = deque([a.start])
-    while queue:
-        q = queue.popleft()
-        for _, dst in a.out_edges(q):
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    dropped = sorted(set(a.states) - seen)
-    if not dropped:
-        return a, []
-    return replace(
-        a,
-        states={q: agg for q, agg in a.states.items() if q in seen},
-        accepting=frozenset(a.accepting & seen),
-        rejecting=frozenset(a.rejecting & seen),
-        transitions={k: v for k, v in a.transitions.items() if k[0] in seen},
-    ), dropped
+def trial_score(
+    arena: MergeArena, r: StateId, b: StateId, heuristic: HeuristicId
+) -> EvidenceScore:
+    """Score merging ``r`` and ``b`` by a trial merge that ``arena`` undoes."""
+    outcome, frame = arena.run_merge(r, b)
+    if not outcome.label_conflict:
+        arena.rollback(frame)
+    return score_outcome(outcome, heuristic)
 
 
 def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automaton, LearnLog]:
@@ -125,8 +114,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     """
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
-    collect = needs_distributions(cfg.heuristic)
-    arena = MergeArena(a, collect_distributions=collect)
+    arena = MergeArena(a, cfg.heuristic)
     state = LearnerState(red=(a.start,), blue=_frontier(a, {a.start}))
     # Scores stay valid until the automaton itself changes; promotions only
     # recolor, so the cache survives them.
@@ -136,7 +124,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     def emit(event: tuple) -> None:
         log.events.append(event)
         if cfg.debug_trace:
-            print(log.lines()[-1], file=sys.stderr)
+            print(_event_line(event), file=sys.stderr)
 
     while state.blue:
         if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
@@ -148,10 +136,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             for r in state.red:
                 if (r, b) in scores:
                     continue
-                outcome, frame = arena.run_merge(r, b)
-                if not outcome.label_conflict:
-                    arena.rollback(frame)
-                scores[(r, b)] = score_outcome(outcome, cfg.heuristic)
+                scores[(r, b)] = trial_score(arena, r, b, cfg.heuristic)
 
         promoted = None
         for b in state.blue:
@@ -177,16 +162,13 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         assert best is not None  # no promotion means every blue has a taker
         value, r, b = best
         _outcome, frame = arena.run_merge(r, b)
+        arena.pool(frame)
         resolution = arena.resolution(frame)
         a = arena.extract()
         emit(("MERGE", r, b, value))
-        a, dropped = _prune_unreachable(a)
-        if dropped:
-            emit(("PRUNE", *dropped))
-        arena = MergeArena(a, collect_distributions=collect)
+        arena = MergeArena(a, cfg.heuristic)
         scores.clear()
         red = {resolution.get(s, s) for s in state.red}
-        red = {s for s in red if s in a.states}
         state = LearnerState(red=tuple(sorted(red)), blue=_frontier(a, red))
 
     log.final_states = a.state_count

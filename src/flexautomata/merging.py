@@ -9,18 +9,26 @@ of merged pairs is reproducible.  A merge fails iff any pair along the way
 puts an accepting and a rejecting state together.  The input automaton is
 never modified.
 
-The module-level :func:`merge` is the pure public entry point.  The
+The module-level :func:`merge` is the pure public entry point: it pools the
+full aggregates and reports every statistic a heuristic may read.  The
 :class:`MergeArena` underneath supports cheap trial merges with rollback and
 is shared with the learner, which needs to score many candidate merges
-against the same machine without copying it each time.
+against the same machine without copying it each time.  An arena built for
+a heuristic runs each trial on labels and transitions plus only the
+per-class statistic that heuristic reads; the full aggregates are pooled
+once, for the merge the learner commits (:meth:`MergeArena.pool`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
+from .automaton import Automaton, StateAggregate, StateId, Symbol, squared_error
+
+if TYPE_CHECKING:
+    from .heuristics import HeuristicId
 
 
 def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
@@ -54,6 +62,41 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     )
 
 
+TargetStats = tuple[int, float, float]  # target count, sum, sum of squares
+
+
+def target_stats(g: StateAggregate) -> TargetStats:
+    return (g.target_count, g.target_sum, g.target_sumsq)
+
+
+@dataclass
+class MergeTally:
+    """Running per-pair evidence of one merge, read into its outcome.
+
+    ``sse_delta`` and ``targets_touched`` accumulate through
+    :func:`pool_targets`; ``distribution_stats`` collects frequency
+    snapshots of folded pairs.
+    """
+
+    sse_delta: float = 0.0
+    targets_touched: bool = False
+    distribution_stats: list[PairDistribution] = field(default_factory=list)
+
+
+def pool_targets(tally: MergeTally, tx: TargetStats, ty: TargetStats) -> TargetStats:
+    """Pool the target statistics of one folded pair.
+
+    Adds the pooled-minus-separate squared error to ``tally``, and notes
+    when the pooled class holds any target at all.
+    """
+    tz = (tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2])
+    # Pooling a partition cannot reduce squared error; clamp roundoff.
+    tally.sse_delta += max(squared_error(*tz) - squared_error(*tx) - squared_error(*ty), 0.0)
+    if tz[0]:
+        tally.targets_touched = True
+    return tz
+
+
 @dataclass(frozen=True)
 class PairDistribution:
     """Outgoing-frequency snapshot of one merged pair, taken before pooling.
@@ -82,8 +125,15 @@ class MergeOutcome:
     internal trial runs that skip extraction), ``merged_pairs`` lists every
     pair folded together in determinization order, ``label_matches`` counts
     the pairs whose states agreed on a label (both accepting or both
-    rejecting), and ``sse_delta`` is the total pooled-minus-separate squared
-    target error over the merged pairs, never negative.
+    rejecting), ``sse_delta`` is the total pooled-minus-separate squared
+    target error over the merged pairs, never negative, and
+    ``targets_touched`` tells whether any merged class holds a target.
+    ``distribution_stats`` has one frequency snapshot per merged pair.
+
+    A trial in an arena built for a heuristic fills only what that heuristic
+    reads besides the pairs and label matches: MSE the target fields, and
+    ALERGIA ``distribution_stats``, which then holds only the first pair its
+    frequency test rejected, if any.
     """
 
     result: Automaton | None
@@ -116,11 +166,20 @@ class MergeArena:
     for the fresh id, so rolling back is deleting those entries again.
     Transition targets may go stale as classes merge; ``find`` resolves them
     on read.
+
+    The heuristic decides what a merge pools besides labels and transitions.
+    Without one, every folded pair pools the full aggregates and the outcome
+    carries every statistic.  With one, a trial pools only the per-class
+    statistic the heuristic reads: ``heuristic.statistic`` takes it from a
+    state's aggregate and ``heuristic.fold`` pools one pair of them while
+    recording that pair's evidence in a :class:`MergeTally`.  A heuristic
+    whose ``fold`` is None reads labels alone.  The fresh classes of such a
+    merge get their full aggregates only from :meth:`pool`, which the
+    learner calls once, for the merge it keeps.
     """
 
-    def __init__(self, a: Automaton, collect_distributions: bool = True):
+    def __init__(self, a: Automaton, heuristic: HeuristicId | None = None):
         self.base = a
-        self.collect = collect_distributions
         self.parent: dict[StateId, StateId] = {}
         self.out: dict[StateId, dict[Symbol, StateId]] = {q: {} for q in a.states}
         for (src, sym), dst in a.transitions.items():
@@ -130,6 +189,14 @@ class MergeArena:
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
         self.live: set[StateId] = set(a.states)
         self.next_id = a.next_id
+        if heuristic is None:
+            self.stats = self.agg  # every class carries its full aggregate
+            self.statistic = None
+            self.fold = _fold_aggregates
+        else:
+            self.stats = {}  # fresh classes only; original states read ``agg``
+            self.statistic = heuristic.statistic
+            self.fold = heuristic.fold
 
     def find(self, s: StateId) -> StateId:
         parent = self.parent
@@ -144,11 +211,9 @@ class MergeArena:
         label conflict the partial work is already rolled back.
         """
         frame = _TrialFrame(next_id_before=self.next_id)
+        tally = MergeTally()
         pairs: list[tuple[StateId, StateId]] = []
         label_matches = 0
-        sse_delta = 0.0
-        targets = False
-        dist: list[PairDistribution] = []
         queue: deque[tuple[StateId, StateId]] = deque([(q1, q2)])
         while queue:
             x, y = queue.popleft()
@@ -161,24 +226,15 @@ class MergeArena:
             if (x_acc and y_rej) or (x_rej and y_acc):
                 self.rollback(frame)
                 return MergeOutcome(result=None, label_conflict=True), frame
-            gx, gy = self.agg[x], self.agg[y]
-            gz = merge_aggregates(gx, gy)
             pairs.append((x, y))
             if (x_acc and y_acc) or (x_rej and y_rej):
                 label_matches += 1
-            # Pooling a partition cannot reduce squared error; clamp roundoff.
-            sse_delta += max(gz.sse() - gx.sse() - gy.sse(), 0.0)
-            if gz.target_count:
-                targets = True
-            if self.collect:
-                dist.append(PairDistribution(
-                    left=x, right=y,
-                    n_left=gx.total_count, n_right=gy.total_count,
-                    out_left=dict(gx.out_counts), out_right=dict(gy.out_counts),
-                    end_left=gx.end_count, end_right=gy.end_count,
-                ))
             z = self.next_id
             self.next_id += 1
+            if self.fold is not None:
+                sx = self.stats[x] if x in self.stats else self.statistic(self.agg[x])
+                sy = self.stats[y] if y in self.stats else self.statistic(self.agg[y])
+                self.stats[z] = self.fold(tally, x, sx, y, sy)
             ox, oy = self.out[x], self.out[y]
             oz = dict(ox)
             for sym in sorted(oy):
@@ -187,7 +243,6 @@ class MergeArena:
                 else:
                     oz[sym] = oy[sym]
             self.out[z] = oz
-            self.agg[z] = gz
             if x_acc or y_acc:
                 self.acc.add(z)
             if x_rej or y_rej:
@@ -202,9 +257,9 @@ class MergeArena:
             result=None,
             merged_pairs=tuple(pairs),
             label_matches=label_matches,
-            sse_delta=sse_delta,
-            distribution_stats=tuple(dist),
-            targets_touched=targets,
+            sse_delta=tally.sse_delta,
+            distribution_stats=tuple(tally.distribution_stats),
+            targets_touched=tally.targets_touched,
         )
         return outcome, frame
 
@@ -213,7 +268,8 @@ class MergeArena:
             del self.parent[x]
             del self.parent[y]
             del self.out[z]
-            del self.agg[z]
+            self.stats.pop(z, None)
+            self.agg.pop(z, None)
             self.acc.discard(z)
             self.rej.discard(z)
             self.live.discard(z)
@@ -221,6 +277,15 @@ class MergeArena:
             self.live.add(y)
         self.next_id = frame.next_id_before
 
+    def pool(self, frame: _TrialFrame) -> None:
+        """Give the classes a trial merge created their full aggregates.
+
+        Replays the frame's folds in creation order, so each class pools the
+        aggregates its two parts had when they were folded.
+        """
+        agg = self.agg
+        for z, x, y in frame.created:
+            agg[z] = merge_aggregates(agg[x], agg[y])
     def resolution(self, frame: _TrialFrame) -> dict[StateId, StateId]:
         """Map every id retired by this frame to its surviving class id."""
         mapping: dict[StateId, StateId] = {}
@@ -253,6 +318,20 @@ class MergeArena:
         )
 
 
+def _fold_aggregates(
+    tally: MergeTally, x: StateId, gx: StateAggregate, y: StateId, gy: StateAggregate
+) -> StateAggregate:
+    """Pool full aggregates, recording every statistic a heuristic may read."""
+    pool_targets(tally, target_stats(gx), target_stats(gy))
+    tally.distribution_stats.append(PairDistribution(
+        left=x, right=y,
+        n_left=gx.total_count, n_right=gy.total_count,
+        out_left=dict(gx.out_counts), out_right=dict(gy.out_counts),
+        end_left=gx.end_count, end_right=gy.end_count,
+    ))
+    return merge_aggregates(gx, gy)
+
+
 def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     """Merge states ``q1`` and ``q2`` of ``a`` into a fresh state.
 
@@ -270,11 +349,4 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     outcome, _frame = arena.run_merge(q1, q2)
     if outcome.label_conflict:
         return outcome
-    return MergeOutcome(
-        result=arena.extract(),
-        merged_pairs=outcome.merged_pairs,
-        label_matches=outcome.label_matches,
-        sse_delta=outcome.sse_delta,
-        distribution_stats=outcome.distribution_stats,
-        targets_touched=outcome.targets_touched,
-    )
+    return replace(outcome, result=arena.extract())

@@ -8,9 +8,9 @@ Two line-oriented trace formats are supported.  The classic format is
 with label 1 for positive traces and 0 for negative ones, and symbols as
 non-negative integers.  The extended format keeps the same line shape but
 additionally allows "?" as a label (unlabeled trace) and annotated symbol
-tokens ``sym:a1,a2,...,ak/t`` where the ``a_i`` are real-valued attributes
-and ``t`` an optional real regression target; ``sym/t`` attaches a target
-without attributes.  Every classic file is a valid extended file.
+tokens ``sym:a1,a2,...,ak/t`` where the ``a_i`` are finite real-valued
+attributes and ``t`` an optional finite real regression target; ``sym/t``
+attaches a target without attributes.  Every classic file is a valid extended file.
 
 A two-token first line is read as a data line when it forms a valid one
 (that needs length 0, e.g. "1 0" is a positive empty trace) and as the
@@ -24,6 +24,7 @@ line-oriented model format, see :func:`save_model`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol
@@ -82,6 +83,14 @@ _PLAIN_LABELS = {"1": TraceLabel.POSITIVE, "0": TraceLabel.NEGATIVE}
 _EXT_LABELS = {**_PLAIN_LABELS, "?": TraceLabel.UNLABELED}
 
 
+def _finite(token: str) -> float:
+    """A real number; ``nan`` and infinities raise ValueError like any non-number."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
 def _parse_symbol_token(token: str, extended: bool, line_no: int) -> SymbolInstance:
     attrs: tuple[float, ...] = ()
     target = None
@@ -90,14 +99,14 @@ def _parse_symbol_token(token: str, extended: bool, line_no: int) -> SymbolInsta
         if "/" in token:
             sym_part, _, tgt_part = token.rpartition("/")
             try:
-                target = float(tgt_part)
+                target = _finite(tgt_part)
             except ValueError:
                 raise SampleFormatError(f"bad target value {tgt_part!r}", line_no) from None
         if ":" in sym_part:
             sym_part, _, attr_part = sym_part.partition(":")
             if attr_part:
                 try:
-                    attrs = tuple(float(x) for x in attr_part.split(","))
+                    attrs = tuple(_finite(x) for x in attr_part.split(","))
                 except ValueError:
                     raise SampleFormatError(f"bad attribute list {attr_part!r}", line_no) from None
     try:
@@ -320,18 +329,25 @@ def save_model(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _model_int(token: str, what: str) -> int:
+def _value(tokens: list[str], line: int) -> str:
+    """The token after a line's kind; a bare kind is a format error."""
+    if len(tokens) < 2:
+        raise ModelFormatError(f"{tokens[0]} line without a value", line)
+    return tokens[1]
+
+
+def _model_int(token: str, what: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ModelFormatError(f"bad {what} {token!r}") from None
+        raise ModelFormatError(f"bad {what} {token!r}", line) from None
 
 
-def _model_float(token: str, what: str) -> float:
+def _model_float(token: str, what: str, line: int) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ModelFormatError(f"bad {what} {token!r}") from None
+        raise ModelFormatError(f"bad {what} {token!r}", line) from None
 
 
 def load_model(text: str) -> Automaton:
@@ -343,10 +359,10 @@ def load_model(text: str) -> Automaton:
     """
     from .automaton import check_integrity
 
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != MODEL_HEADER:
-        raise ModelFormatError(f"expected header {MODEL_HEADER!r}")
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln]
+    if not lines or lines[0][1] != MODEL_HEADER:
+        raise ModelFormatError(f"expected header {MODEL_HEADER!r}", lines[0][0] if lines else None)
 
     alphabet: tuple[str, ...] | None = None
     arity = 0
@@ -358,53 +374,57 @@ def load_model(text: str) -> Automaton:
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
     start: StateId | None = None
 
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         tokens = ln.split()
         kind = tokens[0]
         if kind == "alphabet":
-            size = _model_int(tokens[1], "alphabet size")
+            size = _model_int(_value(tokens, no), "alphabet size", no)
             names = tokens[2:]
             if len(names) != size:
-                raise ModelFormatError(f"alphabet declares {size} names, found {len(names)}")
+                raise ModelFormatError(f"alphabet declares {size} names, found {len(names)}", no)
             alphabet = tuple(names)
         elif kind == "attributes":
-            arity = _model_int(tokens[1], "attribute arity")
+            arity = _model_int(_value(tokens, no), "attribute arity", no)
         elif kind == "state":
             if len(tokens) != 9 + arity:
-                raise ModelFormatError(f"state line has {len(tokens)} fields, expected {9 + arity}")
-            q = _model_int(tokens[1], "state id")
+                raise ModelFormatError(
+                    f"state line has {len(tokens)} fields, expected {9 + arity}", no
+                )
+            q = _model_int(tokens[1], "state id", no)
             if q in states:
-                raise ModelFormatError(f"duplicate state {q}")
+                raise ModelFormatError(f"duplicate state {q}", no)
             if tokens[2] not in label_in:
-                raise ModelFormatError(f"bad state label {tokens[2]!r}")
+                raise ModelFormatError(f"bad state label {tokens[2]!r}", no)
             if tokens[2] == "acc":
                 accepting.add(q)
             elif tokens[2] == "rej":
                 rejecting.add(q)
             states[q] = StateAggregate(
-                total_count=_model_int(tokens[3], "count"),
-                target_sum=_model_float(tokens[4], "target sum"),
-                target_sumsq=_model_float(tokens[5], "target sumsq"),
-                end_pos_count=_model_int(tokens[6], "end count"),
-                end_neg_count=_model_int(tokens[7], "end count"),
-                target_count=_model_int(tokens[8], "target count"),
-                attribute_sums=tuple(_model_float(t, "attribute sum") for t in tokens[9:]),
+                total_count=_model_int(tokens[3], "count", no),
+                target_sum=_model_float(tokens[4], "target sum", no),
+                target_sumsq=_model_float(tokens[5], "target sumsq", no),
+                end_pos_count=_model_int(tokens[6], "end count", no),
+                end_neg_count=_model_int(tokens[7], "end count", no),
+                target_count=_model_int(tokens[8], "target count", no),
+                attribute_sums=tuple(_model_float(t, "attribute sum", no) for t in tokens[9:]),
             )
         elif kind == "trans":
             if len(tokens) != 5:
-                raise ModelFormatError(f"trans line has {len(tokens)} fields, expected 5")
-            src = _model_int(tokens[1], "source state")
-            sym = _model_int(tokens[2], "symbol")
-            dst = _model_int(tokens[3], "target state")
-            count = _model_int(tokens[4], "transition count")
+                raise ModelFormatError(f"trans line has {len(tokens)} fields, expected 5", no)
+            src = _model_int(tokens[1], "source state", no)
+            sym = _model_int(tokens[2], "symbol", no)
+            dst = _model_int(tokens[3], "target state", no)
+            count = _model_int(tokens[4], "transition count", no)
             if (src, sym) in transitions:
-                raise ModelFormatError(f"duplicate transition on ({src}, {sym}); model not deterministic")
+                raise ModelFormatError(
+                    f"duplicate transition on ({src}, {sym}); model not deterministic", no
+                )
             transitions[(src, sym)] = dst
             trans_counts[(src, sym)] = count
         elif kind == "start":
-            start = _model_int(tokens[1], "start state")
+            start = _model_int(_value(tokens, no), "start state", no)
         else:
-            raise ModelFormatError(f"unknown line kind {kind!r}")
+            raise ModelFormatError(f"unknown line kind {kind!r}", no)
 
     if alphabet is None:
         raise ModelFormatError("missing alphabet line")

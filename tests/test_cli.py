@@ -173,6 +173,17 @@ class TestEval:
         assert "positives_accepted 40/40" in out
 
 
+    @pytest.mark.parametrize("kind", ["alphabet", "start"])
+    def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
+        lines = open(model_file).read().splitlines()
+        no = next(i for i, ln in enumerate(lines, 1) if ln.startswith(kind + " "))
+        lines[no - 1] = kind
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
+        assert f"line {no}:" in capsys.readouterr().err
+
+
 class TestDot:
     def test_valid_dot_to_stdout(self, model_file, capsys):
         assert run(["dot", "--model", model_file]) == 0

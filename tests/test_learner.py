@@ -1,6 +1,8 @@
 """The red-blue loop: consistency, determinism, promotion, the run log."""
 
+import hashlib
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,22 @@ class TestDeterminism:
                 assert len(parts) == 4
                 float(parts[3])  # parses back
 
+    # save_model(learn(reference sample)) per heuristic, pinned from the
+    # learner before trial merges stopped pooling full aggregates.
+    GOLDEN = {
+        "Edsm": "cec2ccc7fe97f76ebc82305db1ba6c159ed267d7db0ab1d2fccf71b2bf0080f0",
+        "Alergia": "e51ea40eedc5943ffa8811bdf510a02a0bb4faccaa6845738f4519ffc5034510",
+        "Mse": "463fc36e8f1bf212657dc0e8ea3e88fff23258c984e639b9c2206bcd09e1d1f6",
+    }
+
+    @pytest.mark.parametrize(
+        "heuristic", [Edsm(), Alergia(), Mse()], ids=lambda h: type(h).__name__
+    )
+    def test_reference_models_are_pinned(self, ref_sample, heuristic):
+        model, _ = learn(ref_sample, LearnerConfig(heuristic=heuristic))
+        digest = hashlib.sha256(save_model(model).encode("utf-8")).hexdigest()
+        assert digest == self.GOLDEN[type(heuristic).__name__]
+
     def test_random_samples_learn_identically(self):
         rng = random.Random(7)
         dfa = TargetDfa(rng, 4, 2)
@@ -166,6 +184,32 @@ class TestRecovery:
         assert log.final_states == model.state_count
 
 
+def reachable(model) -> set:
+    seen = {model.start}
+    queue = deque([model.start])
+    while queue:
+        for dst in model.children(queue.popleft()):
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return seen
+
+
+class TestReachability:
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([Edsm(), Alergia(alpha=0.05), Alergia(alpha=0.5), Mse(), Mse(penalty=1.0)]),
+        st.sampled_from([0.0, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_learned_state_is_reachable(self, seed, heuristic, min_evidence):
+        rng = random.Random(seed)
+        dfa = TargetDfa(rng, rng.randint(2, 4), 2)
+        sample = labeled_sample(rng, dfa, rng.randint(20, 80), 7, with_targets=True)
+        model, _ = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=min_evidence))
+        assert reachable(model) == set(model.states)
+
+
 class TestLog:
     def test_event_stream_shape(self, ref_sample):
         _, log = learn(ref_sample)
@@ -173,13 +217,14 @@ class TestLog:
             1 for e in log.events if e[0] in ("PROMOTE", "MERGE")
         )
         for e in log.events:
-            assert e[0] in ("PROMOTE", "MERGE", "PRUNE")
+            assert e[0] in ("PROMOTE", "MERGE")
 
     def test_text_round_trips_lines(self, ref_sample):
         _, log = learn(ref_sample)
         assert log.text().splitlines() == log.lines()
 
     def test_debug_trace_goes_to_stderr(self, ref_sample, capsys):
-        learn(ref_sample, LearnerConfig(debug_trace=True))
+        _, log = learn(ref_sample, LearnerConfig(debug_trace=True))
         err = capsys.readouterr().err
         assert "MERGE" in err or "PROMOTE" in err
+        assert err.splitlines() == log.lines()

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexautomata import (
+    Alergia,
+    Edsm,
+    Mse,
     StateAggregate,
     build_apta,
     check_integrity,
@@ -17,6 +20,9 @@ from flexautomata import (
     parse_augmented,
     save_model,
 )
+from flexautomata.heuristics import score_outcome
+from flexautomata.learner import trial_score
+from flexautomata.merging import MergeArena
 from gen import random_automaton
 from oracle_merge import reference_language, reference_merge
 
@@ -220,3 +226,32 @@ class TestAgainstReference:
         assert reference_language(quotient, 1, 8) == {
             (), (0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0,) * 8,
         }
+
+
+class TestTrialPath:
+    """Trials pool only what their heuristic reads, yet score like full merges."""
+
+    @given(
+        st.integers(0, 10_000_000),
+        st.sampled_from([Edsm(), Alergia(alpha=0.05), Alergia(alpha=0.6), Mse(), Mse(penalty=0.5)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trial_scores_match_fully_pooled_merges(self, seed, heuristic):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        ids = sorted(a.states)
+        arena = MergeArena(a, heuristic)
+        pairs = [(r, b) for r in ids for b in ids if r != b]
+        kept = None
+        for r, b in rng.sample(pairs, min(len(pairs), 12)):
+            full = merge(a, r, b)
+            assert trial_score(arena, r, b, heuristic) == score_outcome(full, heuristic)
+            if not full.failed:
+                kept = (r, b, full.result)
+        if kept is not None:
+            # the committed merge pools full aggregates by replaying its folds
+            r, b, result = kept
+            outcome, frame = arena.run_merge(r, b)
+            arena.pool(frame)
+            assert not outcome.label_conflict
+            assert save_model(arena.extract()) == save_model(result)

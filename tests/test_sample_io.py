@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexautomata import (
+    InconsistentSampleError,
+    LearnerConfig,
+    Mse,
     Sample,
     SampleFormatError,
     ModelFormatError,
@@ -109,6 +112,15 @@ class TestAugmentedParsing:
         with pytest.raises(SampleFormatError) as err:
             parse_augmented("1 1 0:1.0\n0 1 0:1.0,2.0\n")
         assert "arity" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "1 1 0/nan", "1 1 0/inf", "? 2 0 1/-inf",
+        "1 1 0:nan", "1 1 0:1.0,inf/2.0", "? 1 0:-Infinity",
+    ])
+    def test_non_finite_values_rejected_with_line(self, line):
+        with pytest.raises(SampleFormatError) as err:
+            parse_augmented("1 1 0/1.5\n" + line + "\n")
+        assert err.value.line == 2
 
     def test_plain_symbols_among_annotated_are_fine(self):
         sample = parse_augmented("? 2 0 1:2.0\n")
@@ -264,6 +276,47 @@ class TestModelPersistence:
         if out.result is not None:
             text = save_model(out.result)
             assert save_model(load_model(text)) == text
+
+    @pytest.mark.parametrize("kind", ["alphabet", "attributes", "start"])
+    def test_bare_line_names_its_number(self, ref_apta, kind):
+        lines = save_model(ref_apta).splitlines()
+        no = next(i for i, ln in enumerate(lines, 1) if ln.startswith(kind + " "))
+        lines[no - 1] = kind
+        with pytest.raises(ModelFormatError) as err:
+            load_model("\n".join(lines) + "\n")
+        assert err.value.line == no
+        assert f"line {no}:" in str(err.value)
+
+    @staticmethod
+    def augmented_texts():
+        real = st.one_of(
+            st.floats(width=64).map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e154", "-1e200", "1.7e308"]),
+        )
+
+        def token(arity):
+            attrs = st.lists(real, min_size=arity, max_size=arity).map(
+                lambda xs: ":" + ",".join(xs) if xs else "")
+            target = st.one_of(st.just(""), real.map(lambda t: "/" + t))
+            return st.tuples(st.integers(0, 2).map(str), attrs, target).map("".join)
+
+        def line(arity):
+            return st.tuples(
+                st.sampled_from(["?", "?", "1", "0"]), st.lists(token(arity), max_size=5)
+            ).map(lambda lt: " ".join([lt[0], str(len(lt[1])), *lt[1]]))
+
+        return st.integers(0, 2).flatmap(
+            lambda arity: st.lists(line(arity), max_size=12).map(lambda ls: "\n".join(ls) + "\n"))
+
+    @given(augmented_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_mse_model_of_any_accepted_input_round_trips(self, text):
+        try:
+            model, _ = learn(parse_augmented(text), LearnerConfig(heuristic=Mse()))
+        except (SampleFormatError, InconsistentSampleError):
+            return
+        saved = save_model(model)
+        assert save_model(load_model(saved)) == saved
 
     def test_version_header_is_checked(self):
         with pytest.raises(ModelFormatError):
