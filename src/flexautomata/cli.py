@@ -21,7 +21,6 @@ from .automaton import Automaton
 from .errors import (
     GenerationError,
     InconsistentSampleError,
-    IterationLimitError,
     ModelFormatError,
     PredictionError,
     SampleFormatError,
@@ -41,6 +40,9 @@ from .predict import (
 )
 from .sample_io import (
     Sample,
+    SymbolInstance,
+    Trace,
+    TraceLabel,
     load_model,
     parse_abbadingo,
     parse_augmented,
@@ -55,7 +57,6 @@ _DATA_ERRORS = (
     ModelFormatError,
     PredictionError,
     GenerationError,
-    IterationLimitError,
     OSError,
     UnicodeDecodeError,
 )
@@ -183,9 +184,10 @@ def _cmd_generate(args) -> int:
     if args.max_len < 0:
         raise _DataError("max-len must be >= 0")
     words = sample_words(model, args.n, args.seed, args.max_len)
-    sys.stdout.write(f"{len(words)} {len(model.alphabet)}\n")
-    for word in words:
-        sys.stdout.write(" ".join(["1", str(len(word)), *map(str, word)]) + "\n")
+    traces = tuple(
+        Trace(TraceLabel.POSITIVE, tuple(SymbolInstance(s) for s in word)) for word in words
+    )
+    sys.stdout.write(write_sample(Sample(traces, model.alphabet)))
     return 0
 
 

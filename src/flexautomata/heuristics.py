@@ -19,10 +19,9 @@ Each heuristic also says what a trial merge must pool for it to score:
 ``statistic`` reads that from a state's aggregate, and ``fold`` pools it for
 one merged pair while recording the pair's evidence (see
 :class:`~flexautomata.merging.MergeArena`).  EDSM reads labels alone, so its
-``fold`` is None.  Scoring is pure and reads only the merge outcome, with one
-rule per heuristic whether the outcome comes from the learner's cheap
-in-place trials or from the full merges that the public ``evidence_*``
-functions run.
+``fold`` is None.  Scoring is pure and reads only the merge outcome.  The
+public ``evidence_*`` functions take the learner's trial steps: one merge in
+an arena built for the heuristic, scored by its ``score``.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from typing import Mapping
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol
 from .merging import (
+    MergeArena,
     MergeOutcome,
     MergeTally,
-    PairDistribution,
     TargetStats,
-    merge,
+    check_pair,
     pool_targets,
     target_stats,
 )
@@ -100,12 +99,8 @@ class Alergia:
              y: StateId, fy: Frequencies) -> Frequencies:
         """Pool one pair's frequencies, testing it unless an earlier pair failed."""
         (n1, out1), (n2, out2) = fx, fy
-        if not tally.distribution_stats and self.rejects(n1, out1, n2, out2):
-            tally.distribution_stats.append(PairDistribution(
-                left=x, right=y, n_left=n1, n_right=n2,
-                out_left=dict(out1), out_right=dict(out2),
-                end_left=n1 - sum(out1.values()), end_right=n2 - sum(out2.values()),
-            ))
+        if not tally.distribution_reject and self.rejects(n1, out1, n2, out2):
+            tally.distribution_reject = True
         out = dict(out1)
         for sym, c in out2.items():
             out[sym] = out.get(sym, 0) + c
@@ -114,9 +109,8 @@ class Alergia:
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
             return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-        for p in outcome.distribution_stats:
-            if self.rejects(p.n_left, p.out_left, p.n_right, p.out_right):
-                return EvidenceScore.fail(FAIL_DISTRIBUTION)
+        if outcome.distribution_reject:
+            return EvidenceScore.fail(FAIL_DISTRIBUTION)
         return EvidenceScore(float(len(outcome.merged_pairs)))
 
 
@@ -190,16 +184,23 @@ def score_outcome(outcome: MergeOutcome, heuristic: HeuristicId) -> EvidenceScor
     return heuristic.score(outcome)
 
 
+def _evidence(heuristic: HeuristicId, a: Automaton, q1: StateId, q2: StateId) -> EvidenceScore:
+    """Score merging q1 and q2 of ``a`` by one trial merge, leaving ``a`` untouched."""
+    check_pair(a, q1, q2)
+    outcome, _frame = MergeArena(a, heuristic).run_merge(q1, q2)
+    return heuristic.score(outcome)
+
+
 def evidence_edsm(a: Automaton, q1: StateId, q2: StateId) -> EvidenceScore:
     """Trial-merge q1 and q2 and count label-agreeing merged pairs."""
-    return Edsm().score(merge(a, q1, q2))
+    return _evidence(Edsm(), a, q1, q2)
 
 
 def evidence_alergia(a: Automaton, q1: StateId, q2: StateId, alpha: float = 0.05) -> EvidenceScore:
     """Trial-merge q1 and q2 and test outgoing-frequency compatibility."""
-    return Alergia(alpha).score(merge(a, q1, q2))
+    return _evidence(Alergia(alpha), a, q1, q2)
 
 
 def evidence_mse(a: Automaton, q1: StateId, q2: StateId, penalty: float = 0.0) -> EvidenceScore:
     """Trial-merge q1 and q2 and score the squared-error cost of pooling."""
-    return Mse(penalty).score(merge(a, q1, q2))
+    return _evidence(Mse(penalty), a, q1, q2)

@@ -163,12 +163,11 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         value, r, b = best
         _outcome, frame = arena.run_merge(r, b)
         arena.pool(frame)
-        resolution = arena.resolution(frame)
         a = arena.extract()
+        red = {arena.find(s) for s in state.red}
         emit(("MERGE", r, b, value))
         arena = MergeArena(a, cfg.heuristic)
         scores.clear()
-        red = {resolution.get(s, s) for s in state.red}
         state = LearnerState(red=tuple(sorted(red)), blue=_frontier(a, red))
 
     log.final_states = a.state_count

@@ -9,14 +9,13 @@ of merged pairs is reproducible.  A merge fails iff any pair along the way
 puts an accepting and a rejecting state together.  The input automaton is
 never modified.
 
-The module-level :func:`merge` is the pure public entry point: it pools the
-full aggregates and reports every statistic a heuristic may read.  The
-:class:`MergeArena` underneath supports cheap trial merges with rollback and
-is shared with the learner, which needs to score many candidate merges
-against the same machine without copying it each time.  An arena built for
-a heuristic runs each trial on labels and transitions plus only the
-per-class statistic that heuristic reads; the full aggregates are pooled
-once, for the merge the learner commits (:meth:`MergeArena.pool`).
+Every merge runs through one fold path, in :class:`MergeArena`: a merge
+folds labels and transitions, plus only the per-class statistic that the
+arena's heuristic reads, and can be rolled back.  The full aggregates of
+the merged classes are pooled afterwards, by :meth:`MergeArena.pool`, for a
+merge that is kept.  The learner scores many candidate merges this way
+against one machine without copying it, and the module-level :func:`merge`
+is the pure public form of a kept merge: one run, pool and extract.
 """
 
 from __future__ import annotations
@@ -74,13 +73,13 @@ class MergeTally:
     """Running per-pair evidence of one merge, read into its outcome.
 
     ``sse_delta`` and ``targets_touched`` accumulate through
-    :func:`pool_targets`; ``distribution_stats`` collects frequency
-    snapshots of folded pairs.
+    :func:`pool_targets`; ``distribution_reject`` is set by a heuristic's
+    fold once a folded pair fails its frequency test.
     """
 
     sse_delta: float = 0.0
     targets_touched: bool = False
-    distribution_stats: list[PairDistribution] = field(default_factory=list)
+    distribution_reject: bool = False
 
 
 def pool_targets(tally: MergeTally, tx: TargetStats, ty: TargetStats) -> TargetStats:
@@ -98,42 +97,22 @@ def pool_targets(tally: MergeTally, tx: TargetStats, ty: TargetStats) -> TargetS
 
 
 @dataclass(frozen=True)
-class PairDistribution:
-    """Outgoing-frequency snapshot of one merged pair, taken before pooling.
-
-    ``n_*`` are total visit counts, ``out_*`` per-symbol continuation counts
-    and ``end_*`` the implied stop counts.  Compatibility heuristics read
-    these instead of re-walking the machine.
-    """
-
-    left: StateId
-    right: StateId
-    n_left: int
-    n_right: int
-    out_left: dict[Symbol, int]
-    out_right: dict[Symbol, int]
-    end_left: int
-    end_right: int
-
-
-@dataclass(frozen=True)
 class MergeOutcome:
     """What one merge did.
 
     On failure (``label_conflict`` True) the remaining fields carry no
-    information.  On success ``result`` is the new automaton (None only for
-    internal trial runs that skip extraction), ``merged_pairs`` lists every
-    pair folded together in determinization order, ``label_matches`` counts
+    information.  On success ``result`` is the new automaton (None for
+    trial runs, which skip extraction), ``merged_pairs`` lists every pair
+    folded together in determinization order, and ``label_matches`` counts
     the pairs whose states agreed on a label (both accepting or both
-    rejecting), ``sse_delta`` is the total pooled-minus-separate squared
-    target error over the merged pairs, never negative, and
-    ``targets_touched`` tells whether any merged class holds a target.
-    ``distribution_stats`` has one frequency snapshot per merged pair.
+    rejecting).
 
-    A trial in an arena built for a heuristic fills only what that heuristic
-    reads besides the pairs and label matches: MSE the target fields, and
-    ALERGIA ``distribution_stats``, which then holds only the first pair its
-    frequency test rejected, if any.
+    The other fields are the evidence of the arena's heuristic and keep
+    their defaults otherwise: for MSE, ``sse_delta`` is the total
+    pooled-minus-separate squared target error over the merged pairs, never
+    negative, and ``targets_touched`` tells whether any merged class holds a
+    target; for ALERGIA, ``distribution_reject`` tells whether some merged
+    pair failed the frequency test.
     """
 
     result: Automaton | None
@@ -141,7 +120,7 @@ class MergeOutcome:
     label_matches: int = 0
     label_conflict: bool = False
     sse_delta: float = 0.0
-    distribution_stats: tuple[PairDistribution, ...] = ()
+    distribution_reject: bool = False
     targets_touched: bool = False
 
     @property
@@ -167,15 +146,13 @@ class MergeArena:
     Transition targets may go stale as classes merge; ``find`` resolves them
     on read.
 
-    The heuristic decides what a merge pools besides labels and transitions.
-    Without one, every folded pair pools the full aggregates and the outcome
-    carries every statistic.  With one, a trial pools only the per-class
-    statistic the heuristic reads: ``heuristic.statistic`` takes it from a
-    state's aggregate and ``heuristic.fold`` pools one pair of them while
-    recording that pair's evidence in a :class:`MergeTally`.  A heuristic
-    whose ``fold`` is None reads labels alone.  The fresh classes of such a
-    merge get their full aggregates only from :meth:`pool`, which the
-    learner calls once, for the merge it keeps.
+    The heuristic decides what a merge pools besides labels and transitions:
+    ``heuristic.statistic`` takes it from a state's aggregate and
+    ``heuristic.fold`` pools one pair of them while recording that pair's
+    evidence in a :class:`MergeTally`.  Without a heuristic, or with one
+    whose ``fold`` is None, a merge pools labels alone.  The fresh classes
+    get their full aggregates only from :meth:`pool`, called once for a
+    merge that is kept.
     """
 
     def __init__(self, a: Automaton, heuristic: HeuristicId | None = None):
@@ -187,16 +164,10 @@ class MergeArena:
         self.acc: set[StateId] = set(a.accepting)
         self.rej: set[StateId] = set(a.rejecting)
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
-        self.live: set[StateId] = set(a.states)
+        self.stats: dict = {}  # fresh classes only; original states read ``agg``
+        self.statistic = heuristic.statistic if heuristic is not None else None
+        self.fold = heuristic.fold if heuristic is not None else None
         self.next_id = a.next_id
-        if heuristic is None:
-            self.stats = self.agg  # every class carries its full aggregate
-            self.statistic = None
-            self.fold = _fold_aggregates
-        else:
-            self.stats = {}  # fresh classes only; original states read ``agg``
-            self.statistic = heuristic.statistic
-            self.fold = heuristic.fold
 
     def find(self, s: StateId) -> StateId:
         parent = self.parent
@@ -249,16 +220,13 @@ class MergeArena:
                 self.rej.add(z)
             self.parent[x] = z
             self.parent[y] = z
-            self.live.discard(x)
-            self.live.discard(y)
-            self.live.add(z)
             frame.created.append((z, x, y))
         outcome = MergeOutcome(
             result=None,
             merged_pairs=tuple(pairs),
             label_matches=label_matches,
             sse_delta=tally.sse_delta,
-            distribution_stats=tuple(tally.distribution_stats),
+            distribution_reject=tally.distribution_reject,
             targets_touched=tally.targets_touched,
         )
         return outcome, frame
@@ -272,9 +240,6 @@ class MergeArena:
             self.agg.pop(z, None)
             self.acc.discard(z)
             self.rej.discard(z)
-            self.live.discard(z)
-            self.live.add(x)
-            self.live.add(y)
         self.next_id = frame.next_id_before
 
     def pool(self, frame: _TrialFrame) -> None:
@@ -286,31 +251,20 @@ class MergeArena:
         agg = self.agg
         for z, x, y in frame.created:
             agg[z] = merge_aggregates(agg[x], agg[y])
-    def resolution(self, frame: _TrialFrame) -> dict[StateId, StateId]:
-        """Map every id retired by this frame to its surviving class id."""
-        mapping: dict[StateId, StateId] = {}
-        for z, x, y in frame.created:
-            mapping[x] = z
-            mapping[y] = z
-        resolved: dict[StateId, StateId] = {}
-        for old in mapping:
-            cur = old
-            while cur in mapping:
-                cur = mapping[cur]
-            resolved[old] = cur
-        return resolved
 
     def extract(self) -> Automaton:
-        states = {c: self.agg[c] for c in self.live}
+        """The automaton of the current classes; every fresh one must be pooled."""
+        live = sorted(c for c in self.out if c not in self.parent)
+        states = {c: self.agg[c] for c in live}
         transitions = {}
-        for c in self.live:
+        for c in live:
             for sym, t in self.out[c].items():
                 transitions[(c, sym)] = self.find(t)
         return Automaton(
             alphabet=self.base.alphabet,
             states=states,
-            accepting=frozenset(self.acc & self.live),
-            rejecting=frozenset(self.rej & self.live),
+            accepting=frozenset(self.acc.intersection(live)),
+            rejecting=frozenset(self.rej.intersection(live)),
             transitions=transitions,
             start=self.find(self.base.start),
             next_id=self.next_id,
@@ -318,18 +272,12 @@ class MergeArena:
         )
 
 
-def _fold_aggregates(
-    tally: MergeTally, x: StateId, gx: StateAggregate, y: StateId, gy: StateAggregate
-) -> StateAggregate:
-    """Pool full aggregates, recording every statistic a heuristic may read."""
-    pool_targets(tally, target_stats(gx), target_stats(gy))
-    tally.distribution_stats.append(PairDistribution(
-        left=x, right=y,
-        n_left=gx.total_count, n_right=gy.total_count,
-        out_left=dict(gx.out_counts), out_right=dict(gy.out_counts),
-        end_left=gx.end_count, end_right=gy.end_count,
-    ))
-    return merge_aggregates(gx, gy)
+def check_pair(a: Automaton, q1: StateId, q2: StateId) -> None:
+    """Raise ValueError unless q1 and q2 are two distinct states of ``a``."""
+    if q1 not in a.states or q2 not in a.states:
+        raise ValueError(f"unknown state id in merge request ({q1}, {q2})")
+    if q1 == q2:
+        raise ValueError(f"cannot merge state {q1} with itself")
 
 
 def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
@@ -337,16 +285,14 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
 
     Pure: ``a`` is left untouched and the result, when the merge succeeds, is
     a new automaton whose state count dropped by exactly the number of merged
-    pairs.  Fails (rather than raising) iff determinization runs into a pair
-    with conflicting labels.  Unknown or identical state ids are caller
-    errors and raise ValueError.
+    pairs, with the merged classes' aggregates pooled.  Fails (rather than
+    raising) iff determinization runs into a pair with conflicting labels.
+    Unknown or identical state ids are caller errors and raise ValueError.
     """
-    if q1 not in a.states or q2 not in a.states:
-        raise ValueError(f"unknown state id in merge request ({q1}, {q2})")
-    if q1 == q2:
-        raise ValueError(f"cannot merge state {q1} with itself")
+    check_pair(a, q1, q2)
     arena = MergeArena(a)
-    outcome, _frame = arena.run_merge(q1, q2)
+    outcome, frame = arena.run_merge(q1, q2)
     if outcome.label_conflict:
         return outcome
+    arena.pool(frame)
     return replace(outcome, result=arena.extract())

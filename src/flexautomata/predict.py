@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .automaton import Automaton, StateId, Word
 from .errors import GenerationError, PredictionError
-from .sample_io import Sample, SymbolInstance, Trace, TraceLabel
+from .sample_io import MAX_ALPHABET_SIZE, Sample, SymbolInstance, Trace, TraceLabel
 
 
 class Fallback(enum.Enum):
@@ -188,8 +188,8 @@ class DiscretizationSpec:
     target: TargetKind = TargetKind.NEXT_DELTA
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
+        if not 1 <= self.bins <= MAX_ALPHABET_SIZE:
+            raise ValueError(f"bins must be in 1..{MAX_ALPHABET_SIZE}, got {self.bins}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 

@@ -32,6 +32,10 @@ from .errors import ModelFormatError, SampleFormatError
 
 MODEL_HEADER = "flexautomata-model 1"
 
+# A sample's alphabet gets one name per symbol up to the largest symbol seen,
+# so a single huge symbol would cost memory in proportion to its value.
+MAX_ALPHABET_SIZE = 2**16
+
 
 class TraceLabel(enum.Enum):
     POSITIVE = "positive"
@@ -115,6 +119,10 @@ def _parse_symbol_token(token: str, extended: bool, line_no: int) -> SymbolInsta
         raise SampleFormatError(f"bad symbol token {token!r}", line_no) from None
     if sym < 0:
         raise SampleFormatError(f"negative symbol {sym}", line_no)
+    if sym >= MAX_ALPHABET_SIZE:
+        raise SampleFormatError(
+            f"symbol {sym} exceeds the alphabet bound {MAX_ALPHABET_SIZE}", line_no
+        )
     return SymbolInstance(sym, attrs, target)
 
 
@@ -139,6 +147,10 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                 raise SampleFormatError(f"unreadable header {first!r}", no) from None
             if declared_count < 0 or declared_size < 0:
                 raise SampleFormatError(f"negative header field in {first!r}", no)
+            if declared_size > MAX_ALPHABET_SIZE:
+                raise SampleFormatError(
+                    f"alphabet size {declared_size} exceeds the bound {MAX_ALPHABET_SIZE}", no
+                )
             lines = lines[1:]
 
     traces: list[Trace] = []
@@ -329,11 +341,22 @@ def save_model(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _value(tokens: list[str], line: int) -> str:
-    """The token after a line's kind; a bare kind is a format error."""
+def _value(tokens: list[str], line: int, *, only: bool = True) -> str:
+    """The token after a line's kind; a bare kind is a format error.
+
+    With ``only`` the line must hold nothing after that token either.
+    """
     if len(tokens) < 2:
         raise ModelFormatError(f"{tokens[0]} line without a value", line)
+    if only and len(tokens) > 2:
+        raise ModelFormatError(f"{tokens[0]} line has {len(tokens)} fields, expected 2", line)
     return tokens[1]
+
+
+def _once(kind: str, seen: set[str], line: int) -> None:
+    if kind in seen:
+        raise ModelFormatError(f"second {kind} line", line)
+    seen.add(kind)
 
 
 def _model_int(token: str, what: str, line: int) -> int:
@@ -374,17 +397,26 @@ def load_model(text: str) -> Automaton:
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
     start: StateId | None = None
 
+    seen: set[str] = set()  # the kinds that may appear only once
     for no, ln in lines[1:]:
         tokens = ln.split()
         kind = tokens[0]
         if kind == "alphabet":
-            size = _model_int(_value(tokens, no), "alphabet size", no)
+            _once(kind, seen, no)
+            size = _model_int(_value(tokens, no, only=False), "alphabet size", no)
             names = tokens[2:]
             if len(names) != size:
                 raise ModelFormatError(f"alphabet declares {size} names, found {len(names)}", no)
+            if size > MAX_ALPHABET_SIZE:
+                raise ModelFormatError(
+                    f"alphabet size {size} exceeds the bound {MAX_ALPHABET_SIZE}", no
+                )
             alphabet = tuple(names)
         elif kind == "attributes":
+            _once(kind, seen, no)
             arity = _model_int(_value(tokens, no), "attribute arity", no)
+            if arity < 0:
+                raise ModelFormatError(f"negative attribute arity {arity}", no)
         elif kind == "state":
             if len(tokens) != 9 + arity:
                 raise ModelFormatError(
@@ -422,6 +454,7 @@ def load_model(text: str) -> Automaton:
             transitions[(src, sym)] = dst
             trans_counts[(src, sym)] = count
         elif kind == "start":
+            _once(kind, seen, no)
             start = _model_int(_value(tokens, no), "start state", no)
         else:
             raise ModelFormatError(f"unknown line kind {kind!r}", no)

@@ -6,11 +6,27 @@ queue discipline and no rollback.  Merging q1 and q2 succeeds iff the
 smallest congruence containing them (targets of equal symbols from merged
 states merged too) puts no accepting state together with a rejecting one;
 the result is read off the quotient.
+
+:func:`reference_score` is the matching oracle for heuristic scores: it
+replays a merge's pairs over fully pooled aggregates and applies each stock
+heuristic's rule to them directly.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from flexautomata import (
+    FAIL_DISTRIBUTION,
+    FAIL_LABEL_CONFLICT,
+    FAIL_NO_TARGETS,
+    Alergia,
+    Edsm,
+    EvidenceScore,
+    Mse,
+    hoeffding_compatible,
+    merge_aggregates,
+)
 
 
 def reference_merge(a, q1, q2):
@@ -18,8 +34,9 @@ def reference_merge(a, q1, q2):
 
     ``merged_pair_count`` is the number of two-into-one joins performed,
     i.e. original state count minus quotient class count.  ``quotient`` is
-    None on failure, else a dict with keys start/classes/delta/accepting
-    usable by :func:`reference_accepts`.
+    None on failure, else a dict with keys start/delta/accepting usable by
+    :func:`reference_accepts`, plus ``sums``: the sorted list of
+    :func:`integer_sums` of every class, each summed over its members.
     """
     rep = {q: q for q in a.states}
 
@@ -68,12 +85,34 @@ def reference_merge(a, q1, q2):
                 if dst is not None:
                     delta[(r, sym)] = rep[dst]
                     break
+    sums = []
+    for members in by_rep.values():
+        scalars = [0, 0, 0, 0]
+        counts = {}
+        for q in members:
+            *fields, out_counts = integer_sums(a.states[q])
+            scalars = [s + f for s, f in zip(scalars, fields)]
+            for sym, c in out_counts:
+                counts[sym] = counts.get(sym, 0) + c
+        sums.append((*scalars, tuple(sorted(counts.items()))))
     quotient = {
         "start": rep[a.start],
         "delta": delta,
         "accepting": {r for r, members in by_rep.items() if members & set(a.accepting)},
+        "sums": sorted(sums),
     }
     return True, pair_count, quotient
+
+
+def integer_sums(agg):
+    """The integer fields of an aggregate, which pooling must simply add up."""
+    return (
+        agg.total_count,
+        agg.end_pos_count,
+        agg.end_neg_count,
+        agg.target_count,
+        tuple(sorted(agg.out_counts.items())),
+    )
 
 
 def reference_accepts(quotient, word):
@@ -93,3 +132,52 @@ def reference_language(quotient, n_syms, max_len):
             if reference_accepts(quotient, word):
                 out.add(word)
     return out
+
+
+def reference_score(a, merged_pairs, heuristic):
+    """Score a merge of ``a`` under a stock heuristic from fully pooled aggregates.
+
+    ``merged_pairs`` is the merge's pair list in fold order (None when the
+    merge hit a label conflict); pair ``i`` forms the fresh class
+    ``a.next_id + i``.  Every pair pools complete aggregates with
+    ``merge_aggregates``, and the heuristic's rule is applied to them here,
+    not through its ``score``.
+    """
+    if merged_pairs is None:
+        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+    aggs = dict(a.states)
+    accepting, rejecting = set(a.accepting), set(a.rejecting)
+    matches = 0
+    rejected = False
+    sse_delta = 0.0
+    touched = False
+    for i, (x, y) in enumerate(merged_pairs):
+        gx, gy = aggs[x], aggs[y]
+        z = a.next_id + i
+        aggs[z] = gz = merge_aggregates(gx, gy)
+        if {x, y} <= accepting or {x, y} <= rejecting:
+            matches += 1
+        if x in accepting or y in accepting:
+            accepting.add(z)
+        if x in rejecting or y in rejecting:
+            rejecting.add(z)
+        if isinstance(heuristic, Alergia):
+            n1, n2 = gx.total_count, gy.total_count
+            events = [(gx.end_count, gy.end_count)] + [
+                (gx.out_counts.get(s, 0), gy.out_counts.get(s, 0))
+                for s in gx.out_counts.keys() | gy.out_counts.keys()
+            ]
+            if not all(hoeffding_compatible(f1, n1, f2, n2, heuristic.alpha) for f1, f2 in events):
+                rejected = True
+        sse_delta += max(gz.sse() - gx.sse() - gy.sse(), 0.0)
+        touched = touched or gz.target_count > 0
+    if isinstance(heuristic, Edsm):
+        return EvidenceScore(float(matches))
+    if isinstance(heuristic, Alergia):
+        if rejected:
+            return EvidenceScore.fail(FAIL_DISTRIBUTION)
+        return EvidenceScore(float(len(merged_pairs)))
+    assert isinstance(heuristic, Mse)
+    if not touched:
+        return EvidenceScore.fail(FAIL_NO_TARGETS)
+    return EvidenceScore(-sse_delta + heuristic.penalty * len(merged_pairs))

@@ -143,6 +143,18 @@ class TestGenerate:
         run(["generate", "--model", model_file, "-n", "12", "--seed", "9"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_empty_alphabet_output_round_trips(self, tmp_path, capsys, n):
+        data = tmp_path / "empty.txt"
+        data.write_text("1 0\n")
+        model_path = tmp_path / "m.txt"
+        run(["learn", "--input", str(data), "--output", str(model_path)])
+        capsys.readouterr()
+        assert run(["generate", "--model", str(model_path), "-n", str(n)]) == 0
+        sample = parse_abbadingo(capsys.readouterr().out)
+        assert [t.word for t in sample.traces] == [()] * n
+        assert all(t.label.name == "POSITIVE" for t in sample.traces)
+
     def test_impossible_request_exits_2(self, tmp_path, capsys):
         data = tmp_path / "neg.txt"
         data.write_text("0 1 0\n")
@@ -172,6 +184,14 @@ class TestEval:
         out = capsys.readouterr().out
         assert "positives_accepted 40/40" in out
 
+    def test_trailing_token_on_start_line_exits_2(self, model_file, sample_file, tmp_path, capsys):
+        lines = open(model_file).read().splitlines()
+        no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("start "))
+        lines[no - 1] += " junk"
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
+        assert f"line {no}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["alphabet", "start"])
     def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
@@ -235,6 +255,12 @@ class TestDiscretize:
         p.write_text("1.0\n2.0\n3.0\n")
         assert run(["discretize", "--input", str(p), "--bins", "0", "--window", "1"]) == 1
         capsys.readouterr()
+
+    def test_too_many_bins_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "series.csv"
+        p.write_text("1.0\n2.0\n3.0\n")
+        assert run(["discretize", "--input", str(p), "--bins", "70000", "--window", "1"]) == 1
+        assert "bins" in capsys.readouterr().err
 
 
 class TestPipeline:

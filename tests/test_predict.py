@@ -229,6 +229,13 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             DiscretizationSpec(bins=2, window=0)
 
+    def test_bins_are_bounded(self):
+        from flexautomata.sample_io import MAX_ALPHABET_SIZE
+
+        assert DiscretizationSpec(bins=MAX_ALPHABET_SIZE).bins == MAX_ALPHABET_SIZE
+        with pytest.raises(ValueError):
+            DiscretizationSpec(bins=MAX_ALPHABET_SIZE + 1)
+
 
 class TestEvaluate:
     def test_counts_on_reference_sample(self, ref_sample):

@@ -28,6 +28,7 @@ from flexautomata import (
     write_dot,
     write_sample,
 )
+from flexautomata.sample_io import MAX_ALPHABET_SIZE
 from dot_check import DotSyntaxError, check_dot
 from gen import even_ones_dfa, labeled_sample, random_automaton
 import random
@@ -82,6 +83,23 @@ class TestAbbadingoParsing:
     def test_unlabeled_marker_needs_extended_format(self):
         with pytest.raises(SampleFormatError):
             parse_abbadingo("? 1 0\n")
+
+    def test_symbols_are_bounded(self):
+        assert len(parse_abbadingo(f"1 1 {MAX_ALPHABET_SIZE - 1}\n").alphabet) == MAX_ALPHABET_SIZE
+        for parser in (parse_abbadingo, parse_augmented):
+            with pytest.raises(SampleFormatError) as err:
+                parser(f"1 0\n1 1 {MAX_ALPHABET_SIZE}\n")
+            assert err.value.line == 2
+        with pytest.raises(SampleFormatError) as err:
+            parse_augmented("? 2 0 1000000:1.0/2.0\n")
+        assert err.value.line == 1
+
+    def test_header_alphabet_is_bounded(self):
+        assert len(parse_abbadingo(f"1 {MAX_ALPHABET_SIZE}\n1 0\n").alphabet) == MAX_ALPHABET_SIZE
+        for parser in (parse_abbadingo, parse_augmented):
+            with pytest.raises(SampleFormatError) as err:
+                parser(f"1 {MAX_ALPHABET_SIZE + 1}\n1 0\n")
+            assert err.value.line == 1
 
     def test_annotated_symbols_need_extended_format(self):
         with pytest.raises(SampleFormatError):
@@ -287,6 +305,30 @@ class TestModelPersistence:
         assert err.value.line == no
         assert f"line {no}:" in str(err.value)
 
+    @pytest.mark.parametrize("kind, replacement", [
+        ("start", "start 0 junk"),
+        ("attributes", "attributes 0 x"),
+        ("attributes", "attributes -1"),
+        ("start", "start 0\nstart 0"),
+        ("alphabet", "alphabet 2 0 1\nalphabet 2 0 1"),
+        ("attributes", "attributes 0\nattributes 0"),
+    ])
+    def test_malformed_header_line_names_its_number(self, ref_apta, kind, replacement):
+        lines = save_model(ref_apta).splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        lines[i:i + 1] = replacement.splitlines()
+        no = i + len(replacement.splitlines())  # the last replacement line is the bad one
+        with pytest.raises(ModelFormatError) as err:
+            load_model("\n".join(lines) + "\n")
+        assert err.value.line == no
+
+    def test_alphabet_is_bounded(self):
+        names = " ".join(str(i) for i in range(MAX_ALPHABET_SIZE + 1))
+        text = f"flexautomata-model 1\nalphabet {MAX_ALPHABET_SIZE + 1} {names}\n"
+        with pytest.raises(ModelFormatError) as err:
+            load_model(text + "attributes 0\nstate 0 unl 0 0.0 0.0 0 0 0\nstart 0\n")
+        assert err.value.line == 2
+
     @staticmethod
     def augmented_texts():
         real = st.one_of(
@@ -342,3 +384,33 @@ class TestModelPersistence:
         text = save_model(ref_apta)
         with pytest.raises(ModelFormatError):
             load_model(text.replace("\nstart 0", ""))
+
+
+def _format_texts():
+    """Line soup from the tokens of both trace formats and of the model format."""
+    token = st.one_of(
+        st.sampled_from([
+            "alphabet", "attributes", "state", "trans", "start", "acc", "rej", "unl",
+            "0", "1", "2", "3", "9", "-1", "?", "x", "0.5", "-0.0", "nan", "inf", "1e400",
+            "0/1.5", "1:2.0/3", "2:1,2", "0:", "/", ":", "65536", "99999999999999999999",
+        ]),
+        st.text(alphabet="0123456789-+.:/,?aex", min_size=1, max_size=6),
+    )
+    line = st.lists(token, max_size=10).map(" ".join)
+    header = st.sampled_from(["flexautomata-model 1\n", ""])
+    return st.tuples(header, st.lists(line, max_size=10)).map(
+        lambda hl: hl[0] + "\n".join(hl[1]) + "\n")
+
+
+@given(_format_texts())
+@settings(max_examples=300, deadline=None)
+def test_readers_raise_only_format_errors(text):
+    for reader, error in (
+        (load_model, ModelFormatError),
+        (parse_abbadingo, SampleFormatError),
+        (parse_augmented, SampleFormatError),
+    ):
+        try:
+            reader(text)
+        except error:
+            pass
