@@ -18,6 +18,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 Symbol = int
@@ -96,6 +97,11 @@ class Automaton:
     sets; they must be disjoint, which :func:`check_integrity` verifies.
     ``next_id`` is the lowest id never handed out, so merged states can take
     fresh ids without colliding with anything that ever existed in this run.
+
+    :attr:`target_totals` is computed on first use and then kept, which is
+    sound only because an automaton and its ``states`` are never edited after
+    construction; :func:`dataclasses.replace` makes a new object with its own
+    totals.
     """
 
     alphabet: tuple[str, ...]
@@ -130,6 +136,12 @@ class Automaton:
     @property
     def state_count(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def target_totals(self) -> tuple[int, float]:
+        """Target count and target sum pooled over every state, in ``states`` order."""
+        count = sum(s.target_count for s in self.states.values())
+        return count, sum(s.target_sum for s in self.states.values())
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05, help="alergia rejection level")
     p.add_argument("--penalty", type=float, default=0.0, help="mse reward per merged pair")
     p.add_argument("--min-evidence", type=float, default=0.0,
-                   help="scores below this are not merged (-inf disables the cutoff)")
+                   help="scores below this are not merged "
+                        "(--min-evidence=-inf disables the cutoff)")
     p.add_argument("--output", help="model file (default: stdout)")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
     p.add_argument("--trace", action="store_true", help="log merges and promotions to stderr")

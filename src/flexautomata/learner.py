@@ -15,6 +15,7 @@ fresh increasing ids, so identical inputs yield byte-identical models.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ class LearnerConfig:
     debug_trace: bool = False
 
     def __post_init__(self):
+        if math.isnan(self.min_evidence):
+            raise ValueError("min_evidence must not be nan")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
 

@@ -3,7 +3,9 @@
 Prediction walks a word through the automaton and reports the mean target of
 the end state.  Words that fall off the transition structure are handled by
 a configurable fallback: the global target mean, the mean at the deepest
-state actually reached, or a hard error.
+state actually reached, or a hard error.  The global mean comes from
+:attr:`Automaton.target_totals`, pooled once per model and kept because
+models are immutable, so a query costs its word length, not the model size.
 
 Sampling draws words from the machine by a weighted random walk over the
 recorded transition counts (with an extra stop option at accepting states),
@@ -62,10 +64,10 @@ def _walk(a: Automaton, word: Word) -> tuple[list[StateId], bool]:
 
 
 def global_target_mean(a: Automaton) -> float:
-    total = sum(s.target_count for s in a.states.values())
-    if total == 0:
+    count, total = a.target_totals
+    if count == 0:
         raise PredictionError("model carries no target data")
-    return sum(s.target_sum for s in a.states.values()) / total
+    return total / count
 
 
 def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionConfig()) -> float:
@@ -77,19 +79,27 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
     targets and falls back to the global mean when the whole path is bare.
     A model with no target data at all is an error under every policy.
     """
-    mean = global_target_mean(a)  # raises when the model has no targets
     path, complete = _walk(a, word)
+    return _resolve(a, word, path, complete, cfg.fallback)
+
+
+def _resolve(a: Automaton, word: Word, path: list[StateId], complete: bool,
+             fallback: Fallback) -> float:
+    """The prediction for ``word`` from its walk, as :func:`predict_value` defines it."""
+    count, total = a.target_totals
+    if count == 0:
+        raise PredictionError("model carries no target data")
     end = a.states[path[-1]]
     if complete and end.target_count > 0:
         return end.target_sum / end.target_count
-    if cfg.fallback is Fallback.ERROR:
+    if fallback is Fallback.ERROR:
         raise PredictionError(f"word {word} leaves the model's domain")
-    if cfg.fallback is Fallback.LAST_STATE:
+    if fallback is Fallback.LAST_STATE:
         for q in reversed(path):
             agg = a.states[q]
             if agg.target_count > 0:
                 return agg.target_sum / agg.target_count
-    return mean
+    return total / count
 
 
 def shortest_accepted_length(a: Automaton) -> int | None:
@@ -290,9 +300,9 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     pos_total = pos_acc = neg_total = neg_rej = 0
     sq_err = 0.0
     n_t = 0
-    cfg = PredictionConfig(Fallback.GLOBAL_MEAN)
     for trace in sample.traces:
-        path, complete = _walk(a, trace.word)
+        word = trace.word
+        path, complete = _walk(a, word)
         ok = complete and path[-1] in a.accepting
         accepted += ok
         if trace.label is TraceLabel.POSITIVE:
@@ -301,8 +311,9 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
         elif trace.label is TraceLabel.NEGATIVE:
             neg_total += 1
             neg_rej += not ok
-        if trace.symbols and trace.symbols[-1].target is not None:
-            err = predict_value(a, trace.word, cfg) - trace.symbols[-1].target
+        target = trace.symbols[-1].target if trace.symbols else None
+        if target is not None:
+            err = _resolve(a, word, path, complete, Fallback.GLOBAL_MEAN) - target
             sq_err += err * err
             n_t += 1
     labeled = pos_total + neg_total

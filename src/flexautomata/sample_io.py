@@ -382,23 +382,25 @@ def load_model(text: str) -> Automaton:
     """
     from .automaton import check_integrity
 
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines or lines[0][1] != MODEL_HEADER:
-        raise ModelFormatError(f"expected header {MODEL_HEADER!r}", lines[0][0] if lines else None)
-
     alphabet: tuple[str, ...] | None = None
     arity = 0
     label_in = {"acc": "accepting", "rej": "rejecting", "unl": "unlabeled"}
-    states: dict[StateId, StateAggregate] = {}
-    trans_counts: dict[tuple[StateId, Symbol], int] = {}
+    # A state's aggregate needs its out_counts from the trans lines, so each
+    # state line's fields wait here and every aggregate is built once at the end.
+    state_fields: dict[StateId, tuple] = {}
+    out_counts: dict[StateId, dict[Symbol, int]] = {}
     accepting: set[StateId] = set()
     rejecting: set[StateId] = set()
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
     start: StateId | None = None
 
+    lines = ((no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.isspace())
+    no, first = next(lines, (None, ""))
+    if first.strip() != MODEL_HEADER:
+        raise ModelFormatError(f"expected header {MODEL_HEADER!r}", no)
+
     seen: set[str] = set()  # the kinds that may appear only once
-    for no, ln in lines[1:]:
+    for no, ln in lines:
         tokens = ln.split()
         kind = tokens[0]
         if kind == "alphabet":
@@ -423,7 +425,7 @@ def load_model(text: str) -> Automaton:
                     f"state line has {len(tokens)} fields, expected {9 + arity}", no
                 )
             q = _model_int(tokens[1], "state id", no)
-            if q in states:
+            if q in state_fields:
                 raise ModelFormatError(f"duplicate state {q}", no)
             if tokens[2] not in label_in:
                 raise ModelFormatError(f"bad state label {tokens[2]!r}", no)
@@ -431,14 +433,14 @@ def load_model(text: str) -> Automaton:
                 accepting.add(q)
             elif tokens[2] == "rej":
                 rejecting.add(q)
-            states[q] = StateAggregate(
-                total_count=_model_int(tokens[3], "count", no),
-                target_sum=_model_float(tokens[4], "target sum", no),
-                target_sumsq=_model_float(tokens[5], "target sumsq", no),
-                end_pos_count=_model_int(tokens[6], "end count", no),
-                end_neg_count=_model_int(tokens[7], "end count", no),
-                target_count=_model_int(tokens[8], "target count", no),
-                attribute_sums=tuple(_model_float(t, "attribute sum", no) for t in tokens[9:]),
+            state_fields[q] = (
+                _model_int(tokens[3], "count", no),
+                _model_float(tokens[4], "target sum", no),
+                _model_float(tokens[5], "target sumsq", no),
+                _model_int(tokens[6], "end count", no),
+                _model_int(tokens[7], "end count", no),
+                _model_int(tokens[8], "target count", no),
+                tuple(_model_float(t, "attribute sum", no) for t in tokens[9:]),
             )
         elif kind == "trans":
             if len(tokens) != 5:
@@ -452,7 +454,8 @@ def load_model(text: str) -> Automaton:
                     f"duplicate transition on ({src}, {sym}); model not deterministic", no
                 )
             transitions[(src, sym)] = dst
-            trans_counts[(src, sym)] = count
+            if count > 0:
+                out_counts.setdefault(src, {})[sym] = count
         elif kind == "start":
             _once(kind, seen, no)
             start = _model_int(_value(tokens, no), "start state", no)
@@ -463,22 +466,19 @@ def load_model(text: str) -> Automaton:
         raise ModelFormatError("missing alphabet line")
     if start is None:
         raise ModelFormatError("missing start line")
-    out_counts: dict[StateId, dict[Symbol, int]] = {q: {} for q in states}
-    for (src, sym), count in trans_counts.items():
-        if src in out_counts and count > 0:
-            out_counts[src][sym] = count
     states = {
         q: StateAggregate(
-            total_count=agg.total_count,
-            end_pos_count=agg.end_pos_count,
-            end_neg_count=agg.end_neg_count,
-            out_counts=out_counts[q],
-            target_count=agg.target_count,
-            target_sum=agg.target_sum,
-            target_sumsq=agg.target_sumsq,
-            attribute_sums=agg.attribute_sums,
+            total_count=total,
+            end_pos_count=end_pos,
+            end_neg_count=end_neg,
+            out_counts=out_counts.get(q, {}),
+            target_count=target_count,
+            target_sum=target_sum,
+            target_sumsq=target_sumsq,
+            attribute_sums=attribute_sums,
         )
-        for q, agg in states.items()
+        for q, (total, target_sum, target_sumsq, end_pos, end_neg, target_count,
+                attribute_sums) in state_fields.items()
     }
     a = Automaton(
         alphabet=alphabet,

@@ -1,8 +1,31 @@
 """Command-line behavior: every subcommand, the exit-code contract, pipelines."""
 
-import pytest
+import contextlib
+import hashlib
+import io
+import os
+import random
+import tempfile
 
-from flexautomata import load_model, parse_abbadingo, parse_augmented
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flexautomata import (
+    DiscretizationSpec,
+    LearnerConfig,
+    Sample,
+    SymbolInstance,
+    Trace,
+    TraceLabel,
+    discretize,
+    learn,
+    load_model,
+    parse_abbadingo,
+    parse_augmented,
+    save_model,
+    write_sample,
+)
 from flexautomata.cli import run
 from dot_check import check_dot
 
@@ -77,6 +100,20 @@ class TestLearn:
         code = run(["learn", "--input", sample_file, "--heuristic", "alergia", "--alpha", "7"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_min_evidence_minus_inf_as_documented(self, sample_file, capsys):
+        assert run(["learn", "--help"]) == 0
+        # argparse may wrap the help at a hyphen
+        assert "--min-evidence=-inf" in "".join(capsys.readouterr().out.split())
+        assert run(["learn", "--input", sample_file, "--min-evidence=-inf"]) == 0
+        model = load_model(capsys.readouterr().out)
+        with open(sample_file) as f:
+            want, _ = learn(parse_augmented(f.read()), LearnerConfig(min_evidence=float("-inf")))
+        assert save_model(model) == save_model(want)
+
+    def test_nan_min_evidence_exits_1(self, sample_file, capsys):
+        assert run(["learn", "--input", sample_file, "--min-evidence", "nan"]) == 1
+        assert "min_evidence" in capsys.readouterr().err
 
     def test_unknown_flag_exits_1(self, sample_file, capsys):
         assert run(["learn", "--input", sample_file, "--bogus"]) == 1
@@ -263,6 +300,111 @@ class TestDiscretize:
         assert "bins" in capsys.readouterr().err
 
 
+# Each subcommand's required flags, then its optional ones.
+_FUZZ_COMMANDS = {
+    "learn": (["--input"], ["--format", "--heuristic", "--alpha", "--penalty",
+                            "--min-evidence", "--output", "--dot", "--trace"]),
+    "predict": (["--model", "--input"], ["--format", "--fallback"]),
+    "generate": (["--model"], ["-n", "--seed", "--max-len"]),
+    "eval": (["--model", "--input"], ["--format"]),
+    "dot": (["--model"], []),
+    "discretize": (["--input", "--bins", "--window"],
+                   ["--method", "--target", "--skip-header"]),
+    "bogus": ([], []),
+}
+_FUZZ_ANY_FLAG = sorted({f for req, opt in _FUZZ_COMMANDS.values() for f in req + opt}
+                        | {"--help", "--bogus"})
+_FUZZ_FILES = ["{soup}", "{bytes}", "{traces}", "{model}", "{series}", "{missing}"]
+_FUZZ_NUMBERS = ["0", "1", "-1", "3", "0.5", "1e9", "nan", "inf", "-inf", "x", ""]
+# The values each flag takes; -n, --max-len, --window and --bins scale the
+# work of one call, so they stay small.
+_FUZZ_SMALL = ["-2", "-1", "0", "1", "2", "3", "6", "x", "nan"]
+_FUZZ_FLAG_VALUES = {
+    "--input": _FUZZ_FILES, "--model": _FUZZ_FILES,
+    "--output": ["{out}"], "--dot": ["{out}"],
+    "--format": ["abbadingo", "augmented"], "--heuristic": ["edsm", "alergia", "mse"],
+    "--fallback": ["mean", "last", "error"], "--method": ["uniform", "quantile"],
+    "--target": ["delta", "value"], "--seed": ["0", "1", "7", "-1"],
+    "--trace": [], "--skip-header": [], "--help": [], "--bogus": [],
+    "-n": _FUZZ_SMALL, "--max-len": _FUZZ_SMALL, "--window": _FUZZ_SMALL, "--bins": _FUZZ_SMALL,
+}
+_FUZZ_ANY_VALUE = sorted({v for vs in _FUZZ_FLAG_VALUES.values() for v in vs if v != "{out}"}
+                         | set(_FUZZ_NUMBERS))
+_FUZZ_SOUP = [
+    "1", "0", "?", "2", "-1", "7", "65536", "nan", "inf", "1e308", "0.5", "0:1.5/2",
+    "1/0.25", "3:", "x", "flexautomata-model", "state", "trans", "start", "alphabet",
+    "attributes", "acc", "rej", "unl", ",", "\n", "\n", " ",
+]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand with mostly its own flags (the required ones usually
+    present) and mostly fitting values, with now and then a stray flag, a
+    misfit value or a missing one."""
+    command = draw(st.sampled_from(list(_FUZZ_COMMANDS)))
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = [f for f in required if draw(st.sampled_from([True] * 5 + [False]))]
+    flags += draw(st.lists(st.sampled_from(optional or _FUZZ_ANY_FLAG), max_size=4))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        flags.append(draw(st.sampled_from(_FUZZ_ANY_FLAG)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        fit = _FUZZ_FLAG_VALUES.get(flag, _FUZZ_NUMBERS)
+        pick = draw(st.sampled_from(["fit"] * 8 + ["misfit", "none"]))
+        # an output flag always names the temporary directory's file
+        if fit and (fit == ["{out}"] or pick == "fit"):
+            value = draw(st.sampled_from(fit))
+        elif pick == "misfit":
+            value = draw(st.sampled_from(_FUZZ_ANY_VALUE))
+        else:
+            argv.append(flag)
+            continue
+        joined = draw(st.sampled_from([False] * 3 + [True]))
+        argv += [f"{flag}={value}"] if joined else [flag, value]
+    return argv
+
+
+def _fill(token, paths):
+    for name, path in paths.items():
+        token = token.replace(name, path)
+    return token
+
+
+class TestFuzz:
+    @given(
+        _fuzz_argv(),
+        st.lists(st.sampled_from(_FUZZ_SOUP), max_size=40).map(" ".join),
+        st.binary(max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_only_returns_an_exit_code(self, argv, soup, raw):
+        traces = "1 2 0 1\n0 1 1\n? 2 0/1.5 1/2.0\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {
+                "{soup}": soup.encode("utf-8"),
+                "{bytes}": raw,
+                "{traces}": traces.encode("utf-8"),
+                "{model}": save_model(learn(parse_augmented(traces))[0]).encode("utf-8"),
+                "{series}": b"1.0\n2.5\n0.0\n3.0\n2.0\n",
+            }
+            paths = {name: os.path.join(tmp, name[1:-1]) for name in files}
+            for name, data in files.items():
+                with open(paths[name], "wb") as f:
+                    f.write(data)
+            paths["{missing}"] = os.path.join(tmp, "missing")
+            paths["{out}"] = os.path.join(tmp, "out")
+            cwd = os.getcwd()
+            os.chdir(tmp)  # anything written lands in the temporary directory
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run([_fill(token, paths) for token in argv])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2)
+
+
 class TestPipeline:
     def test_discretize_learn_predict_eval(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -282,3 +424,53 @@ class TestPipeline:
         assert run(["eval", "--model", str(model), "--input", str(traces)]) == 0
         out = capsys.readouterr().out
         assert "mse" in out
+
+    # SHA-256 of the stdout of each serving command below, pinned from the
+    # implementation that pooled the global target mean on every query.
+    SERVING_GOLDEN = {
+        ("predict", "mean"): "64e125bea57b65cd9c4b2a875429fba72a3ef7ea4ddaca22bda560876aff25ee",
+        ("predict", "last"): "dfdd85722a0df573dd56b4003c60e93863a43c85be2465bfe91b6e36abc5cb78",
+        ("eval", None): "58fc1849438f71af016a0039223ea7e719b046f54a21277fc8f225a0792773ca",
+    }
+
+    def test_serving_outputs_are_pinned(self, tmp_path, capsys):
+        rng = random.Random(41)
+
+        def step_series(n):
+            values, level = [], 0.0
+            for i in range(n):
+                if i % 40 == 0:
+                    level = rng.choice([0.0, 5.0, 10.0])
+                values.append(level + rng.gauss(0.0, 0.3))
+            return values
+
+        series = tmp_path / "train.csv"
+        series.write_text("".join(f"{v!r}\n" for v in step_series(400)))
+        traces = tmp_path / "train.txt"
+        assert run(["discretize", "--input", str(series), "--bins", "4", "--window", "3"]) == 0
+        traces.write_text(capsys.readouterr().out)
+        model = tmp_path / "model.txt"
+        assert run(["learn", "--input", str(traces), "--heuristic", "mse",
+                    "--output", str(model)]) == 0
+        capsys.readouterr()
+
+        spec = DiscretizationSpec(bins=4, window=3)
+        held_out = discretize(step_series(200), spec).traces
+        # symbol 9 is outside the 4-bin alphabet: these words leave the model
+        # at depths 0 to 3, where the fallbacks differ
+        off = tuple(
+            Trace(TraceLabel.UNLABELED,
+                  tuple(SymbolInstance(s) for s in (0, 1, 2)[:depth])
+                  + (SymbolInstance(9, (), float(depth)),))
+            for depth in range(4)
+        )
+        queries = tmp_path / "queries.txt"
+        queries.write_text(write_sample(Sample(held_out + off, tuple(map(str, range(10))))))
+
+        for (command, fallback), digest in self.SERVING_GOLDEN.items():
+            argv = [command, "--model", str(model), "--input", str(queries)]
+            if fallback:
+                argv += ["--fallback", fallback]
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fallback)

@@ -100,6 +100,11 @@ class TestPromotion:
         assert picky.state_count >= free.state_count
         assert picky.state_count == build_apta(ref_sample).state_count
 
+    def test_nan_min_evidence_rejected(self):
+        # every comparison with nan is false, so it would silently disable the cutoff
+        with pytest.raises(ValueError):
+            LearnerConfig(min_evidence=float("nan"))
+
 
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self, ref_sample):

@@ -33,3 +33,7 @@ def test_traced_run_is_clean(workload):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["failed"] == 0, proc.stdout
     assert report["metrics"][WORK[workload]]["value"] > 0
+    if workload == "serve":
+        # queries read the loaded model's pooled target totals; no more than
+        # one global_target_mean call per eval or predict job
+        assert report["metrics"]["predict.global_mean_calls"]["value"] <= 3

@@ -1,8 +1,10 @@
 """Target prediction, word sampling, series discretization, evaluation."""
 
+import dataclasses
 import math
 import random
 import warnings
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,11 @@ from flexautomata import (
     GenerationError,
     PredictionConfig,
     PredictionError,
+    Sample,
+    SymbolInstance,
     TargetKind,
+    Trace,
+    TraceLabel,
     bin_cuts,
     build_apta,
     compute,
@@ -30,7 +36,7 @@ from flexautomata import (
     shortest_accepted_length,
 )
 from flexautomata.automaton import Outcome
-from gen import even_ones_dfa, complete_sample
+from gen import complete_sample, even_ones_dfa, random_automaton
 
 
 class TestPredictValue:
@@ -82,6 +88,127 @@ class TestPredictValue:
         a = build_apta(parse_augmented("? 1 0/2.0\n"))
         # root has no targets: fallback; with targets at root, exact
         assert predict_value(a, ()) == pytest.approx(2.0)
+
+
+def _reference_walk(a, word):
+    path = [a.start]
+    for sym in word:
+        nxt = a.transitions.get((path[-1], sym))
+        if nxt is None:
+            return path, False
+        path.append(nxt)
+    return path, True
+
+
+def _reference_predict(a, word, fallback):
+    """predict_value as it was before the totals were cached: a pass per call."""
+    total = sum(s.target_count for s in a.states.values())
+    if total == 0:
+        raise PredictionError("model carries no target data")
+    mean = sum(s.target_sum for s in a.states.values()) / total
+    path, complete = _reference_walk(a, word)
+    end = a.states[path[-1]]
+    if complete and end.target_count > 0:
+        return end.target_sum / end.target_count
+    if fallback is Fallback.ERROR:
+        raise PredictionError(f"word {word} leaves the model's domain")
+    if fallback is Fallback.LAST_STATE:
+        for q in reversed(path):
+            if a.states[q].target_count > 0:
+                return a.states[q].target_sum / a.states[q].target_count
+    return mean
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PredictionError as exc:
+        return str(exc)
+
+
+class _CountingStates(Mapping):
+    """A state table that counts full passes over it."""
+
+    def __init__(self, states):
+        self._states = dict(states)
+        self.passes = 0
+
+    def __getitem__(self, q):
+        return self._states[q]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self._states)
+
+    def __len__(self):
+        return len(self._states)
+
+
+class TestTargetTotals:
+    @given(
+        st.integers(0, 10_000_000),
+        st.lists(st.lists(st.integers(0, 2), max_size=6), min_size=1, max_size=12),
+        st.lists(st.floats(-3.0, 3.0) | st.none(), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cached_totals_match_a_pass_per_call(self, seed, words, targets):
+        # symbol 2 is outside the 2-symbol alphabet: a missing transition
+        a = random_automaton(random.Random(seed), max_states=12)
+        for word in words:
+            for fb in Fallback:
+                want = _outcome(_reference_predict, a, tuple(word), fb)
+                assert _outcome(predict_value, a, tuple(word), PredictionConfig(fb)) == want
+        traces = tuple(
+            Trace(TraceLabel.UNLABELED,
+                  tuple(SymbolInstance(s) for s in w[:-1])
+                  + tuple(SymbolInstance(s, (), t) for s in w[-1:]))
+            for w, t in zip(words, targets)
+        )
+        sample = Sample(traces, a.alphabet)
+        accepted, sq_err, n_t = 0, 0.0, 0
+        for trace in traces:
+            path, complete = _reference_walk(a, trace.word)
+            accepted += complete and path[-1] in a.accepting
+            target = trace.symbols[-1].target if trace.symbols else None
+            if target is not None:
+                got = _outcome(_reference_predict, a, trace.word, Fallback.GLOBAL_MEAN)
+                if isinstance(got, str):
+                    assert _outcome(evaluate, a, sample) == got
+                    return
+                err = got - target
+                sq_err += err * err
+                n_t += 1
+        report = evaluate(a, sample)
+        assert report.accepted == accepted
+        assert report.mse == (sq_err / n_t if n_t else None)
+        assert report.mse_count == n_t
+
+    def test_replaced_states_get_fresh_totals(self):
+        a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/4.0 0/6.0\n"))
+        assert global_target_mean(a) == 4.0
+        doubled = {
+            q: dataclasses.replace(agg, target_sum=2 * agg.target_sum)
+            for q, agg in a.states.items()
+        }
+        b = dataclasses.replace(a, states=doubled)
+        assert global_target_mean(b) == 8.0
+        assert predict_value(b, (0, 0, 0)) == 8.0
+        assert global_target_mean(a) == 4.0
+
+    def test_state_passes_do_not_grow_with_queries(self):
+        base = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/4.0 0/6.0\n"))
+        states = _CountingStates(base.states)
+        a = dataclasses.replace(base, states=states)
+        sample = parse_augmented("? 1 1/1.0\n? 2 0 0/1.0\n")
+        predict_value(a, (1,))
+        evaluate(a, sample)
+        first = states.passes
+        for fb in Fallback:
+            for word in [(0,), (0, 0), (1,), (0, 0, 0)] * 25:
+                _outcome(predict_value, a, word, PredictionConfig(fb))
+        for _ in range(25):
+            evaluate(a, sample)
+        assert states.passes == first
 
 
 class TestSampleWords:
