@@ -215,7 +215,11 @@ def check_integrity(a: Automaton) -> list[str]:
     """Structural and aggregate sanity violations, as plain strings.
 
     Returns an empty list for a healthy automaton.  Violations are data, not
-    exceptions, so loaders and tests can report all of them at once.
+    exceptions, so loaders and tests can report all of them at once.  The
+    order is fixed: the start state, the label sets, then the transitions
+    by ``(source, symbol)`` and the states by id.  Only offenders are
+    sorted, so a healthy automaton costs one unsorted pass over its
+    transitions and states.
     """
     out: list[str] = []
     if a.start not in a.states:
@@ -228,32 +232,49 @@ def check_integrity(a: Automaton) -> list[str]:
     for q in sorted(set(a.rejecting) - set(a.states)):
         out.append(f"rejecting state {q} not in state set")
     size = len(a.alphabet)
-    for (src, sym), dst in sorted(a.transitions.items()):
-        if src not in a.states:
+    states, transitions = a.states, a.transitions
+    bad_transitions = [
+        (src, sym, dst)
+        for (src, sym), dst in transitions.items()
+        if src not in states or dst not in states or not 0 <= sym < size
+    ]
+    for src, sym, dst in sorted(bad_transitions):
+        if src not in states:
             out.append(f"transition source {src} not in state set")
-        if dst not in a.states:
+        if dst not in states:
             out.append(f"transition target {dst} not in state set")
         if not 0 <= sym < size:
             out.append(f"transition ({src},{sym}) uses symbol outside alphabet")
-    for q in sorted(a.states):
-        agg = a.states[q]
-        if q >= a.next_id:
-            out.append(f"state {q} not below next_id {a.next_id}")
-        if min(agg.total_count, agg.end_pos_count, agg.end_neg_count, agg.target_count) < 0:
-            out.append(f"state {q} has a negative count")
-        if sum(agg.out_counts.values()) > agg.total_count:
-            out.append(f"state {q} out_counts exceed total_count")
-        if agg.target_count > agg.total_count:
-            out.append(f"state {q} target_count exceeds total_count")
-        for sym, c in sorted(agg.out_counts.items()):
+    next_id, arity = a.next_id, a.attribute_arity
+    by_state: dict[StateId, list[str]] = {}
+    for q, agg in states.items():
+        found: list[str] = []
+        total = agg.total_count
+        if q >= next_id:
+            found.append(f"state {q} not below next_id {next_id}")
+        if min(total, agg.end_pos_count, agg.end_neg_count, agg.target_count) < 0:
+            found.append(f"state {q} has a negative count")
+        if sum(agg.out_counts.values()) > total:
+            found.append(f"state {q} out_counts exceed total_count")
+        if agg.target_count > total:
+            found.append(f"state {q} target_count exceeds total_count")
+        bad_counts = []
+        for sym, c in agg.out_counts.items():
+            if c < 0 or (c > 0 and (q, sym) not in transitions):
+                bad_counts.append((sym, c))
+        for sym, c in sorted(bad_counts):
             if c < 0:
-                out.append(f"state {q} negative out count on symbol {sym}")
-            if c > 0 and (q, sym) not in a.transitions:
-                out.append(f"state {q} counts symbol {sym} but has no such transition")
+                found.append(f"state {q} negative out count on symbol {sym}")
+            else:
+                found.append(f"state {q} counts symbol {sym} but has no such transition")
         for v in (agg.target_sum, agg.target_sumsq, *agg.attribute_sums):
             if not math.isfinite(v):
-                out.append(f"state {q} has a non-finite aggregate value")
+                found.append(f"state {q} has a non-finite aggregate value")
                 break
-        if len(agg.attribute_sums) not in (0, a.attribute_arity):
-            out.append(f"state {q} attribute arity {len(agg.attribute_sums)} != {a.attribute_arity}")
+        if len(agg.attribute_sums) not in (0, arity):
+            found.append(f"state {q} attribute arity {len(agg.attribute_sums)} != {arity}")
+        if found:
+            by_state[q] = found
+    for q in sorted(by_state):
+        out.extend(by_state[q])
     return out

@@ -27,10 +27,6 @@ class ModelFormatError(_LineError):
     """A model file that cannot be loaded back into a valid automaton."""
 
 
-class IterationLimitError(RuntimeError):
-    """The learner hit its configured iteration cap before converging."""
-
-
 class PredictionError(ValueError):
     """No prediction is possible under the configured fallback policy."""
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .apta import build_apta
 from .automaton import Automaton, StateId
-from .errors import IterationLimitError
 from .heuristics import Edsm, EvidenceScore, HeuristicId, score_outcome
 from .merging import MergeArena
 from .sample_io import Sample
@@ -31,14 +30,11 @@ from .sample_io import Sample
 class LearnerConfig:
     heuristic: HeuristicId = field(default_factory=Edsm)
     min_evidence: float = 0.0
-    max_iterations: int | None = None
     debug_trace: bool = False
 
     def __post_init__(self):
         if math.isnan(self.min_evidence):
             raise ValueError("min_evidence must not be nan")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +108,10 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     """Learn an automaton from a sample by greedy evidence-driven merging.
 
     Returns the final machine and the log of every promotion and merge.
-    Raises on contradictory samples (via the prefix tree build) and when
-    ``cfg.max_iterations`` rounds pass without the frontier emptying.
+    Raises on contradictory samples (via the prefix tree build).  The loop
+    always ends: ``2 * states - red`` is never negative and falls by at least
+    one per iteration (a promotion adds a red state, a merge removes at least
+    one state), so there are at most ``2 * initial_states - 1`` iterations.
     """
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
@@ -122,7 +120,6 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     # Scores stay valid until the automaton itself changes; promotions only
     # recolor, so the cache survives them.
     scores: dict[tuple[StateId, StateId], EvidenceScore] = {}
-    iterations = 0
 
     def emit(event: tuple) -> None:
         log.events.append(event)
@@ -130,11 +127,6 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             print(_event_line(event), file=sys.stderr)
 
     while state.blue:
-        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
-            raise IterationLimitError(
-                f"no convergence within {cfg.max_iterations} iterations"
-            )
-        iterations += 1
         for b in state.blue:
             for r in state.red:
                 if (r, b) in scores:

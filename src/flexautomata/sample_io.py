@@ -133,14 +133,14 @@ def _valid_data_first_line(tokens: list[str], labels: dict[str, TraceLabel]) -> 
 
 def _parse_sample(text: str, extended: bool) -> Sample:
     labels = _EXT_LABELS if extended else _PLAIN_LABELS
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln]
+    lines = text.splitlines()
+    rows = [(no, tokens) for no, ln in enumerate(lines, 1) if (tokens := ln.split())]
     declared_count = None
     declared_size = None
-    if lines:
-        no, first = lines[0]
-        tokens = first.split()
+    if rows:
+        no, tokens = rows[0]
         if len(tokens) == 2 and not _valid_data_first_line(tokens, labels):
+            first = lines[no - 1].strip()
             try:
                 declared_count, declared_size = int(tokens[0]), int(tokens[1])
             except ValueError:
@@ -151,13 +151,15 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                 raise SampleFormatError(
                     f"alphabet size {declared_size} exceeds the bound {MAX_ALPHABET_SIZE}", no
                 )
-            lines = lines[1:]
+            del rows[0]
 
     traces: list[Trace] = []
     arity: int | None = None
     max_sym = -1
-    for no, ln in lines:
-        tokens = ln.split()
+    # A bare token (no '/' or ':' part) always parses to the same immutable
+    # instance, so each distinct one is parsed once per call and then shared.
+    bare: dict[str, SymbolInstance] = {}
+    for no, tokens in rows:
         if len(tokens) < 2:
             raise SampleFormatError("expected 'label length sym...'", no)
         if tokens[0] not in labels:
@@ -173,7 +175,14 @@ def _parse_sample(text: str, extended: bool) -> Sample:
             raise SampleFormatError(
                 f"declared length {length} but {len(tokens) - 2} symbols", no
             )
-        symbols = tuple(_parse_symbol_token(t, extended, no) for t in tokens[2:])
+        symbols = []
+        for token in tokens[2:]:
+            inst = bare.get(token)
+            if inst is None:
+                inst = _parse_symbol_token(token, extended, no)
+                if not (extended and ("/" in token or ":" in token)):
+                    bare[token] = inst
+            symbols.append(inst)
         for inst in symbols:
             if inst.attributes:
                 if arity is None:
@@ -182,12 +191,15 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                     raise SampleFormatError(
                         f"attribute arity {len(inst.attributes)} != {arity} seen earlier", no
                     )
-            if declared_size is not None and inst.symbol >= declared_size:
-                raise SampleFormatError(
-                    f"symbol {inst.symbol} outside declared alphabet of size {declared_size}", no
-                )
-            max_sym = max(max_sym, inst.symbol)
-        traces.append(Trace(label, symbols))
+            # Every symbol up to max_sym has passed this check already.
+            if inst.symbol > max_sym:
+                if declared_size is not None and inst.symbol >= declared_size:
+                    raise SampleFormatError(
+                        f"symbol {inst.symbol} outside declared alphabet of size {declared_size}",
+                        no,
+                    )
+                max_sym = inst.symbol
+        traces.append(Trace(label, tuple(symbols)))
 
     if declared_count is not None and declared_count != len(traces):
         raise SampleFormatError(
@@ -199,12 +211,23 @@ def _parse_sample(text: str, extended: bool) -> Sample:
 
 
 def parse_abbadingo(text: str) -> Sample:
-    """Parse the classic trace format (labels 0/1, bare integer symbols)."""
+    """Parse the classic trace format (labels 0/1, bare integer symbols).
+
+    One pass, linear in the text.  Equal symbol tokens share one immutable
+    :class:`SymbolInstance`, parsed once per call; the per-trace checks run
+    on every symbol.
+    """
     return _parse_sample(text, extended=False)
 
 
 def parse_augmented(text: str) -> Sample:
-    """Parse the extended trace format (adds '?' labels, attributes, targets)."""
+    """Parse the extended trace format (adds '?' labels, attributes, targets).
+
+    One pass, linear in the text.  Equal bare tokens (no ``:`` or ``/``
+    part) share one immutable :class:`SymbolInstance`, parsed once per call;
+    annotated tokens are parsed each time.  The per-trace checks run on
+    every symbol.
+    """
     return _parse_sample(text, extended=True)
 
 
@@ -341,8 +364,8 @@ def save_model(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _value(tokens: list[str], line: int, *, only: bool = True) -> str:
-    """The token after a line's kind; a bare kind is a format error.
+def _line_int(tokens: list[str], what: str, line: int, *, only: bool = True) -> int:
+    """The integer after a line's kind; a bare kind is a format error.
 
     With ``only`` the line must hold nothing after that token either.
     """
@@ -350,7 +373,10 @@ def _value(tokens: list[str], line: int, *, only: bool = True) -> str:
         raise ModelFormatError(f"{tokens[0]} line without a value", line)
     if only and len(tokens) > 2:
         raise ModelFormatError(f"{tokens[0]} line has {len(tokens)} fields, expected 2", line)
-    return tokens[1]
+    try:
+        return int(tokens[1])
+    except ValueError:
+        raise ModelFormatError(f"bad {what} {tokens[1]!r}", line) from None
 
 
 def _once(kind: str, seen: set[str], line: int) -> None:
@@ -359,26 +385,37 @@ def _once(kind: str, seen: set[str], line: int) -> None:
     seen.add(kind)
 
 
-def _model_int(token: str, what: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ModelFormatError(f"bad {what} {token!r}", line) from None
+_STATE_FIELDS = (
+    (int, "count"), (float, "target sum"), (float, "target sumsq"),
+    (int, "end count"), (int, "end count"), (int, "target count"),
+)
+_TRANS_FIELDS = (
+    (int, "source state"), (int, "symbol"), (int, "target state"), (int, "transition count"),
+)
 
 
-def _model_float(token: str, what: str, line: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ModelFormatError(f"bad {what} {token!r}", line) from None
+def _bad_field(tokens: list[str], fields, line: int) -> ModelFormatError:
+    """The error for the first of ``tokens`` that its ``(convert, name)`` field refuses.
+
+    Lines convert all their numbers at once; this walks them again, only
+    after that failed, to name the field and token at fault.
+    """
+    for token, (convert, what) in zip(tokens, fields):
+        try:
+            convert(token)
+        except ValueError:
+            return ModelFormatError(f"bad {what} {token!r}", line)
+    raise AssertionError("every field converts")
 
 
 def load_model(text: str) -> Automaton:
-    """Parse :func:`save_model` output back into an automaton.
+    """Parse :func:`save_model` output back into an automaton, in one pass.
 
-    Rejects unknown format versions, duplicate ``(state, symbol)`` transition
-    lines (determinism violation), and anything :func:`check_integrity`
-    complains about after assembly.
+    Each ``state`` or ``trans`` line converts its numbers at once; a token
+    that does not convert fails the load with ``bad <field> <token>`` and
+    the line.  Rejects unknown format versions, duplicate ``(state, symbol)``
+    transition lines (determinism violation), negative transition counts,
+    and anything :func:`check_integrity` complains about after assembly.
     """
     from .automaton import check_integrity
 
@@ -394,18 +431,18 @@ def load_model(text: str) -> Automaton:
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
     start: StateId | None = None
 
-    lines = ((no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.isspace())
-    no, first = next(lines, (None, ""))
-    if first.strip() != MODEL_HEADER:
+    lines = text.splitlines()
+    rows = ((no, tokens) for no, ln in enumerate(lines, 1) if (tokens := ln.split()))
+    no, _ = next(rows, (None, None))
+    if no is None or lines[no - 1].strip() != MODEL_HEADER:
         raise ModelFormatError(f"expected header {MODEL_HEADER!r}", no)
 
     seen: set[str] = set()  # the kinds that may appear only once
-    for no, ln in lines:
-        tokens = ln.split()
+    for no, tokens in rows:
         kind = tokens[0]
         if kind == "alphabet":
             _once(kind, seen, no)
-            size = _model_int(_value(tokens, no, only=False), "alphabet size", no)
+            size = _line_int(tokens, "alphabet size", no, only=False)
             names = tokens[2:]
             if len(names) != size:
                 raise ModelFormatError(f"alphabet declares {size} names, found {len(names)}", no)
@@ -416,7 +453,7 @@ def load_model(text: str) -> Automaton:
             alphabet = tuple(names)
         elif kind == "attributes":
             _once(kind, seen, no)
-            arity = _model_int(_value(tokens, no), "attribute arity", no)
+            arity = _line_int(tokens, "attribute arity", no)
             if arity < 0:
                 raise ModelFormatError(f"negative attribute arity {arity}", no)
         elif kind == "state":
@@ -424,41 +461,50 @@ def load_model(text: str) -> Automaton:
                 raise ModelFormatError(
                     f"state line has {len(tokens)} fields, expected {9 + arity}", no
                 )
-            q = _model_int(tokens[1], "state id", no)
+            try:
+                q = int(tokens[1])
+            except ValueError:
+                raise ModelFormatError(f"bad state id {tokens[1]!r}", no) from None
             if q in state_fields:
                 raise ModelFormatError(f"duplicate state {q}", no)
-            if tokens[2] not in label_in:
-                raise ModelFormatError(f"bad state label {tokens[2]!r}", no)
-            if tokens[2] == "acc":
+            label = tokens[2]
+            if label not in label_in:
+                raise ModelFormatError(f"bad state label {label!r}", no)
+            try:
+                state_fields[q] = (
+                    int(tokens[3]), float(tokens[4]), float(tokens[5]), int(tokens[6]),
+                    int(tokens[7]), int(tokens[8]), tuple(map(float, tokens[9:])),
+                )
+            except ValueError:
+                fields = _STATE_FIELDS + ((float, "attribute sum"),) * arity
+                raise _bad_field(tokens[3:], fields, no) from None
+            if label == "acc":
                 accepting.add(q)
-            elif tokens[2] == "rej":
+            elif label == "rej":
                 rejecting.add(q)
-            state_fields[q] = (
-                _model_int(tokens[3], "count", no),
-                _model_float(tokens[4], "target sum", no),
-                _model_float(tokens[5], "target sumsq", no),
-                _model_int(tokens[6], "end count", no),
-                _model_int(tokens[7], "end count", no),
-                _model_int(tokens[8], "target count", no),
-                tuple(_model_float(t, "attribute sum", no) for t in tokens[9:]),
-            )
         elif kind == "trans":
             if len(tokens) != 5:
                 raise ModelFormatError(f"trans line has {len(tokens)} fields, expected 5", no)
-            src = _model_int(tokens[1], "source state", no)
-            sym = _model_int(tokens[2], "symbol", no)
-            dst = _model_int(tokens[3], "target state", no)
-            count = _model_int(tokens[4], "transition count", no)
-            if (src, sym) in transitions:
+            try:
+                src, sym, dst, count = map(int, tokens[1:])
+            except ValueError:
+                raise _bad_field(tokens[1:], _TRANS_FIELDS, no) from None
+            key = (src, sym)
+            if key in transitions:
                 raise ModelFormatError(
                     f"duplicate transition on ({src}, {sym}); model not deterministic", no
                 )
-            transitions[(src, sym)] = dst
+            if count < 0:
+                raise ModelFormatError(f"negative transition count {count}", no)
+            transitions[key] = dst
             if count > 0:
-                out_counts.setdefault(src, {})[sym] = count
+                counts = out_counts.get(src)
+                if counts is None:
+                    counts = out_counts[src] = {}
+                counts[sym] = count
         elif kind == "start":
             _once(kind, seen, no)
-            start = _model_int(_value(tokens, no), "start state", no)
+            start = _line_int(tokens, "start state", no)
         else:
             raise ModelFormatError(f"unknown line kind {kind!r}", no)
 

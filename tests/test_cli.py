@@ -230,6 +230,15 @@ class TestEval:
         assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
         assert f"line {no}:" in capsys.readouterr().err
 
+    def test_negative_transition_count_exits_2(self, model_file, sample_file, tmp_path, capsys):
+        lines = open(model_file).read().splitlines()
+        no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("trans "))
+        lines[no - 1] = " ".join(lines[no - 1].split()[:4] + ["-5"])
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
+        assert f"line {no}: negative transition count -5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["alphabet", "start"])
     def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
         lines = open(model_file).read().splitlines()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from flexautomata import (
     Alergia,
     Edsm,
-    IterationLimitError,
     LearnLog,
     LearnerConfig,
     LearnerState,
@@ -145,18 +144,21 @@ class TestDeterminism:
         assert len(runs) == 1
 
 
-class TestIterationCap:
-    def test_cap_raises(self, ref_sample):
-        with pytest.raises(IterationLimitError):
-            learn(ref_sample, LearnerConfig(max_iterations=1))
-
-    def test_generous_cap_is_silent(self, ref_sample):
-        model, log = learn(ref_sample, LearnerConfig(max_iterations=10_000))
-        assert log.iterations <= 10_000
-
-    def test_zero_cap_rejected(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(max_iterations=0)
+class TestTermination:
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([Edsm(), Alergia(alpha=0.05), Alergia(alpha=0.5), Mse(), Mse(penalty=1.0)]),
+        st.sampled_from([0.0, 1.0, float("-inf")]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_iterations_are_bounded_by_the_prefix_tree(self, seed, heuristic, min_evidence):
+        # 2 * states - red starts at 2n - 1, never goes below 0, and every
+        # promotion or merge lowers it, so no cap on the loop is needed.
+        rng = random.Random(seed)
+        dfa = TargetDfa(rng, rng.randint(2, 4), 2)
+        sample = labeled_sample(rng, dfa, rng.randint(5, 80), 7, with_targets=True)
+        _, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=min_evidence))
+        assert log.iterations <= 2 * log.initial_states - 1
 
 
 class TestRecovery:

@@ -31,6 +31,7 @@ from flexautomata import (
 from flexautomata.sample_io import MAX_ALPHABET_SIZE
 from dot_check import DotSyntaxError, check_dot
 from gen import even_ones_dfa, labeled_sample, random_automaton
+import oracle_io
 import random
 
 
@@ -100,6 +101,13 @@ class TestAbbadingoParsing:
             with pytest.raises(SampleFormatError) as err:
                 parser(f"1 {MAX_ALPHABET_SIZE + 1}\n1 0\n")
             assert err.value.line == 1
+
+    def test_equal_bare_tokens_share_one_instance(self):
+        sample = parse_abbadingo("2 3\n1 3 0 1 0\n0 2 1 2\n")
+        first, second = (t.symbols for t in sample.traces)
+        assert first[0] is first[2]
+        assert first[1] is second[0]
+        assert [s.symbol for s in first + second] == [0, 1, 0, 1, 2]
 
     def test_annotated_symbols_need_extended_format(self):
         with pytest.raises(SampleFormatError):
@@ -360,6 +368,15 @@ class TestModelPersistence:
         saved = save_model(model)
         assert save_model(load_model(saved)) == saved
 
+    def test_negative_transition_count_names_its_line(self, ref_apta):
+        lines = save_model(ref_apta).splitlines()
+        no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("trans "))
+        lines[no - 1] = " ".join(lines[no - 1].split()[:4] + ["-5"])
+        with pytest.raises(ModelFormatError) as err:
+            load_model("\n".join(lines) + "\n")
+        assert err.value.line == no
+        assert str(err.value) == f"line {no}: negative transition count -5"
+
     def test_version_header_is_checked(self):
         with pytest.raises(ModelFormatError):
             load_model("flexautomata-model 2\nalphabet 0\nstate 0 unl 0 0.0 0.0 0 0 0\nstart 0\n")
@@ -414,3 +431,119 @@ def test_readers_raise_only_format_errors(text):
             reader(text)
         except error:
             pass
+
+
+def _outcome(reader, text):
+    """What ``reader`` makes of ``text``: its result, or its exception's type and text."""
+    try:
+        return reader(text)
+    except Exception as e:  # the reference may raise anything; so must the reader
+        return type(e), str(e)
+
+
+def _trace_texts():
+    """Trace files shaped like the formats, with bare symbols repeating across lines.
+
+    Labels, lengths, headers and symbol tokens are mostly valid, so that
+    many files parse and the rest fail at every check of the parser.
+    """
+    bare = ["0", "1", "2", "3"]
+    annotated = ["0/1.5", "1/-0.0", "2/1e3", "3/0.5"]
+    odd = [
+        "01", "+1", "-0", "1_0", "\u0663", "-1", "x", "65536", "1:2.0/3", "2:1,2", "0:0.5",
+        "1:0.5,1", "0:", "3/", "1:/2", ":", "/", "2/inf", "1:nan", "0/1/2", "7",
+    ]
+    symbol = st.sampled_from(bare * 12 + annotated * 4 + odd)
+    label = st.sampled_from(["1", "0", "?"] * 6 + ["x"])
+    line = st.tuples(label, st.lists(symbol, max_size=6), st.sampled_from([0] * 12 + [1, -1]))
+    line = line.map(lambda t: " ".join([t[0], str(len(t[1]) + t[2]), *t[1]]))
+    blank = st.sampled_from(["", "  ", "\t"])
+    header = st.one_of(
+        st.just([]),
+        st.tuples(st.integers(-1, 8), st.integers(-1, 5)).map(lambda h: [f"{h[0]} {h[1]}"]),
+        st.sampled_from([["1 0"], ["? 0"], ["x 3"], [" 3  4 "]]),
+    )
+    body = st.lists(st.one_of(line, line, line, blank), max_size=8)
+    return st.tuples(header, body).map(lambda hb: "\n".join(hb[0] + hb[1]) + "\n")
+
+
+class TestAgainstOracle:
+    """The readers against the reference copies of their slower versions in ``oracle_io``."""
+
+    @given(st.one_of(_trace_texts(), _trace_texts(), _format_texts()))
+    @settings(max_examples=400, deadline=None)
+    def test_parsers_match_the_reference(self, text):
+        for reader, extended in ((parse_abbadingo, False), (parse_augmented, True)):
+            want = _outcome(lambda t: oracle_io.parse_sample(t, extended), text)
+            assert _outcome(reader, text) == want
+
+    @staticmethod
+    def _base_model(rng: random.Random) -> str:
+        a = random_automaton(rng, 10, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            states = {q: dataclasses.replace(agg, attribute_sums=(rng.uniform(-3, 3),))
+                      for q, agg in a.states.items()}
+            a = dataclasses.replace(a, states=states, attribute_arity=1)
+        return save_model(a)
+
+    _TOKENS = [
+        "-5", "-1", "0", "1", "3", "99", "x", "1.5", "nan", "inf", "-inf", "1e400", "+2", "1_0",
+        "acc", "rej", "unl", "state", "trans", "start", "alphabet", "attributes",
+    ]
+
+    @classmethod
+    def _mutate(cls, rng: random.Random, text: str) -> str:
+        """``text`` with one or two lines deleted, duplicated, blanked or given a new token."""
+        lines = text.splitlines()
+        i = rng.randrange(len(lines))
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5 or i >= len(lines):
+                i = rng.randrange(len(lines))
+            op = rng.randrange(4)
+            if op == 0:
+                del lines[i]
+            elif op == 1:
+                lines.insert(i, lines[i])
+            elif op == 2:
+                lines[i] = rng.choice(["", "  "])
+            else:
+                tokens = lines[i].split() or [""]
+                donor = rng.choice(lines).split() or ["0"]
+                tokens[rng.randrange(len(tokens))] = rng.choice(cls._TOKENS + donor)
+                lines[i] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("line", [
+        "state 9999 x y 0.0 0.0 0 0 0",  # bad label and bad count: the label is named
+        "state z x 1 0.0 0.0 0 0 0",  # bad id and bad label: the id is named
+        "state 9999 acc 1 nan 0.0 0 0 y",  # one bad int after a non-finite sum
+        "state 9999 acc 1 q 0.0 0 0 y",
+        "trans 0 0 0 -1",  # the duplicate of the first trans line wins over the sign
+        "trans 0 x 0 -1",
+        "trans 0 0 y z",
+    ])
+    def test_first_fault_of_a_line_is_named(self, ref_apta, line):
+        lines = save_model(ref_apta).splitlines()
+        kind = line.split()[0]
+        i = max(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        text = "\n".join(lines[:i + 1] + [line] + lines[i + 1:]) + "\n"
+        got = _outcome(load_model, text)
+        assert isinstance(got, tuple) and got == _outcome(oracle_io.load_model, text)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_loader_matches_the_reference_on_mutated_models(self, seed):
+        rng = random.Random(seed)
+        text = self._mutate(rng, self._base_model(rng))
+        got = _outcome(load_model, text)
+        if isinstance(got, tuple) and "negative transition count" in got[1]:
+            # The reference drops a negative count silently; the loader refuses it.
+            no = int(got[1].split(":")[0].removeprefix("line "))
+            tokens = text.splitlines()[no - 1].split()
+            assert tokens[0] == "trans" and int(tokens[4]) < 0
+            return
+        want = _outcome(oracle_io.load_model, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert save_model(got) == save_model(want)
