@@ -254,8 +254,11 @@ def check_integrity(a: Automaton) -> list[str]:
             found.append(f"state {q} not below next_id {next_id}")
         if min(total, agg.end_pos_count, agg.end_neg_count, agg.target_count) < 0:
             found.append(f"state {q} has a negative count")
-        if sum(agg.out_counts.values()) > total:
+        ends = total - sum(agg.out_counts.values())
+        if ends < 0:
             found.append(f"state {q} out_counts exceed total_count")
+        if agg.end_pos_count + agg.end_neg_count > ends:
+            found.append(f"state {q} labeled end counts exceed its trace ends")
         if agg.target_count > total:
             found.append(f"state {q} target_count exceeds total_count")
         bad_counts = []
@@ -271,6 +274,11 @@ def check_integrity(a: Automaton) -> list[str]:
             if not math.isfinite(v):
                 found.append(f"state {q} has a non-finite aggregate value")
                 break
+        else:  # finite target sums: the values they were summed from must exist
+            if agg.target_sumsq < 0.0:
+                found.append(f"state {q} has a negative target sum of squares")
+            if agg.target_count == 0 and (agg.target_sum != 0.0 or agg.target_sumsq != 0.0):
+                found.append(f"state {q} has target sums but no targets")
         if len(agg.attribute_sums) not in (0, arity):
             found.append(f"state {q} attribute arity {len(agg.attribute_sums)} != {arity}")
         if found:

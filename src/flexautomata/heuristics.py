@@ -18,10 +18,16 @@ Three stock heuristics are provided:
 Each heuristic also says what a trial merge must pool for it to score:
 ``statistic`` reads that from a state's aggregate, and ``fold`` pools it for
 one merged pair while recording the pair's evidence (see
-:class:`~flexautomata.merging.MergeArena`).  EDSM reads labels alone, so its
+:class:`~flexautomata.merging.MergeArena`).  An arena takes the statistic of
+each original state once, so a statistic also carries what every fold of
+it would otherwise re-derive: ALERGIA's holds the end count next to the
+visit and symbol counts, and MSE's holds the squared error next to the
+target sums.  A carried value is computed by the same expression on the
+same operands as a fold that derived it itself would use, so every test and
+every float sum comes out the same.  EDSM reads labels alone, so its
 ``fold`` is None.  Scoring is pure and reads only the merge outcome.  The
-public ``evidence_*`` functions take the learner's trial steps: one merge in
-an arena built for the heuristic, scored by its ``score``.
+public ``evidence_*`` functions take the learner's trial steps: one merge
+in an arena built for the heuristic, scored by its ``score``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ FAIL_LABEL_CONFLICT = "label_conflict"
 FAIL_DISTRIBUTION = "distribution_reject"
 FAIL_NO_TARGETS = "no_targets"
 
-Frequencies = tuple[int, Mapping[Symbol, int]]  # visit count, per-symbol counts
+Frequencies = tuple[int, Mapping[Symbol, int], int]  # visits, per-symbol counts, ends
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ class Alergia:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        # The alpha-only factor of every Hoeffding bound, as hoeffding_bound computes it.
+        object.__setattr__(self, "_bound_scale", math.sqrt(0.5 * math.log(2.0 / self.alpha)))
 
     def rejects(
         self, n1: int, out1: Mapping[Symbol, int], n2: int, out2: Mapping[Symbol, int]
@@ -80,11 +88,15 @@ class Alergia:
         True iff the stop frequency or some symbol's frequency differs beyond
         the bound; vacuously False when either state was never visited.
         """
+        return self._rejects((n1, out1, n1 - sum(out1.values())),
+                             (n2, out2, n2 - sum(out2.values())))
+
+    def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
+        n1, out1, end1 = f1
+        n2, out2, end2 = f2
         if n1 == 0 or n2 == 0:
             return False
-        bound = hoeffding_bound(n1, n2, self.alpha)
-        end1 = n1 - sum(out1.values())
-        end2 = n2 - sum(out2.values())
+        bound = self._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
         if abs(end1 / n1 - end2 / n2) > bound:
             return True
         for sym in out1.keys() | out2.keys():
@@ -93,18 +105,22 @@ class Alergia:
         return False
 
     def statistic(self, agg: StateAggregate) -> Frequencies:
-        return (agg.total_count, agg.out_counts)
+        """Visit count, per-symbol counts and trace ends: every count the test reads."""
+        return (agg.total_count, agg.out_counts, agg.end_count)
 
     def fold(self, tally: MergeTally, x: StateId, fx: Frequencies,
              y: StateId, fy: Frequencies) -> Frequencies:
         """Pool one pair's frequencies, testing it unless an earlier pair failed."""
-        (n1, out1), (n2, out2) = fx, fy
-        if not tally.distribution_reject and self.rejects(n1, out1, n2, out2):
+        if not tally.distribution_reject and self._rejects(fx, fy):
             tally.distribution_reject = True
-        out = dict(out1)
-        for sym, c in out2.items():
-            out[sym] = out.get(sym, 0) + c
-        return (n1 + n2, out)
+        (n1, out1, end1), (n2, out2, end2) = fx, fy
+        # Count maps are never written once made, so y adding no symbol shares x's map.
+        out = out1
+        if out2:
+            out = dict(out1)
+            for sym, c in out2.items():
+                out[sym] = out.get(sym, 0) + c
+        return (n1 + n2, out, end1 + end2)
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
@@ -120,11 +136,18 @@ class Mse:
 
     penalty: float = 0.0
 
-    statistic = staticmethod(target_stats)
-
     def __post_init__(self):
         if self.penalty < 0.0 or not math.isfinite(self.penalty):
             raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
+
+    @staticmethod
+    def statistic(agg: StateAggregate) -> TargetStats:
+        """Target count, sum and sum of squares, plus the squared error they make.
+
+        Carrying the squared error lets each fold compute only the pooled
+        class's, not both halves' again.
+        """
+        return target_stats(agg)
 
     def fold(self, tally: MergeTally, x: StateId, tx: TargetStats,
              y: StateId, ty: TargetStats) -> TargetStats:

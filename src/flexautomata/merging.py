@@ -16,12 +16,17 @@ the merged classes are pooled afterwards, by :meth:`MergeArena.pool`, for a
 merge that is kept.  The learner scores many candidate merges this way
 against one machine without copying it, and the module-level :func:`merge`
 is the pure public form of a kept merge: one run, pool and extract.
+
+A fold does only the work its result reads.  Each class has one entry in
+the arena's label map (absent when unlabeled), every original state's
+statistic is taken once when the arena is built, and a class whose second
+half adds no symbol shares the first half's out-map instead of copying it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol, squared_error
@@ -61,11 +66,12 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     )
 
 
-TargetStats = tuple[int, float, float]  # target count, sum, sum of squares
+TargetStats = tuple[int, float, float, float]  # target count, sum, sum of squares, squared error
 
 
 def target_stats(g: StateAggregate) -> TargetStats:
-    return (g.target_count, g.target_sum, g.target_sumsq)
+    """A state's target statistics, carrying their squared error so no fold re-derives it."""
+    return (g.target_count, g.target_sum, g.target_sumsq, g.sse())
 
 
 @dataclass
@@ -86,14 +92,17 @@ def pool_targets(tally: MergeTally, tx: TargetStats, ty: TargetStats) -> TargetS
     """Pool the target statistics of one folded pair.
 
     Adds the pooled-minus-separate squared error to ``tally``, and notes
-    when the pooled class holds any target at all.
+    when the pooled class holds any target at all.  The pooled squared error
+    is computed once and carried in the result, for the pairs that fold it
+    again.
     """
-    tz = (tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2])
+    count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
+    sse = squared_error(count, total, sumsq)
     # Pooling a partition cannot reduce squared error; clamp roundoff.
-    tally.sse_delta += max(squared_error(*tz) - squared_error(*tx) - squared_error(*ty), 0.0)
-    if tz[0]:
+    tally.sse_delta += max(sse - tx[3] - ty[3], 0.0)
+    if count:
         tally.targets_touched = True
-    return tz
+    return (count, total, sumsq, sse)
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,19 @@ class MergeOutcome:
         return self.label_conflict
 
 
-@dataclass
+# Every failed merge reports exactly this, so a conflict builds no outcome.
+_CONFLICT = MergeOutcome(result=None, label_conflict=True)
+
+
 class _TrialFrame:
     """Undo information for one trial merge inside an arena."""
 
-    created: list[tuple[StateId, StateId, StateId]] = field(default_factory=list)
-    next_id_before: int = 0
+    __slots__ = ("created", "next_id_before", "pooled")
+
+    def __init__(self, next_id_before: int):
+        self.created: list[tuple[StateId, StateId, StateId]] = []
+        self.next_id_before = next_id_before
+        self.pooled = False
 
 
 class MergeArena:
@@ -146,27 +162,41 @@ class MergeArena:
     Transition targets may go stale as classes merge; ``find`` resolves them
     on read.
 
+    ``label`` maps each labeled class to True (accepting) or False
+    (rejecting); an unlabeled class has no entry.  ``out`` maps every class
+    to its symbol → target map.  No out-map is written after it is created,
+    so a fresh class whose second half adds no symbol holds its first half's
+    map itself rather than a copy, and rolling back only drops that
+    reference.
+
     The heuristic decides what a merge pools besides labels and transitions:
-    ``heuristic.statistic`` takes it from a state's aggregate and
-    ``heuristic.fold`` pools one pair of them while recording that pair's
-    evidence in a :class:`MergeTally`.  Without a heuristic, or with one
-    whose ``fold`` is None, a merge pools labels alone.  The fresh classes
-    get their full aggregates only from :meth:`pool`, called once for a
-    merge that is kept.
+    ``heuristic.statistic`` takes it from a state's aggregate, once per
+    original state when the arena is built, and ``heuristic.fold`` pools one
+    pair of them while recording that pair's evidence in a
+    :class:`MergeTally`.  ``stats`` holds the statistic of every class.
+    Without a heuristic, or with one whose ``fold`` is None, a merge pools
+    labels alone and ``stats`` stays empty.  The fresh classes get their full
+    aggregates only from :meth:`pool`, called once for a merge that is kept.
+    The two label sets of the automaton must be disjoint, as
+    :func:`~flexautomata.automaton.check_integrity` requires.
     """
 
     def __init__(self, a: Automaton, heuristic: HeuristicId | None = None):
+        if not a.accepting.isdisjoint(a.rejecting):
+            raise ValueError("a state is both accepting and rejecting")
         self.base = a
         self.parent: dict[StateId, StateId] = {}
         self.out: dict[StateId, dict[Symbol, StateId]] = {q: {} for q in a.states}
         for (src, sym), dst in a.transitions.items():
             self.out[src][sym] = dst
-        self.acc: set[StateId] = set(a.accepting)
-        self.rej: set[StateId] = set(a.rejecting)
+        self.label: dict[StateId, bool] = dict.fromkeys(a.accepting, True)
+        self.label.update(dict.fromkeys(a.rejecting, False))
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
-        self.stats: dict = {}  # fresh classes only; original states read ``agg``
         self.statistic = heuristic.statistic if heuristic is not None else None
         self.fold = heuristic.fold if heuristic is not None else None
+        self.stats: dict = {}  # every class's statistic, when the heuristic folds one
+        if self.fold is not None:
+            self.stats = {q: self.statistic(g) for q, g in a.states.items()}
         self.next_id = a.next_id
 
     def find(self, s: StateId) -> StateId:
@@ -179,48 +209,55 @@ class MergeArena:
         """Merge the classes of q1 and q2, cascading until deterministic.
 
         Returns the outcome (without extraction) plus the undo frame.  On
-        label conflict the partial work is already rolled back.
+        label conflict the partial work is already rolled back, and the
+        frame still lists the classes that were created before it.
         """
-        frame = _TrialFrame(next_id_before=self.next_id)
+        frame = _TrialFrame(self.next_id)
+        created = frame.created
+        parent, out, label, stats, fold = self.parent, self.out, self.label, self.stats, self.fold
         tally = MergeTally()
         pairs: list[tuple[StateId, StateId]] = []
         label_matches = 0
+        z = self.next_id
         queue: deque[tuple[StateId, StateId]] = deque([(q1, q2)])
         while queue:
             x, y = queue.popleft()
-            x = self.find(x)
-            y = self.find(y)
+            while x in parent:
+                x = parent[x]
+            while y in parent:
+                y = parent[y]
             if x == y:
                 continue
-            x_acc, x_rej = x in self.acc, x in self.rej
-            y_acc, y_rej = y in self.acc, y in self.rej
-            if (x_acc and y_rej) or (x_rej and y_acc):
-                self.rollback(frame)
-                return MergeOutcome(result=None, label_conflict=True), frame
-            pairs.append((x, y))
-            if (x_acc and y_acc) or (x_rej and y_rej):
+            lz = label.get(x)  # x's label, then the merged class's
+            ly = label.get(y)
+            if lz is None:
+                lz = ly
+            elif ly is not None:
+                if lz is not ly:
+                    self.rollback(frame)
+                    return _CONFLICT, frame
                 label_matches += 1
-            z = self.next_id
-            self.next_id += 1
-            if self.fold is not None:
-                sx = self.stats[x] if x in self.stats else self.statistic(self.agg[x])
-                sy = self.stats[y] if y in self.stats else self.statistic(self.agg[y])
-                self.stats[z] = self.fold(tally, x, sx, y, sy)
-            ox, oy = self.out[x], self.out[y]
-            oz = dict(ox)
-            for sym in sorted(oy):
-                if sym in oz:
-                    queue.append((oz[sym], oy[sym]))
-                else:
-                    oz[sym] = oy[sym]
-            self.out[z] = oz
-            if x_acc or y_acc:
-                self.acc.add(z)
-            if x_rej or y_rej:
-                self.rej.add(z)
-            self.parent[x] = z
-            self.parent[y] = z
-            frame.created.append((z, x, y))
+            pairs.append((x, y))
+            if fold is not None:
+                stats[z] = fold(tally, x, stats[x], y, stats[y])
+            ox = oz = out[x]
+            oy = out[y]
+            if oy:
+                for sym in sorted(oy) if len(oy) > 1 else oy:
+                    if sym in ox:
+                        queue.append((ox[sym], oy[sym]))
+                    else:
+                        if oz is ox:
+                            oz = dict(ox)
+                        oz[sym] = oy[sym]
+            out[z] = oz
+            if lz is not None:
+                label[z] = lz
+            parent[x] = z
+            parent[y] = z
+            created.append((z, x, y))
+            z += 1
+        self.next_id = z
         outcome = MergeOutcome(
             result=None,
             merged_pairs=tuple(pairs),
@@ -232,14 +269,22 @@ class MergeArena:
         return outcome, frame
 
     def rollback(self, frame: _TrialFrame) -> None:
-        for z, x, y in reversed(frame.created):
-            del self.parent[x]
-            del self.parent[y]
-            del self.out[z]
-            self.stats.pop(z, None)
-            self.agg.pop(z, None)
-            self.acc.discard(z)
-            self.rej.discard(z)
+        """Undo a merge: drop every entry its fresh classes added."""
+        parent, out, label = self.parent, self.out, self.label
+        created = frame.created
+        for z, x, y in created:
+            del parent[x]
+            del parent[y]
+            del out[z]
+            label.pop(z, None)
+        if self.fold is not None:
+            stats = self.stats
+            for z, _, _ in created:
+                del stats[z]
+        if frame.pooled:
+            agg = self.agg
+            for z, _, _ in created:
+                del agg[z]
         self.next_id = frame.next_id_before
 
     def pool(self, frame: _TrialFrame) -> None:
@@ -251,20 +296,23 @@ class MergeArena:
         agg = self.agg
         for z, x, y in frame.created:
             agg[z] = merge_aggregates(agg[x], agg[y])
+        frame.pooled = True
 
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""
-        live = sorted(c for c in self.out if c not in self.parent)
-        states = {c: self.agg[c] for c in live}
+        parent, out, label, agg = self.parent, self.out, self.label, self.agg
+        live = sorted(c for c in out if c not in parent)
         transitions = {}
         for c in live:
-            for sym, t in self.out[c].items():
-                transitions[(c, sym)] = self.find(t)
+            for sym, t in out[c].items():
+                while t in parent:
+                    t = parent[t]
+                transitions[(c, sym)] = t
         return Automaton(
             alphabet=self.base.alphabet,
-            states=states,
-            accepting=frozenset(self.acc.intersection(live)),
-            rejecting=frozenset(self.rej.intersection(live)),
+            states={c: agg[c] for c in live},
+            accepting=frozenset(c for c in live if label.get(c) is True),
+            rejecting=frozenset(c for c in live if label.get(c) is False),
             transitions=transitions,
             start=self.find(self.base.start),
             next_id=self.next_id,

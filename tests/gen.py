@@ -100,10 +100,14 @@ def random_automaton(rng: random.Random, max_states: int = 30, n_syms: int = 2) 
         total = sum(out_counts.values()) + rng.randint(0, 10)
         tcount = rng.randint(0, min(total, 5))
         values = [rng.uniform(-2.0, 2.0) for _ in range(tcount)]
+        # Labeled ends are a share of the trace ends, as check_integrity requires.
+        ends = total - sum(out_counts.values())
+        end_pos = min(rng.randint(0, 3), ends)
+        end_neg = min(rng.randint(0, 3), ends - end_pos)
         states[q] = StateAggregate(
             total_count=total,
-            end_pos_count=rng.randint(0, 3),
-            end_neg_count=rng.randint(0, 3),
+            end_pos_count=end_pos,
+            end_neg_count=end_neg,
             out_counts=out_counts,
             target_count=tcount,
             target_sum=sum(values),

@@ -239,6 +239,17 @@ class TestEval:
         assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
         assert f"line {no}: negative transition count -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state, message", [
+        ("state 0 acc 1 0.0 0.0 5 7 0", "state 0 labeled end counts exceed its trace ends"),
+        ("state 0 unl 2 0.0 -1.0 0 0 2", "state 0 has a negative target sum of squares"),
+        ("state 0 unl 2 3.0 0.0 0 0 0", "state 0 has target sums but no targets"),
+    ])
+    def test_impossible_state_aggregates_exit_2(self, sample_file, tmp_path, capsys, state, message):
+        broken = tmp_path / "broken.txt"
+        broken.write_text(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
+        assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["alphabet", "start"])
     def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
         lines = open(model_file).read().splitlines()

@@ -1,5 +1,7 @@
 """Merge-with-determinization engine against a brute-force reference."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -163,6 +165,12 @@ class TestPurity:
         if first.result is not None:
             assert save_model(first.result) == save_model(second.result)
 
+    def test_state_in_both_label_sets_rejected(self):
+        a = build_apta(parse_abbadingo("1 1 0\n0 1 1\n"))
+        both = dataclasses.replace(a, rejecting=a.rejecting | a.accepting)
+        with pytest.raises(ValueError, match="both accepting and rejecting"):
+            merge(both, 0, 1)
+
     def test_unknown_state_ids_rejected(self, ref_apta):
         with pytest.raises(ValueError):
             merge(ref_apta, 0, 99999)
@@ -248,3 +256,48 @@ class TestTrialPath:
             out = merge(a, r, b)
             expected = reference_score(a, None if out.failed else out.merged_pairs, heuristic)
             assert trial_score(arena, r, b, heuristic) == expected
+
+
+class TestTrialsLeaveNoTrace:
+    """Trial merges undo every write, and committed merges carry exact statistics.
+
+    Out-maps and ALERGIA's count maps are shared between classes rather than
+    copied, which is sound only if nothing writes to them after they are
+    made; the snapshots below are deep copies, so a write through a shared
+    map would show.
+    """
+
+    @staticmethod
+    def snapshot(arena):
+        return copy.deepcopy((
+            arena.parent, arena.out, arena.label, arena.stats, arena.agg, arena.next_id,
+        ))
+
+    @given(
+        st.integers(0, 10_000_000),
+        st.sampled_from([Edsm(), Alergia(alpha=0.05), Alergia(alpha=0.6), Mse(), Mse(penalty=0.5)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trials_restore_the_arena(self, seed, heuristic):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        base = copy.deepcopy(a)
+        arena = MergeArena(a, heuristic)
+        for _ in range(3):
+            live = sorted(c for c in arena.out if c not in arena.parent)
+            if len(live) < 2:
+                break
+            before = self.snapshot(arena)
+            for _ in range(8):
+                trial_score(arena, *rng.sample(live, 2), heuristic)
+                assert self.snapshot(arena) == before
+            outcome, frame = arena.run_merge(*rng.sample(live, 2))
+            if outcome.label_conflict:
+                assert self.snapshot(arena) == before
+                continue
+            arena.pool(frame)
+            for z, _, _ in frame.created:
+                if arena.fold is not None:
+                    assert arena.stats[z] == heuristic.statistic(arena.agg[z])
+            assert check_integrity(arena.extract()) == []
+        assert arena.base is a and a == base

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,22 @@ class TestModelPersistence:
             load_model(text + "attributes 0\nstate 0 unl 0 0.0 0.0 0 0 0\nstart 0\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("state, message", [
+        ("state 0 acc 1 0.0 0.0 5 7 0", "state 0 labeled end counts exceed its trace ends"),
+        ("state 0 unl 2 0.0 -1.0 0 0 2", "state 0 has a negative target sum of squares"),
+        ("state 0 unl 2 3.0 0.0 0 0 0", "state 0 has target sums but no targets"),
+        ("state 0 unl 2 0.0 4.0 0 0 0", "state 0 has target sums but no targets"),
+    ])
+    def test_impossible_state_aggregates_are_rejected(self, state, message):
+        with pytest.raises(ModelFormatError) as err:
+            load_model(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
+        assert str(err.value) == message
+
+    def test_labeled_ends_may_fill_the_trace_ends(self):
+        a = load_model("flexautomata-model 1\nalphabet 0\nattributes 0\n"
+                       "state 0 acc 3 0.0 0.0 2 1 0\nstart 0\n")
+        assert a.states[0].end_count == 3
+
     @staticmethod
     def augmented_texts():
         real = st.one_of(
@@ -543,7 +560,30 @@ class TestAgainstOracle:
             assert tokens[0] == "trans" and int(tokens[4]) < 0
             return
         want = _outcome(oracle_io.load_model, text)
+        if isinstance(got, tuple) and got != want:
+            # The reference lacks the checks of labeled ends and target sums. Every
+            # other violation must agree, and each extra one must hold on its state.
+            with mock.patch.object(oracle_io, "check_integrity", lambda a: []):
+                lenient = oracle_io.load_model(text)
+            old = oracle_io.check_integrity(lenient)
+            found = got[1].split("; ")
+            assert got[0] is ModelFormatError
+            assert [v for v in found if v in old] == old
+            for v in found:
+                if v not in old:
+                    q = int(v.split()[1])
+                    assert v.removeprefix(f"state {q} ") in self._NEW_CHECKS
+                    assert self._NEW_CHECKS[v.removeprefix(f"state {q} ")](lenient.states[q])
+            return
         if isinstance(want, tuple):
             assert got == want
         else:
             assert save_model(got) == save_model(want)
+
+    _NEW_CHECKS = {
+        "labeled end counts exceed its trace ends":
+            lambda g: g.end_pos_count + g.end_neg_count > g.end_count,
+        "has a negative target sum of squares": lambda g: g.target_sumsq < 0.0,
+        "has target sums but no targets":
+            lambda g: g.target_count == 0 and (g.target_sum != 0.0 or g.target_sumsq != 0.0),
+    }

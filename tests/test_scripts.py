@@ -1,0 +1,37 @@
+"""The example scripts run on the bundled data and print what they promise.
+
+Each script runs as a subprocess from a temporary directory, so it must find
+the package and the bundled data on its own.  ``golden_manifest.py`` is not
+run here: it rewrites the checked-in manifest.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, cwd: Path) -> str:
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name)],
+        cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_compare_heuristics_prints_one_row_per_heuristic(tmp_path):
+    lines = run_script("compare_heuristics.py", tmp_path).splitlines()
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("heuristic"))
+    rows = {ln.split()[0]: ln.split() for ln in lines[header + 1:]}
+    assert len(lines) == header + 1 + len(rows)
+    assert sorted(rows) == ["alergia", "edsm", "mse"]
+    # EDSM never merges against a label, so its model fits the whole sample.
+    assert rows["edsm"][-1] == "True"
+
+
+def test_regression_demo_reports_both_errors(tmp_path):
+    out = run_script("regression_demo.py", tmp_path)
+    assert "model MSE" in out
+    assert "baseline MSE" in out
