@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,6 +25,11 @@ from typing import Iterator, Mapping
 Symbol = int
 StateId = int
 Word = tuple[Symbol, ...]
+
+# A count is a number of traces.  A float holds every integer up to 2**53
+# exactly, so within this bound every weight, mean and rate taken from counts
+# is exact or finite; the model loader refuses larger counts.
+MAX_COUNT = 2**53
 
 
 class StateLabel(enum.Enum):
@@ -211,6 +217,24 @@ def language_upto(a: Automaton, max_len: int) -> list[Word]:
     return accepted
 
 
+# The slack of the squared-error check in check_integrity.  The exact sums
+# S and Q of n targets obey Q - S*S/n >= 0 (Cauchy-Schwarz), but the stored
+# sums s and q are float sums of the same values, pooled in some order.
+# With unit roundoff u = eps/2, each is off by at most about n*u times the
+# sum of its terms' magnitudes: |q - Q| <= n*u*Q and, since
+# (sum |x|)**2 <= n*Q, |s - S| <= n*u*sqrt(n*Q).  Then s*s/n <= Q*(1 + n*u)**2,
+# so to first order q - s*s/n >= -3*n*u*Q = -1.5*n*eps*Q, plus a few u of
+# Q for the product, division and difference; 4*n*eps*q bounds that with
+# room.  A square that falls into the subnormal range has no relative
+# bound; it is off by at most half a subnormal ulp (2**-1075), which the
+# smallest normal float per value, n*float_info.min, covers.  The mean is
+# formed as s * (s / n) so that a valid state, whose s*s/n <= q is finite,
+# cannot overflow.  Counts above MAX_COUNT are skipped: past the float range
+# they would not convert at all, and the model loader refuses them.
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
 def check_integrity(a: Automaton) -> list[str]:
     """Structural and aggregate sanity violations, as plain strings.
 
@@ -275,9 +299,13 @@ def check_integrity(a: Automaton) -> list[str]:
                 found.append(f"state {q} has a non-finite aggregate value")
                 break
         else:  # finite target sums: the values they were summed from must exist
-            if agg.target_sumsq < 0.0:
+            count, total, sumsq = agg.target_count, agg.target_sum, agg.target_sumsq
+            if sumsq < 0.0:
                 found.append(f"state {q} has a negative target sum of squares")
-            if agg.target_count == 0 and (agg.target_sum != 0.0 or agg.target_sumsq != 0.0):
+            elif 0 < count <= MAX_COUNT and sumsq - total * (total / count) < -count * (
+                    4 * _EPS * sumsq + _TINY):
+                found.append(f"state {q} has target sums with a negative squared error")
+            if count == 0 and (total != 0.0 or sumsq != 0.0):
                 found.append(f"state {q} has target sums but no targets")
         if len(agg.attribute_sums) not in (0, arity):
             found.append(f"state {q} attribute arity {len(agg.attribute_sums)} != {arity}")

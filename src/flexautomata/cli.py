@@ -185,8 +185,10 @@ def _cmd_generate(args) -> int:
     if args.max_len < 0:
         raise _DataError("max-len must be >= 0")
     words = sample_words(model, args.n, args.seed, args.max_len)
+    # One shared instance per distinct symbol, built only for symbols drawn.
+    shared = {s: SymbolInstance(s) for s in set().union(*words)}
     traces = tuple(
-        Trace(TraceLabel.POSITIVE, tuple(SymbolInstance(s) for s in word)) for word in words
+        Trace(TraceLabel.POSITIVE, tuple([shared[s] for s in word])) for word in words
     )
     sys.stdout.write(write_sample(Sample(traces, model.alphabet)))
     return 0

@@ -24,12 +24,13 @@ import math
 import random
 import statistics
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
-from .automaton import Automaton, StateId, Word
+from .automaton import Automaton, StateId, Symbol, Word
 from .errors import GenerationError, PredictionError
 from .sample_io import MAX_ALPHABET_SIZE, Sample, SymbolInstance, Trace, TraceLabel
 
@@ -129,6 +130,14 @@ def sample_words(a: Automaton, n: int, seed: int, max_len: int) -> list[Word]:
     smoothing so unseen but structurally possible choices stay reachable.
     Walks that run past ``max_len`` or into a dead end restart.  Same seed,
     same words.
+
+    A state's options and their cumulative weights are tabled on its first
+    visit in the call, so a step costs one uniform draw and one bisect.  The
+    step is the draw ``Random.choices(options, weights)`` makes: one
+    ``random()`` call, scaled by the same float total ``cum[-1] + 0.0``, then
+    ``bisect_right(cum, ..., 0, len(options) - 1)``.  The generator's stream
+    and every word therefore equal a per-step ``choices`` call (its code is
+    the same on CPython 3.10 to 3.13).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -137,11 +146,12 @@ def sample_words(a: Automaton, n: int, seed: int, max_len: int) -> list[Word]:
     shortest = shortest_accepted_length(a)
     if shortest is None or shortest > max_len:
         raise GenerationError(f"model accepts no word of length <= {max_len}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    tables: dict[StateId, _Table] = {}
     words: list[Word] = []
     restarts_left = 100_000 * (n + 1)
     while len(words) < n:
-        word = _one_walk(a, rng, max_len)
+        word = _one_walk(a, tables, draw, max_len)
         if word is None:
             restarts_left -= 1
             if restarts_left <= 0:
@@ -151,29 +161,54 @@ def sample_words(a: Automaton, n: int, seed: int, max_len: int) -> list[Word]:
     return words
 
 
-def _one_walk(a: Automaton, rng: random.Random, max_len: int) -> Word | None:
+# A state's step table: its options (None is the stop option, first when the
+# state accepts; then the out-edge symbols, ascending), each option's
+# destination, their cumulative add-one weights, the float total of the
+# weights, and the highest option index.  A dead end has no options.
+_Table = tuple[list, list, list[int], float, int]
+_DEAD_END: _Table = ([], [], [], 0.0, -1)
+
+
+def _step_table(a: Automaton, q: StateId) -> _Table:
+    agg = a.states[q]
+    options: list[Symbol | None] = []
+    dests: list[StateId | None] = []
+    weights: list[int] = []
+    if q in a.accepting:
+        options.append(None)
+        dests.append(None)
+        weights.append(agg.end_count + 1)
+    counts = agg.out_counts
+    for sym, dst in a.out_edges(q):
+        options.append(sym)
+        dests.append(dst)
+        weights.append(counts.get(sym, 0) + 1)
+    if not options:
+        return _DEAD_END
+    cum = list(accumulate(weights))
+    return options, dests, cum, cum[-1] + 0.0, len(options) - 1
+
+
+def _one_walk(a: Automaton, tables: dict[StateId, _Table], draw: Callable[[], float],
+              max_len: int) -> Word | None:
     """One weighted walk; None when it dead-ends or overruns max_len."""
     cur = a.start
     word: list[int] = []
     while True:
-        options: list[int | None] = []  # None is the stop option
-        weights: list[int] = []
-        agg = a.states[cur]
-        if cur in a.accepting:
-            options.append(None)
-            weights.append(agg.end_count + 1)
-        for sym, _ in a.out_edges(cur):
-            options.append(sym)
-            weights.append(agg.out_counts.get(sym, 0) + 1)
-        if not options:
+        table = tables.get(cur)
+        if table is None:
+            table = tables[cur] = _step_table(a, cur)
+        options, dests, cum, total, hi = table
+        if hi < 0:
             return None
-        pick = rng.choices(options, weights=weights)[0]
+        i = bisect_right(cum, draw() * total, 0, hi)
+        pick = options[i]
         if pick is None:
             return tuple(word)
         if len(word) == max_len:
             return None
         word.append(pick)
-        cur = a.transitions[(cur, pick)]
+        cur = dests[i]
 
 
 # ---------------------------------------------------------------------------

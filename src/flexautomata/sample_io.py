@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
+from . import automaton
+from .automaton import MAX_COUNT, Automaton, StateAggregate, StateId, Symbol
 from .errors import ModelFormatError, SampleFormatError
 
 MODEL_HEADER = "flexautomata-model 1"
@@ -389,6 +390,7 @@ _STATE_FIELDS = (
     (int, "count"), (float, "target sum"), (float, "target sumsq"),
     (int, "end count"), (int, "end count"), (int, "target count"),
 )
+_STATE_LABELS = frozenset(["acc", "rej", "unl"])
 _TRANS_FIELDS = (
     (int, "source state"), (int, "symbol"), (int, "target state"), (int, "transition count"),
 )
@@ -408,23 +410,32 @@ def _bad_field(tokens: list[str], fields, line: int) -> ModelFormatError:
     raise AssertionError("every field converts")
 
 
+def _huge_count(tokens: list[str], line: int) -> ModelFormatError:
+    """The error for the first count of a converted ``state`` line above :data:`MAX_COUNT`."""
+    for token, (convert, what) in zip(tokens[3:], _STATE_FIELDS):
+        if convert is int and int(token) > MAX_COUNT:
+            return ModelFormatError(f"{what} {int(token)} exceeds the bound 2**53", line)
+    raise AssertionError("some count exceeds the bound")
+
+
 def load_model(text: str) -> Automaton:
     """Parse :func:`save_model` output back into an automaton, in one pass.
 
-    Each ``state`` or ``trans`` line converts its numbers at once; a token
-    that does not convert fails the load with ``bad <field> <token>`` and
-    the line.  Rejects unknown format versions, duplicate ``(state, symbol)``
-    transition lines (determinism violation), negative transition counts,
-    and anything :func:`check_integrity` complains about after assembly.
+    The first non-blank line must be the format header.  Each later line is
+    split once and dispatched on its kind, ``trans`` and ``state`` first
+    since they are all but four lines of a model.  A ``state`` or ``trans``
+    line converts its fixed fields at once; a token that does not convert
+    fails the load with ``bad <field> <token>`` and the line, and a count
+    above ``2**53`` fails it with ``<field> <count> exceeds the bound 2**53``.
+    Each state's aggregate is built from its line, sharing the out-count
+    map that the ``trans`` lines then fill.  Rejects unknown format
+    versions, duplicate ``(state, symbol)`` transition lines (determinism
+    violation), negative transition counts, and anything
+    :func:`check_integrity` complains about after assembly.
     """
-    from .automaton import check_integrity
-
     alphabet: tuple[str, ...] | None = None
     arity = 0
-    label_in = {"acc": "accepting", "rej": "rejecting", "unl": "unlabeled"}
-    # A state's aggregate needs its out_counts from the trans lines, so each
-    # state line's fields wait here and every aggregate is built once at the end.
-    state_fields: dict[StateId, tuple] = {}
+    states: dict[StateId, StateAggregate] = {}
     out_counts: dict[StateId, dict[Symbol, int]] = {}
     accepting: set[StateId] = set()
     rejecting: set[StateId] = set()
@@ -432,15 +443,75 @@ def load_model(text: str) -> Automaton:
     start: StateId | None = None
 
     lines = text.splitlines()
-    rows = ((no, tokens) for no, ln in enumerate(lines, 1) if (tokens := ln.split()))
-    no, _ = next(rows, (None, None))
-    if no is None or lines[no - 1].strip() != MODEL_HEADER:
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None or lines[first].strip() != MODEL_HEADER:
+        no = None if first is None else first + 1
         raise ModelFormatError(f"expected header {MODEL_HEADER!r}", no)
 
     seen: set[str] = set()  # the kinds that may appear only once
-    for no, tokens in rows:
+    for no, ln in enumerate(lines[first + 1:], first + 2):
+        tokens = ln.split()
+        if not tokens:
+            continue
         kind = tokens[0]
-        if kind == "alphabet":
+        if kind == "trans":
+            if len(tokens) != 5:
+                raise ModelFormatError(f"trans line has {len(tokens)} fields, expected 5", no)
+            _, src, sym, dst, count = tokens
+            try:
+                src, sym, dst, count = int(src), int(sym), int(dst), int(count)
+            except ValueError:
+                raise _bad_field(tokens[1:], _TRANS_FIELDS, no) from None
+            key = (src, sym)
+            if key in transitions:
+                raise ModelFormatError(
+                    f"duplicate transition on ({src}, {sym}); model not deterministic", no
+                )
+            if count < 0:
+                raise ModelFormatError(f"negative transition count {count}", no)
+            if count > MAX_COUNT:
+                raise ModelFormatError(f"transition count {count} exceeds the bound 2**53", no)
+            transitions[key] = dst
+            if count:
+                counts = out_counts.get(src)
+                if counts is None:
+                    counts = out_counts[src] = {}
+                counts[sym] = count
+        elif kind == "state":
+            if len(tokens) != 9 + arity:
+                raise ModelFormatError(
+                    f"state line has {len(tokens)} fields, expected {9 + arity}", no
+                )
+            _, q, label, total, target_sum, target_sumsq, end_pos, end_neg, target_count = (
+                tokens[:9] if arity else tokens)
+            try:
+                q = int(q)
+            except ValueError:
+                raise ModelFormatError(f"bad state id {q!r}", no) from None
+            if q in states:
+                raise ModelFormatError(f"duplicate state {q}", no)
+            if label not in _STATE_LABELS:
+                raise ModelFormatError(f"bad state label {label!r}", no)
+            try:
+                total, target_sum, target_sumsq = int(total), float(target_sum), float(target_sumsq)
+                end_pos, end_neg, target_count = int(end_pos), int(end_neg), int(target_count)
+                attribute_sums = tuple(map(float, tokens[9:])) if arity else ()
+            except ValueError:
+                fields = _STATE_FIELDS + ((float, "attribute sum"),) * arity
+                raise _bad_field(tokens[3:], fields, no) from None
+            if (total > MAX_COUNT or end_pos > MAX_COUNT or end_neg > MAX_COUNT
+                    or target_count > MAX_COUNT):
+                raise _huge_count(tokens, no)
+            counts = out_counts.get(q)
+            if counts is None:
+                counts = out_counts[q] = {}
+            states[q] = StateAggregate(total, end_pos, end_neg, counts, target_count,
+                                       target_sum, target_sumsq, attribute_sums)
+            if label == "acc":
+                accepting.add(q)
+            elif label == "rej":
+                rejecting.add(q)
+        elif kind == "alphabet":
             _once(kind, seen, no)
             size = _line_int(tokens, "alphabet size", no, only=False)
             names = tokens[2:]
@@ -456,52 +527,6 @@ def load_model(text: str) -> Automaton:
             arity = _line_int(tokens, "attribute arity", no)
             if arity < 0:
                 raise ModelFormatError(f"negative attribute arity {arity}", no)
-        elif kind == "state":
-            if len(tokens) != 9 + arity:
-                raise ModelFormatError(
-                    f"state line has {len(tokens)} fields, expected {9 + arity}", no
-                )
-            try:
-                q = int(tokens[1])
-            except ValueError:
-                raise ModelFormatError(f"bad state id {tokens[1]!r}", no) from None
-            if q in state_fields:
-                raise ModelFormatError(f"duplicate state {q}", no)
-            label = tokens[2]
-            if label not in label_in:
-                raise ModelFormatError(f"bad state label {label!r}", no)
-            try:
-                state_fields[q] = (
-                    int(tokens[3]), float(tokens[4]), float(tokens[5]), int(tokens[6]),
-                    int(tokens[7]), int(tokens[8]), tuple(map(float, tokens[9:])),
-                )
-            except ValueError:
-                fields = _STATE_FIELDS + ((float, "attribute sum"),) * arity
-                raise _bad_field(tokens[3:], fields, no) from None
-            if label == "acc":
-                accepting.add(q)
-            elif label == "rej":
-                rejecting.add(q)
-        elif kind == "trans":
-            if len(tokens) != 5:
-                raise ModelFormatError(f"trans line has {len(tokens)} fields, expected 5", no)
-            try:
-                src, sym, dst, count = map(int, tokens[1:])
-            except ValueError:
-                raise _bad_field(tokens[1:], _TRANS_FIELDS, no) from None
-            key = (src, sym)
-            if key in transitions:
-                raise ModelFormatError(
-                    f"duplicate transition on ({src}, {sym}); model not deterministic", no
-                )
-            if count < 0:
-                raise ModelFormatError(f"negative transition count {count}", no)
-            transitions[key] = dst
-            if count > 0:
-                counts = out_counts.get(src)
-                if counts is None:
-                    counts = out_counts[src] = {}
-                counts[sym] = count
         elif kind == "start":
             _once(kind, seen, no)
             start = _line_int(tokens, "start state", no)
@@ -512,20 +537,6 @@ def load_model(text: str) -> Automaton:
         raise ModelFormatError("missing alphabet line")
     if start is None:
         raise ModelFormatError("missing start line")
-    states = {
-        q: StateAggregate(
-            total_count=total,
-            end_pos_count=end_pos,
-            end_neg_count=end_neg,
-            out_counts=out_counts.get(q, {}),
-            target_count=target_count,
-            target_sum=target_sum,
-            target_sumsq=target_sumsq,
-            attribute_sums=attribute_sums,
-        )
-        for q, (total, target_sum, target_sumsq, end_pos, end_neg, target_count,
-                attribute_sums) in state_fields.items()
-    }
     a = Automaton(
         alphabet=alphabet,
         states=states,
@@ -536,7 +547,8 @@ def load_model(text: str) -> Automaton:
         next_id=max(states, default=-1) + 1,
         attribute_arity=arity,
     )
-    violations = check_integrity(a)
+    # Called through its module, where tracers and tests can hook it.
+    violations = automaton.check_integrity(a)
     if violations:
         raise ModelFormatError("; ".join(violations))
     return a

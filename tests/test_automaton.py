@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     Automaton,
+    LearnerConfig,
+    Mse,
     Outcome,
+    Sample,
     StateAggregate,
     StateLabel,
+    SymbolInstance,
+    Trace,
+    TraceLabel,
     build_apta,
     check_integrity,
     compute,
@@ -158,3 +164,33 @@ class TestCheckIntegrity:
             next_id=2,
         )
         assert any("exceed total_count" in v for v in check_integrity(a))
+
+    def test_counts_beyond_the_float_range_are_not_an_error(self):
+        huge = StateAggregate(total_count=10**400, target_count=10**400,
+                              target_sum=1.0, target_sumsq=1.0)
+        a = Automaton(alphabet=(), states={0: huge}, accepting=frozenset(),
+                      rejecting=frozenset(), transitions={}, start=0, next_id=1)
+        assert check_integrity(a) == []
+
+    @staticmethod
+    @st.composite
+    def target_samples(draw):
+        """Unlabeled traces whose targets share one magnitude, often in equal runs."""
+        scale = 10.0 ** draw(st.integers(-200, 140))
+        pool = draw(st.lists(st.floats(-10.0, 10.0).map(lambda m: m * scale),
+                             min_size=1, max_size=3))
+        target = st.one_of(st.none(), st.sampled_from(pool))
+        words = draw(st.lists(st.lists(st.tuples(st.integers(0, 2), target), max_size=6),
+                              min_size=1, max_size=40))
+        traces = tuple(
+            Trace(TraceLabel.UNLABELED, tuple(SymbolInstance(s, (), t) for s, t in word))
+            for word in words
+        )
+        return Sample(traces, ("0", "1", "2"))
+
+    @given(target_samples())
+    @settings(max_examples=150, deadline=None)
+    def test_aptas_and_mse_models_pass(self, sample):
+        assert check_integrity(build_apta(sample)) == []
+        model, _ = learn(sample, LearnerConfig(heuristic=Mse()))
+        assert check_integrity(model) == []

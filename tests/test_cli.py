@@ -28,6 +28,7 @@ from flexautomata import (
 )
 from flexautomata.cli import run
 from dot_check import check_dot
+from gen import TargetDfa, labeled_sample
 
 
 @pytest.fixture()
@@ -192,6 +193,29 @@ class TestGenerate:
         assert [t.word for t in sample.traces] == [()] * n
         assert all(t.label.name == "POSITIVE" for t in sample.traces)
 
+    # SHA-256 of the stdout of ``generate -n 200 --max-len 20``, pinned from
+    # the sampler that rebuilt each state's options and called Random.choices
+    # at every step.
+    GENERATE_GOLDEN = {
+        "reference": "a920118db11062241fa54f60260a295211fcd7604237adc4a86a3e82b2f86852",
+        "dfa": "21d39c1a15c61cf51109ccab759f426efcf18dfbafad0f7e0926b5ec2d4ce952",
+    }
+
+    def test_generated_words_are_pinned(self, model_file, tmp_path, capsys):
+        rng = random.Random(17)
+        dfa = TargetDfa(rng, 12, 3)
+        data = tmp_path / "dfa.txt"
+        data.write_text(write_sample(labeled_sample(rng, dfa, 300, 14)))
+        dfa_model = tmp_path / "dfa-model.txt"
+        assert run(["learn", "--input", str(data), "--output", str(dfa_model)]) == 0
+        capsys.readouterr()
+        for (name, digest), (path, seed) in zip(
+                self.GENERATE_GOLDEN.items(), [(model_file, "5"), (str(dfa_model), "3")]):
+            assert run(["generate", "--model", path, "-n", "200", "--seed", seed,
+                        "--max-len", "20"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
     def test_impossible_request_exits_2(self, tmp_path, capsys):
         data = tmp_path / "neg.txt"
         data.write_text("0 1 0\n")
@@ -243,12 +267,25 @@ class TestEval:
         ("state 0 acc 1 0.0 0.0 5 7 0", "state 0 labeled end counts exceed its trace ends"),
         ("state 0 unl 2 0.0 -1.0 0 0 2", "state 0 has a negative target sum of squares"),
         ("state 0 unl 2 3.0 0.0 0 0 0", "state 0 has target sums but no targets"),
+        ("state 0 unl 2 4.0 1.0 0 0 2", "state 0 has target sums with a negative squared error"),
     ])
     def test_impossible_state_aggregates_exit_2(self, sample_file, tmp_path, capsys, state, message):
         broken = tmp_path / "broken.txt"
         broken.write_text(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
         assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, state", [
+        (["generate"], f"state 0 acc {10**400} 0.0 0.0 {10**400} 0 0"),
+        (["predict", "--input", "{traces}"], f"state 0 unl {10**400} 1.0 1.0 0 0 {10**400}"),
+        (["dot"], f"state 0 unl {10**400} 1.0 1.0 0 0 {10**400}"),
+    ], ids=["generate", "predict", "dot"])
+    def test_counts_above_2_53_exit_2(self, sample_file, tmp_path, capsys, argv, state):
+        model = tmp_path / "huge.txt"
+        model.write_text(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
+        argv = [a.replace("{traces}", sample_file) for a in argv]
+        assert run([argv[0], "--model", str(model), *argv[1:]]) == 2
+        assert f"line 4: count {10**400} exceeds the bound 2**53" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["alphabet", "start"])
     def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
@@ -334,7 +371,7 @@ _FUZZ_COMMANDS = {
 }
 _FUZZ_ANY_FLAG = sorted({f for req, opt in _FUZZ_COMMANDS.values() for f in req + opt}
                         | {"--help", "--bogus"})
-_FUZZ_FILES = ["{soup}", "{bytes}", "{traces}", "{model}", "{series}", "{missing}"]
+_FUZZ_FILES = ["{soup}", "{bytes}", "{traces}", "{model}", "{huge}", "{series}", "{missing}"]
 _FUZZ_NUMBERS = ["0", "1", "-1", "3", "0.5", "1e9", "nan", "inf", "-inf", "x", ""]
 # The values each flag takes; -n, --max-len, --window and --bins scale the
 # work of one call, so they stay small.
@@ -406,6 +443,10 @@ class TestFuzz:
                 "{bytes}": raw,
                 "{traces}": traces.encode("utf-8"),
                 "{model}": save_model(learn(parse_augmented(traces))[0]).encode("utf-8"),
+                # counts beyond the float range, which every serving command must refuse
+                "{huge}": (f"flexautomata-model 1\nalphabet 2 0 1\nattributes 0\n"
+                           f"state 0 acc {10**400} 1.0 1.0 {10**400} 0 {10**400}\n"
+                           "start 0\n").encode("utf-8"),
                 "{series}": b"1.0\n2.5\n0.0\n3.0\n2.0\n",
             }
             paths = {name: os.path.join(tmp, name[1:-1]) for name in files}

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import warnings
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -37,6 +38,7 @@ from flexautomata import (
 )
 from flexautomata.automaton import Outcome
 from gen import complete_sample, even_ones_dfa, random_automaton
+import oracle_predict
 
 
 class TestPredictValue:
@@ -127,13 +129,15 @@ def _outcome(fn, *args):
 
 
 class _CountingStates(Mapping):
-    """A state table that counts full passes over it."""
+    """A state table that counts full passes over it and reads of each state."""
 
     def __init__(self, states):
         self._states = dict(states)
         self.passes = 0
+        self.reads = Counter()
 
     def __getitem__(self, q):
+        self.reads[q] += 1
         return self._states[q]
 
     def __iter__(self):
@@ -250,6 +254,29 @@ class TestSampleWords:
 
     def test_empty_request_is_empty(self, model):
         assert sample_words(model, 0, seed=0, max_len=5) == []
+
+    @staticmethod
+    def _words(sampler, a, n, seed, max_len):
+        try:
+            return sampler(a, n, seed, max_len)
+        except GenerationError as exc:
+            return str(exc)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_words_equal_the_per_step_sampler(self, seed, n, max_len):
+        rng = random.Random(seed)
+        a = random_automaton(rng, 10, rng.randint(1, 4))
+        want = self._words(oracle_predict.sample_words, a, n, seed, max_len)
+        assert self._words(sample_words, a, n, seed, max_len) == want
+
+    def test_each_state_is_read_once_per_call(self, model):
+        states = _CountingStates(model.states)
+        a = dataclasses.replace(model, states=states)
+        words = sample_words(a, 200, seed=5, max_len=12)
+        assert words == oracle_predict.sample_words(model, 200, 5, 12)
+        assert sum(map(len, words)) > 10 * len(model.states)
+        assert set(states.reads.values()) == {1}
 
 
 class TestShortestAccepted:

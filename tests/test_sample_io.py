@@ -343,11 +343,46 @@ class TestModelPersistence:
         ("state 0 unl 2 0.0 -1.0 0 0 2", "state 0 has a negative target sum of squares"),
         ("state 0 unl 2 3.0 0.0 0 0 0", "state 0 has target sums but no targets"),
         ("state 0 unl 2 0.0 4.0 0 0 0", "state 0 has target sums but no targets"),
+        ("state 0 unl 2 4.0 1.0 0 0 2", "state 0 has target sums with a negative squared error"),
     ])
     def test_impossible_state_aggregates_are_rejected(self, state, message):
         with pytest.raises(ModelFormatError) as err:
             load_model(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("values", [
+        [1e152] * 1000,  # sum * sum overflows; the check must not
+        [1.9877848624088344e-160, 1.9731738396639936e-160],  # subnormal squares: sse < 0
+        [0.1] * 20_000,  # a long equal run, pooled with roundoff
+        [1e140, -1e140, 7.0],
+    ])
+    def test_sums_of_real_targets_load(self, values):
+        total, sumsq = sum(values), sum(v * v for v in values)
+        n = len(values)
+        a = load_model("flexautomata-model 1\nalphabet 0\nattributes 0\n"
+                       f"state 0 unl {n} {total!r} {sumsq!r} 0 0 {n}\nstart 0\n")
+        assert a.states[0].target_count == n
+
+    @pytest.mark.parametrize("line, message", [
+        (f"state 0 acc {2**53 + 1} 0.0 0.0 0 0 0", f"count {2**53 + 1}"),
+        (f"state 0 acc {10**400} 0.0 0.0 {10**400} 0 0", f"count {10**400}"),
+        (f"state 0 acc 5 0.0 0.0 {2**53 + 1} 0 0", f"end count {2**53 + 1}"),
+        (f"state 0 rej 5 0.0 0.0 0 {2**60} 0", f"end count {2**60}"),
+        (f"state 0 unl 5 1.0 1.0 0 0 {10**400}", f"target count {10**400}"),
+        (f"trans 0 0 0 {2**53 + 1}", f"transition count {2**53 + 1}"),
+    ], ids=["count", "count-1e400", "end-pos", "end-neg", "target-count", "trans"])
+    def test_counts_above_2_53_name_line_and_field(self, line, message):
+        state = "" if line.startswith("state") else "state 0 acc 9 0.0 0.0 0 0 0\n"
+        text = f"flexautomata-model 1\nalphabet 1 a\nattributes 0\n{state}{line}\nstart 0\n"
+        no = text.splitlines().index(line) + 1
+        with pytest.raises(ModelFormatError) as err:
+            load_model(text)
+        assert str(err.value) == f"line {no}: {message} exceeds the bound 2**53"
+
+    def test_counts_of_2_53_load(self):
+        a = load_model(f"flexautomata-model 1\nalphabet 1 a\nattributes 0\n"
+                       f"state 0 acc {2**53} 0.0 0.0 0 0 0\ntrans 0 0 0 {2**53}\nstart 0\n")
+        assert a.states[0].out_counts == {0: 2**53}
 
     def test_labeled_ends_may_fill_the_trace_ends(self):
         a = load_model("flexautomata-model 1\nalphabet 0\nattributes 0\n"
@@ -505,6 +540,7 @@ class TestAgainstOracle:
 
     _TOKENS = [
         "-5", "-1", "0", "1", "3", "99", "x", "1.5", "nan", "inf", "-inf", "1e400", "+2", "1_0",
+        str(2**53 + 1),
         "acc", "rej", "unl", "state", "trans", "start", "alphabet", "attributes",
     ]
 
@@ -559,6 +595,17 @@ class TestAgainstOracle:
             tokens = text.splitlines()[no - 1].split()
             assert tokens[0] == "trans" and int(tokens[4]) < 0
             return
+        if isinstance(got, tuple) and got[1].endswith("exceeds the bound 2**53"):
+            # The reference takes any count; the loader refuses those above 2**53.
+            no = int(got[1].split(":")[0].removeprefix("line "))
+            tokens = text.splitlines()[no - 1].split()
+            message = got[1].split(": ", 1)[1].removesuffix(" exceeds the bound 2**53")
+            field, value = message.rsplit(" ", 1)
+            kind, where = {"transition count": ("trans", [4]), "count": ("state", [3]),
+                           "end count": ("state", [6, 7]), "target count": ("state", [8])}[field]
+            assert tokens[0] == kind
+            assert int(value) > 2**53 and int(value) in [int(tokens[i]) for i in where]
+            return
         want = _outcome(oracle_io.load_model, text)
         if isinstance(got, tuple) and got != want:
             # The reference lacks the checks of labeled ends and target sums. Every
@@ -586,4 +633,5 @@ class TestAgainstOracle:
         "has a negative target sum of squares": lambda g: g.target_sumsq < 0.0,
         "has target sums but no targets":
             lambda g: g.target_count == 0 and (g.target_sum != 0.0 or g.target_sumsq != 0.0),
+        "has target sums with a negative squared error": lambda g: g.sse() < 0.0,
     }
