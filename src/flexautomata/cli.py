@@ -265,20 +265,14 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on usage problems and 0 for --help; remap to our codes
         return 0 if exc.code == 0 else 1
     try:
-        try:
-            return _COMMANDS[args.command](args)
-        except ValueError as exc:
-            # bad flag values surface as ValueError from config constructors
-            if isinstance(exc, _DATA_ERRORS):
-                raise
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    except _DataError as exc:
+        return _COMMANDS[args.command](args)
+    except (_DataError, *_DATA_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
+    except ValueError as exc:
+        # bad flag values surface as ValueError from config constructors
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 def main() -> None:

@@ -15,19 +15,22 @@ Three stock heuristics are provided:
   when the trial touched no target data at all, since the score would be
   meaningless.
 
-Each heuristic also says what a trial merge must pool for it to score:
-``statistic`` reads that from a state's aggregate, and ``fold`` pools it for
-one merged pair while recording the pair's evidence (see
-:class:`~flexautomata.merging.MergeArena`).  An arena takes the statistic of
-each original state once, so a statistic also carries what every fold of
-it would otherwise re-derive: ALERGIA's holds the end count next to the
-visit and symbol counts, and MSE's holds the squared error next to the
-target sums.  A carried value is computed by the same expression on the
-same operands as a fold that derived it itself would use, so every test and
-every float sum comes out the same.  EDSM reads labels alone, so its
-``fold`` is None.  Scoring is pure and reads only the merge outcome.  The
-public ``evidence_*`` functions take the learner's trial steps: one merge
-in an arena built for the heuristic, scored by its ``score``.
+A heuristic owns its evidence through four members (see
+:class:`~flexautomata.merging.MergeArena`): ``statistic`` reads what a
+trial merge must pool from a state's aggregate, once per original state of
+an arena; ``evidence`` makes an empty evidence record for each trial;
+``fold`` pools one merged pair's statistics and writes that pair's evidence
+into the record; and ``score`` reads the outcome, record included as
+``outcome.evidence``.  The record is the heuristic's own small mutable
+dataclass, such as :class:`AlergiaEvidence`; the merge engine only passes
+it along.  A statistic also carries what every fold of it would otherwise
+re-derive: ALERGIA's holds the end count, MSE's the squared error, each
+computed by the same expression on the same operands as a fold would use,
+so every test and every float sum comes out the same.  EDSM reads labels
+alone, so its ``statistic``, ``evidence`` and ``fold`` are None and its
+outcomes carry no record.  The public ``evidence_*`` functions take the
+learner's trial steps: one merge in an arena built for the heuristic,
+scored by its ``score``.
 """
 
 from __future__ import annotations
@@ -36,22 +39,22 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
-from .merging import (
-    MergeArena,
-    MergeOutcome,
-    MergeTally,
-    TargetStats,
-    check_pair,
-    pool_targets,
-    target_stats,
-)
+from .automaton import Automaton, StateAggregate, StateId, Symbol, squared_error
+from .merging import MergeArena, MergeOutcome, check_pair
 
 FAIL_LABEL_CONFLICT = "label_conflict"
 FAIL_DISTRIBUTION = "distribution_reject"
 FAIL_NO_TARGETS = "no_targets"
 
 Frequencies = tuple[int, Mapping[Symbol, int], int]  # visits, per-symbol counts, ends
+TargetStats = tuple[int, float, float, float]  # target count, sum, sum of squares, squared error
+
+
+def _hoeffding_scale(alpha: float) -> float:
+    """The alpha-only factor of every Hoeffding bound; alpha must lie in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return math.sqrt(0.5 * math.log(2.0 / alpha))
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ class Edsm:
 
     # Every fold counts label matches, so a trial pools nothing more.
     statistic = None
+    evidence = None
     fold = None
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
@@ -68,30 +72,31 @@ class Edsm:
         return EvidenceScore(float(outcome.label_matches))
 
 
+@dataclass(slots=True)
+class AlergiaEvidence:
+    """Whether some merged pair failed the frequency test."""
+
+    reject: bool = False
+
+
 @dataclass(frozen=True)
 class Alergia:
     """Frequency-compatibility evidence with rejection level ``alpha``."""
 
     alpha: float = 0.05
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        # The alpha-only factor of every Hoeffding bound, as hoeffding_bound computes it.
-        object.__setattr__(self, "_bound_scale", math.sqrt(0.5 * math.log(2.0 / self.alpha)))
+    evidence = AlergiaEvidence
 
-    def rejects(
-        self, n1: int, out1: Mapping[Symbol, int], n2: int, out2: Mapping[Symbol, int]
-    ) -> bool:
-        """The Hoeffding test of one merged pair, given visit and per-symbol counts.
+    def __post_init__(self):
+        # The alpha-only factor of every Hoeffding bound, taken once.
+        object.__setattr__(self, "_bound_scale", _hoeffding_scale(self.alpha))
+
+    def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
+        """The Hoeffding test of one merged pair, given its frequencies.
 
         True iff the stop frequency or some symbol's frequency differs beyond
         the bound; vacuously False when either state was never visited.
         """
-        return self._rejects((n1, out1, n1 - sum(out1.values())),
-                             (n2, out2, n2 - sum(out2.values())))
-
-    def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
         n1, out1, end1 = f1
         n2, out2, end2 = f2
         if n1 == 0 or n2 == 0:
@@ -108,11 +113,11 @@ class Alergia:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""
         return (agg.total_count, agg.out_counts, agg.end_count)
 
-    def fold(self, tally: MergeTally, x: StateId, fx: Frequencies,
+    def fold(self, ev: AlergiaEvidence, x: StateId, fx: Frequencies,
              y: StateId, fy: Frequencies) -> Frequencies:
         """Pool one pair's frequencies, testing it unless an earlier pair failed."""
-        if not tally.distribution_reject and self._rejects(fx, fy):
-            tally.distribution_reject = True
+        if not ev.reject and self._rejects(fx, fy):
+            ev.reject = True
         (n1, out1, end1), (n2, out2, end2) = fx, fy
         # Count maps are never written once made, so y adding no symbol shares x's map.
         out = out1
@@ -125,9 +130,17 @@ class Alergia:
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
             return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-        if outcome.distribution_reject:
+        if outcome.evidence.reject:
             return EvidenceScore.fail(FAIL_DISTRIBUTION)
         return EvidenceScore(float(len(outcome.merged_pairs)))
+
+
+@dataclass(slots=True)
+class MseEvidence:
+    """Pooled-minus-separate squared target error summed over the merged pairs."""
+
+    sse_delta: float = 0.0
+    targets_touched: bool = False  # whether any merged class holds a target
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,8 @@ class Mse:
     """Squared-error evidence with a ``penalty`` reward per merged pair."""
 
     penalty: float = 0.0
+
+    evidence = MseEvidence
 
     def __post_init__(self):
         if self.penalty < 0.0 or not math.isfinite(self.penalty):
@@ -147,18 +162,26 @@ class Mse:
         Carrying the squared error lets each fold compute only the pooled
         class's, not both halves' again.
         """
-        return target_stats(agg)
+        return (agg.target_count, agg.target_sum, agg.target_sumsq, agg.sse())
 
-    def fold(self, tally: MergeTally, x: StateId, tx: TargetStats,
+    def fold(self, ev: MseEvidence, x: StateId, tx: TargetStats,
              y: StateId, ty: TargetStats) -> TargetStats:
-        return pool_targets(tally, tx, ty)
+        """Pool one pair's target statistics, carrying the pooled squared error."""
+        count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
+        sse = squared_error(count, total, sumsq)
+        # Pooling a partition cannot reduce squared error; clamp roundoff.
+        ev.sse_delta += max(sse - tx[3] - ty[3], 0.0)
+        if count:
+            ev.targets_touched = True
+        return (count, total, sumsq, sse)
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
             return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-        if not outcome.targets_touched:
+        ev = outcome.evidence
+        if not ev.targets_touched:
             return EvidenceScore.fail(FAIL_NO_TARGETS)
-        return EvidenceScore(-outcome.sse_delta + self.penalty * len(outcome.merged_pairs))
+        return EvidenceScore(-ev.sse_delta + self.penalty * len(outcome.merged_pairs))
 
 
 HeuristicId = Edsm | Alergia | Mse
@@ -189,15 +212,17 @@ def hoeffding_bound(n1: int, n2: int, alpha: float) -> float:
     """
     if n1 <= 0 or n2 <= 0:
         raise ValueError("counts must be positive")
-    return math.sqrt(0.5 * math.log(2.0 / alpha)) * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+    return _hoeffding_scale(alpha) * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
 
 
 def hoeffding_compatible(f1: int, n1: int, f2: int, n2: int, alpha: float) -> bool:
     """True iff the two frequencies pass the Hoeffding test at level alpha.
 
     Vacuously true when either count is zero: no data, no contradiction.
+    ``alpha`` must lie in (0, 1) either way.
     """
     if n1 == 0 or n2 == 0:
+        _hoeffding_scale(alpha)
         return True
     return abs(f1 / n1 - f2 / n2) <= hoeffding_bound(n1, n2, alpha)
 

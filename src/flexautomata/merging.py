@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol, squared_error
+from .automaton import Automaton, StateAggregate, StateId, Symbol
 
 if TYPE_CHECKING:
     from .heuristics import HeuristicId
@@ -66,45 +66,6 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     )
 
 
-TargetStats = tuple[int, float, float, float]  # target count, sum, sum of squares, squared error
-
-
-def target_stats(g: StateAggregate) -> TargetStats:
-    """A state's target statistics, carrying their squared error so no fold re-derives it."""
-    return (g.target_count, g.target_sum, g.target_sumsq, g.sse())
-
-
-@dataclass
-class MergeTally:
-    """Running per-pair evidence of one merge, read into its outcome.
-
-    ``sse_delta`` and ``targets_touched`` accumulate through
-    :func:`pool_targets`; ``distribution_reject`` is set by a heuristic's
-    fold once a folded pair fails its frequency test.
-    """
-
-    sse_delta: float = 0.0
-    targets_touched: bool = False
-    distribution_reject: bool = False
-
-
-def pool_targets(tally: MergeTally, tx: TargetStats, ty: TargetStats) -> TargetStats:
-    """Pool the target statistics of one folded pair.
-
-    Adds the pooled-minus-separate squared error to ``tally``, and notes
-    when the pooled class holds any target at all.  The pooled squared error
-    is computed once and carried in the result, for the pairs that fold it
-    again.
-    """
-    count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
-    sse = squared_error(count, total, sumsq)
-    # Pooling a partition cannot reduce squared error; clamp roundoff.
-    tally.sse_delta += max(sse - tx[3] - ty[3], 0.0)
-    if count:
-        tally.targets_touched = True
-    return (count, total, sumsq, sse)
-
-
 @dataclass(frozen=True)
 class MergeOutcome:
     """What one merge did.
@@ -116,21 +77,16 @@ class MergeOutcome:
     the pairs whose states agreed on a label (both accepting or both
     rejecting).
 
-    The other fields are the evidence of the arena's heuristic and keep
-    their defaults otherwise: for MSE, ``sse_delta`` is the total
-    pooled-minus-separate squared target error over the merged pairs, never
-    negative, and ``targets_touched`` tells whether any merged class holds a
-    target; for ALERGIA, ``distribution_reject`` tells whether some merged
-    pair failed the frequency test.
+    ``evidence`` is the record the arena's heuristic made with its
+    ``evidence`` factory and wrote through its ``fold``, one call per merged
+    pair.  It is None on failure, and for a heuristic that folds nothing.
     """
 
     result: Automaton | None
     merged_pairs: tuple[tuple[StateId, StateId], ...] = ()
     label_matches: int = 0
     label_conflict: bool = False
-    sse_delta: float = 0.0
-    distribution_reject: bool = False
-    targets_touched: bool = False
+    evidence: object = None
 
     @property
     def failed(self) -> bool:
@@ -144,12 +100,11 @@ _CONFLICT = MergeOutcome(result=None, label_conflict=True)
 class _TrialFrame:
     """Undo information for one trial merge inside an arena."""
 
-    __slots__ = ("created", "next_id_before", "pooled")
+    __slots__ = ("created", "next_id_before")
 
     def __init__(self, next_id_before: int):
         self.created: list[tuple[StateId, StateId, StateId]] = []
         self.next_id_before = next_id_before
-        self.pooled = False
 
 
 class MergeArena:
@@ -172,11 +127,12 @@ class MergeArena:
     The heuristic decides what a merge pools besides labels and transitions:
     ``heuristic.statistic`` takes it from a state's aggregate, once per
     original state when the arena is built, and ``heuristic.fold`` pools one
-    pair of them while recording that pair's evidence in a
-    :class:`MergeTally`.  ``stats`` holds the statistic of every class.
-    Without a heuristic, or with one whose ``fold`` is None, a merge pools
-    labels alone and ``stats`` stays empty.  The fresh classes get their full
-    aggregates only from :meth:`pool`, called once for a merge that is kept.
+    pair of them while writing that pair's evidence into the merge's record,
+    made by ``heuristic.evidence``.  ``stats`` holds the statistic of every
+    class.  Without a heuristic, or with one whose ``fold`` is None, a merge
+    pools labels alone, makes no record and leaves ``stats`` empty.  The
+    fresh classes get their full aggregates only from :meth:`pool`, called
+    once for a merge that is kept.
     The two label sets of the automaton must be disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires.
     """
@@ -194,6 +150,7 @@ class MergeArena:
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
         self.statistic = heuristic.statistic if heuristic is not None else None
         self.fold = heuristic.fold if heuristic is not None else None
+        self.evidence = heuristic.evidence if heuristic is not None else None
         self.stats: dict = {}  # every class's statistic, when the heuristic folds one
         if self.fold is not None:
             self.stats = {q: self.statistic(g) for q, g in a.states.items()}
@@ -215,7 +172,7 @@ class MergeArena:
         frame = _TrialFrame(self.next_id)
         created = frame.created
         parent, out, label, stats, fold = self.parent, self.out, self.label, self.stats, self.fold
-        tally = MergeTally()
+        evidence = self.evidence() if fold is not None else None
         pairs: list[tuple[StateId, StateId]] = []
         label_matches = 0
         z = self.next_id
@@ -239,7 +196,7 @@ class MergeArena:
                 label_matches += 1
             pairs.append((x, y))
             if fold is not None:
-                stats[z] = fold(tally, x, stats[x], y, stats[y])
+                stats[z] = fold(evidence, x, stats[x], y, stats[y])
             ox = oz = out[x]
             oy = out[y]
             if oy:
@@ -262,14 +219,15 @@ class MergeArena:
             result=None,
             merged_pairs=tuple(pairs),
             label_matches=label_matches,
-            sse_delta=tally.sse_delta,
-            distribution_reject=tally.distribution_reject,
-            targets_touched=tally.targets_touched,
+            evidence=evidence,
         )
         return outcome, frame
 
     def rollback(self, frame: _TrialFrame) -> None:
-        """Undo a merge: drop every entry its fresh classes added."""
+        """Undo a trial merge: drop every entry its fresh classes added.
+
+        A merge given its aggregates by :meth:`pool` is kept, never rolled back.
+        """
         parent, out, label = self.parent, self.out, self.label
         created = frame.created
         for z, x, y in created:
@@ -281,10 +239,6 @@ class MergeArena:
             stats = self.stats
             for z, _, _ in created:
                 del stats[z]
-        if frame.pooled:
-            agg = self.agg
-            for z, _, _ in created:
-                del agg[z]
         self.next_id = frame.next_id_before
 
     def pool(self, frame: _TrialFrame) -> None:
@@ -296,7 +250,6 @@ class MergeArena:
         agg = self.agg
         for z, x, y in frame.created:
             agg[z] = merge_aggregates(agg[x], agg[y])
-        frame.pooled = True
 
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""

@@ -91,6 +91,17 @@ class TestHoeffding:
     def test_smaller_alpha_loosens_the_bound(self):
         assert hoeffding_bound(10, 10, 0.01) > hoeffding_bound(10, 10, 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 3.0, -1.0, float("nan"), 2.0])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        # at 0 the bound divided by zero, at 3 and -1 it took a negative log,
+        # and at nan and 2 it quietly gave a verdict
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            hoeffding_bound(10, 10, alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            hoeffding_compatible(3, 10, 7, 10, alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            hoeffding_compatible(0, 0, 7, 10, alpha)
+
 
 class TestEdsm:
     def test_counts_agreeing_pairs(self):

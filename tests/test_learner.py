@@ -3,29 +3,41 @@
 import hashlib
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexautomata import (
+    FAIL_LABEL_CONFLICT,
     Alergia,
     Edsm,
+    EvidenceScore,
     LearnLog,
     LearnerConfig,
     LearnerState,
     Mse,
     Outcome,
+    Sample,
+    SymbolInstance,
+    Trace,
+    TraceLabel,
     build_apta,
     check_integrity,
     compute,
     language_upto,
     learn,
+    merge,
+    merge_aggregates,
     parse_abbadingo,
     promote,
     save_model,
 )
-from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample
+from flexautomata.learner import trial_score
+from flexautomata.merging import MergeArena
+from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
+from oracle_learner import oracle_learn
 
 
 def consistent(model, sample) -> bool:
@@ -235,3 +247,110 @@ class TestLog:
         err = capsys.readouterr().err
         assert "MERGE" in err or "PROMOTE" in err
         assert err.splitlines() == log.lines()
+
+
+def small_sample(rng: random.Random) -> Sample:
+    """A few short words of a random DFA, some unlabeled, each symbol with a target."""
+    dfa = TargetDfa(rng, rng.randint(2, 4), rng.randint(1, 3))
+    traces = []
+    for _ in range(rng.randint(0, 20)):
+        word = tuple(rng.randrange(dfa.n_syms) for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.3:
+            label = TraceLabel.UNLABELED
+        else:
+            label = TraceLabel.POSITIVE if dfa.accepts(word) else TraceLabel.NEGATIVE
+        symbols = tuple(SymbolInstance(s, (), rng.uniform(-2.0, 2.0)) for s in word)
+        traces.append(Trace(label, symbols))
+    return Sample(tuple(traces), tuple(str(i) for i in range(dfa.n_syms)))
+
+
+def assert_learns_like_the_oracle(sample, heuristic, min_evidence, **oracle_kwargs):
+    model, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=min_evidence))
+    want_model, want_log = oracle_learn(sample, heuristic, min_evidence, **oracle_kwargs)
+    assert save_model(model) == save_model(want_model)
+    assert log.text() == want_log.text()
+    assert (log.initial_states, log.final_states) == (want_log.initial_states,
+                                                      want_log.final_states)
+    return model
+
+
+class TestAgainstOracle:
+    """The learner against a naive loop that rescores every pair each iteration."""
+
+    @given(
+        st.integers(0, 10_000_000),
+        st.sampled_from([Edsm(), Alergia(0.05), Alergia(0.5), Mse(), Mse(1.0)]),
+        st.sampled_from([float("-inf"), 0.0, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_learn_matches_the_naive_loop(self, seed, heuristic, min_evidence):
+        assert_learns_like_the_oracle(small_sample(random.Random(seed)), heuristic, min_evidence)
+
+    def test_reference_sample_matches(self, ref_sample):
+        for heuristic in (Edsm(), Alergia(), Mse()):
+            assert_learns_like_the_oracle(ref_sample, heuristic, 0.0)
+
+
+@dataclass(slots=True)
+class SharedVisits:
+    total: int = 0
+
+
+@dataclass(frozen=True)
+class MinVisits:
+    """A heuristic known to the tests alone: the visits each merged pair shares, summed."""
+
+    evidence = SharedVisits
+
+    @staticmethod
+    def statistic(agg):
+        return agg.total_count
+
+    @staticmethod
+    def fold(ev, x, nx, y, ny):
+        ev.total += min(nx, ny)
+        return nx + ny
+
+    def score(self, outcome):
+        if outcome.label_conflict:
+            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+        return EvidenceScore(float(outcome.evidence.total))
+
+
+def reference_min_visits(a, merged_pairs, heuristic):
+    """MinVisits's score from fully pooled aggregates, replayed pair by pair."""
+    if merged_pairs is None:
+        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+    aggs = dict(a.states)
+    total = 0
+    for i, (x, y) in enumerate(merged_pairs):
+        gx, gy = aggs[x], aggs[y]
+        aggs[a.next_id + i] = merge_aggregates(gx, gy)
+        total += min(gx.total_count, gy.total_count)
+    return EvidenceScore(float(total))
+
+
+class TestHeuristicProtocol:
+    """A heuristic defined outside the package runs through the merge engine and learner."""
+
+    @given(st.integers(0, 10_000_000))
+    @settings(max_examples=100, deadline=None)
+    def test_trial_scores_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        ids = sorted(a.states)
+        arena = MergeArena(a, MinVisits())
+        pairs = [(r, b) for r in ids for b in ids if r != b]
+        for r, b in rng.sample(pairs, min(len(pairs), 12)):
+            out = merge(a, r, b)
+            expected = reference_min_visits(a, None if out.failed else out.merged_pairs, None)
+            assert trial_score(arena, r, b, MinVisits()) == expected
+
+    @given(st.integers(0, 10_000_000), st.sampled_from([float("-inf"), 0.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_learn_runs_it_like_the_naive_loop(self, seed, min_evidence):
+        sample = small_sample(random.Random(seed))
+        model = assert_learns_like_the_oracle(sample, MinVisits(), min_evidence,
+                                              score=reference_min_visits)
+        assert consistent(model, sample)
+        assert check_integrity(model) == []

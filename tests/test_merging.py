@@ -136,7 +136,7 @@ class TestConflicts:
         a = build_apta(parse_abbadingo("1 1 0\n0 2 0 0\n"))
         out = merge(a, 0, a.transitions[(0, 0)])
         assert out.merged_pairs == ()
-        assert out.sse_delta == 0.0
+        assert out.evidence is None
 
     def test_merge_of_agreeing_labels_counts_matches(self):
         a = build_apta(parse_abbadingo("1 1 0\n1 1 1\n"))
