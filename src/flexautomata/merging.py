@@ -17,10 +17,10 @@ merge that is kept.  The learner scores many candidate merges this way
 against one machine without copying it, and the module-level :func:`merge`
 is the pure public form of a kept merge: one run, pool and extract.
 
-A fold does only the work its result reads.  Each class has one entry in
-the arena's label map (absent when unlabeled), every original state's
-statistic is taken once when the arena is built, and a class whose second
-half adds no symbol shares the first half's out-map instead of copying it.
+A fold does only the work its result reads.  The arena keeps each class's
+parent, out-map, label and statistic in lists indexed by class id, takes
+every original state's statistic once, and lets a class whose second half
+adds no symbol share the first half's out-map instead of copying it.
 """
 
 from __future__ import annotations
@@ -112,53 +112,62 @@ class MergeArena:
 
     Every class of merged original states is named by a public id: either the
     original state id, or the fresh id minted when the class was formed.
-    Merging never edits the maps of existing classes, it only adds entries
-    for the fresh id, so rolling back is deleting those entries again.
-    Transition targets may go stale as classes merge; ``find`` resolves them
-    on read.
-
-    ``label`` maps each labeled class to True (accepting) or False
-    (rejecting); an unlabeled class has no entry.  ``out`` maps every class
-    to its symbol → target map.  No out-map is written after it is created,
-    so a fresh class whose second half adds no symbol holds its first half's
-    map itself rather than a copy, and rolling back only drops that
-    reference.
+    ``parent``, ``out``, ``label`` and ``stats`` are lists indexed by that id,
+    with one entry per id below ``next_id``: the class's parent (-1 for a
+    root), its symbol → target map (None at an id that names no state, since
+    a learned or loaded model's ids are sparse; memory follows ``next_id``),
+    its label (True accepting, False rejecting, None unlabeled) and its
+    statistic.  A fresh class appends one entry to each list and points the
+    two classes it joins at itself; :meth:`rollback` makes those two roots
+    again and truncates the lists to the ``next_id`` the trial began at.
+    No out-map is written after it is made, so a fresh class whose second
+    half adds no symbol holds its first half's map rather than a copy.
+    Transition targets may go stale as classes merge; ``find`` resolves them.
 
     The heuristic decides what a merge pools besides labels and transitions:
     ``heuristic.statistic`` takes it from a state's aggregate, once per
     original state when the arena is built, and ``heuristic.fold`` pools one
     pair of them while writing that pair's evidence into the merge's record,
-    made by ``heuristic.evidence``.  ``stats`` holds the statistic of every
-    class.  Without a heuristic, or with one whose ``fold`` is None, a merge
-    pools labels alone, makes no record and leaves ``stats`` empty.  The
-    fresh classes get their full aggregates only from :meth:`pool`, called
-    once for a merge that is kept.
-    The two label sets of the automaton must be disjoint, as
-    :func:`~flexautomata.automaton.check_integrity` requires.
+    made by ``heuristic.evidence``.  Without a heuristic, or with one whose
+    ``fold`` is None, a merge pools labels alone, makes no record and leaves
+    ``stats`` empty.  The fresh classes get their full aggregates, in the
+    ``agg`` dict, only from :meth:`pool`, called once for a merge that is kept.
+    State ids must be non-negative, and the two label sets disjoint, as
+    :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
 
     def __init__(self, a: Automaton, heuristic: HeuristicId | None = None):
         if not a.accepting.isdisjoint(a.rejecting):
             raise ValueError("a state is both accepting and rejecting")
+        if min(a.states, default=0) < 0:
+            raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
-        self.parent: dict[StateId, StateId] = {}
-        self.out: dict[StateId, dict[Symbol, StateId]] = {q: {} for q in a.states}
-        for (src, sym), dst in a.transitions.items():
-            self.out[src][sym] = dst
-        self.label: dict[StateId, bool] = dict.fromkeys(a.accepting, True)
-        self.label.update(dict.fromkeys(a.rejecting, False))
-        self.agg: dict[StateId, StateAggregate] = dict(a.states)
+        n = self.next_id = a.next_id
         self.statistic = heuristic.statistic if heuristic is not None else None
         self.fold = heuristic.fold if heuristic is not None else None
         self.evidence = heuristic.evidence if heuristic is not None else None
-        self.stats: dict = {}  # every class's statistic, when the heuristic folds one
+        self.parent: list[StateId] = [-1] * n
+        out: list[dict[Symbol, StateId] | None] = [None] * n
+        for q in a.states:
+            out[q] = {}
+        for (src, sym), dst in a.transitions.items():
+            out[src][sym] = dst
+        label: list[bool | None] = [None] * n
+        for q in a.accepting:
+            label[q] = True
+        for q in a.rejecting:
+            label[q] = False
+        self.out, self.label = out, label
+        self.stats: list = []  # every class's statistic, when the heuristic folds one
         if self.fold is not None:
-            self.stats = {q: self.statistic(g) for q, g in a.states.items()}
-        self.next_id = a.next_id
+            self.stats = [None] * n
+            for q, g in a.states.items():
+                self.stats[q] = self.statistic(g)
+        self.agg: dict[StateId, StateAggregate] = dict(a.states)
 
     def find(self, s: StateId) -> StateId:
         parent = self.parent
-        while s in parent:
+        while parent[s] >= 0:
             s = parent[s]
         return s
 
@@ -173,20 +182,19 @@ class MergeArena:
         created = frame.created
         parent, out, label, stats, fold = self.parent, self.out, self.label, self.stats, self.fold
         evidence = self.evidence() if fold is not None else None
-        pairs: list[tuple[StateId, StateId]] = []
         label_matches = 0
         z = self.next_id
         queue: deque[tuple[StateId, StateId]] = deque([(q1, q2)])
         while queue:
             x, y = queue.popleft()
-            while x in parent:
+            while parent[x] >= 0:
                 x = parent[x]
-            while y in parent:
+            while parent[y] >= 0:
                 y = parent[y]
             if x == y:
                 continue
-            lz = label.get(x)  # x's label, then the merged class's
-            ly = label.get(y)
+            lz = label[x]  # x's label, then the merged class's
+            ly = label[y]
             if lz is None:
                 lz = ly
             elif ly is not None:
@@ -194,9 +202,8 @@ class MergeArena:
                     self.rollback(frame)
                     return _CONFLICT, frame
                 label_matches += 1
-            pairs.append((x, y))
             if fold is not None:
-                stats[z] = fold(evidence, x, stats[x], y, stats[y])
+                stats.append(fold(evidence, x, stats[x], y, stats[y]))
             ox = oz = out[x]
             oy = out[y]
             if oy:
@@ -207,9 +214,9 @@ class MergeArena:
                         if oz is ox:
                             oz = dict(ox)
                         oz[sym] = oy[sym]
-            out[z] = oz
-            if lz is not None:
-                label[z] = lz
+            out.append(oz)
+            label.append(lz)
+            parent.append(-1)
             parent[x] = z
             parent[y] = z
             created.append((z, x, y))
@@ -217,29 +224,22 @@ class MergeArena:
         self.next_id = z
         outcome = MergeOutcome(
             result=None,
-            merged_pairs=tuple(pairs),
+            merged_pairs=tuple([(x, y) for _, x, y in created]),
             label_matches=label_matches,
             evidence=evidence,
         )
         return outcome, frame
 
     def rollback(self, frame: _TrialFrame) -> None:
-        """Undo a trial merge: drop every entry its fresh classes added.
+        """Undo a trial merge: make each folded pair roots again, cut every list back.
 
         A merge given its aggregates by :meth:`pool` is kept, never rolled back.
         """
-        parent, out, label = self.parent, self.out, self.label
-        created = frame.created
-        for z, x, y in created:
-            del parent[x]
-            del parent[y]
-            del out[z]
-            label.pop(z, None)
-        if self.fold is not None:
-            stats = self.stats
-            for z, _, _ in created:
-                del stats[z]
-        self.next_id = frame.next_id_before
+        parent = self.parent
+        for _, x, y in frame.created:
+            parent[x] = parent[y] = -1
+        n = self.next_id = frame.next_id_before
+        del parent[n:], self.out[n:], self.label[n:], self.stats[n:]
 
     def pool(self, frame: _TrialFrame) -> None:
         """Give the classes a trial merge created their full aggregates.
@@ -254,18 +254,18 @@ class MergeArena:
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""
         parent, out, label, agg = self.parent, self.out, self.label, self.agg
-        live = sorted(c for c in out if c not in parent)
+        live = [c for c in range(self.next_id) if parent[c] < 0 and out[c] is not None]
         transitions = {}
         for c in live:
             for sym, t in out[c].items():
-                while t in parent:
+                while parent[t] >= 0:
                     t = parent[t]
                 transitions[(c, sym)] = t
         return Automaton(
             alphabet=self.base.alphabet,
             states={c: agg[c] for c in live},
-            accepting=frozenset(c for c in live if label.get(c) is True),
-            rejecting=frozenset(c for c in live if label.get(c) is False),
+            accepting=frozenset(c for c in live if label[c] is True),
+            rejecting=frozenset(c for c in live if label[c] is False),
             transitions=transitions,
             start=self.find(self.base.start),
             next_id=self.next_id,

@@ -5,12 +5,16 @@ import hashlib
 import io
 import os
 import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flexautomata
 from flexautomata import (
     DiscretizationSpec,
     LearnerConfig,
@@ -535,3 +539,30 @@ class TestPipeline:
             assert run(argv) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fallback)
+
+
+class TestRunAsModule:
+    """``python -m flexautomata`` and ``python -m flexautomata.cli`` are the CLI."""
+
+    @staticmethod
+    def python_m(module, *args):
+        src = str(Path(flexautomata.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["flexautomata", "flexautomata.cli"])
+    def test_learn_prints_what_run_prints(self, module, sample_file, capsys):
+        argv = ["learn", "--input", sample_file, "--format", "abbadingo"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        proc = self.python_m(module, *argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == expected
+
+    def test_missing_input_exits_2(self, tmp_path):
+        proc = self.python_m("flexautomata", "learn", "--input", str(tmp_path / "absent.txt"))
+        assert proc.returncode == 2
+        assert proc.stdout == b"" and proc.stderr.startswith(b"error: ")

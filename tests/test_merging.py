@@ -15,6 +15,8 @@ from flexautomata import (
     StateAggregate,
     build_apta,
     check_integrity,
+    evidence_alergia,
+    evidence_edsm,
     evidence_mse,
     language_upto,
     merge,
@@ -264,7 +266,8 @@ class TestTrialsLeaveNoTrace:
     Out-maps and ALERGIA's count maps are shared between classes rather than
     copied, which is sound only if nothing writes to them after they are
     made; the snapshots below are deep copies, so a write through a shared
-    map would show.
+    map would show.  The per-class lists hold one entry per id below
+    ``next_id``, so a trial that left an entry behind would also show there.
     """
 
     @staticmethod
@@ -272,6 +275,12 @@ class TestTrialsLeaveNoTrace:
         return copy.deepcopy((
             arena.parent, arena.out, arena.label, arena.stats, arena.agg, arena.next_id,
         ))
+
+    @staticmethod
+    def assert_one_entry_per_id(arena):
+        n = arena.next_id
+        assert len(arena.parent) == len(arena.out) == len(arena.label) == n
+        assert len(arena.stats) == (n if arena.fold is not None else 0)
 
     @given(
         st.integers(0, 10_000_000),
@@ -284,14 +293,17 @@ class TestTrialsLeaveNoTrace:
         base = copy.deepcopy(a)
         arena = MergeArena(a, heuristic)
         for _ in range(3):
-            live = sorted(c for c in arena.out if c not in arena.parent)
+            live = [c for c in range(arena.next_id)
+                    if arena.parent[c] == -1 and arena.out[c] is not None]
             if len(live) < 2:
                 break
             before = self.snapshot(arena)
             for _ in range(8):
                 trial_score(arena, *rng.sample(live, 2), heuristic)
+                self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
             outcome, frame = arena.run_merge(*rng.sample(live, 2))
+            self.assert_one_entry_per_id(arena)
             if outcome.label_conflict:
                 assert self.snapshot(arena) == before
                 continue
@@ -301,3 +313,57 @@ class TestTrialsLeaveNoTrace:
                     assert arena.stats[z] == heuristic.statistic(arena.agg[z])
             assert check_integrity(arena.extract()) == []
         assert arena.base is a and a == base
+
+
+def relabel(a, f, next_id):
+    """``a`` with every state id ``q`` renamed ``f(q)`` and the given ``next_id``."""
+    return dataclasses.replace(
+        a,
+        states={f(q): g for q, g in a.states.items()},
+        accepting=frozenset(map(f, a.accepting)),
+        rejecting=frozenset(map(f, a.rejecting)),
+        transitions={(f(src), sym): f(dst) for (src, sym), dst in a.transitions.items()},
+        start=f(a.start),
+        next_id=next_id,
+    )
+
+
+class TestSparseIds:
+    """Merging a model whose ids have holes, as a learned or loaded one has.
+
+    ``random_automaton`` numbers its states 0..n-1.  Renaming them onto sorted
+    ids with gaps, below a ``next_id`` above the largest, must change nothing
+    but the names: the fresh ids then start at that ``next_id``, and the
+    merge order, which follows symbols and not ids, stays the same.
+    """
+
+    @given(st.integers(0, 10_000_000))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_ids_merge_like_dense_ones(self, seed):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        n = a.next_id
+        ids = sorted(rng.sample(range(3 * n), n))
+        top = ids[-1] + 1 + rng.randrange(4)
+
+        def f(q):  # the fresh ids a merge mints follow next_id on both sides
+            return ids[q] if q < n else q - n + top
+
+        sparse = relabel(a, f, top)
+        assert check_integrity(sparse) == []
+        pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+        for q1, q2 in rng.sample(pairs, min(len(pairs), 6)):
+            dense_out = merge(a, q1, q2)
+            sparse_out = merge(sparse, f(q1), f(q2))
+            assert sparse_out.failed == dense_out.failed
+            assert sparse_out.merged_pairs == tuple((f(x), f(y)) for x, y in dense_out.merged_pairs)
+            assert sparse_out.label_matches == dense_out.label_matches
+            if not dense_out.failed:
+                assert sparse_out.result == relabel(dense_out.result, f, f(dense_out.result.next_id))
+            for evidence in (evidence_edsm, evidence_alergia, evidence_mse):
+                assert evidence(sparse, f(q1), f(q2)) == evidence(a, q1, q2)
+
+    def test_negative_ids_rejected(self):
+        a = random_automaton(random.Random(5), max_states=4)
+        with pytest.raises(ValueError, match="negative state id -2"):
+            MergeArena(relabel(a, lambda q: q - 2, a.next_id))
