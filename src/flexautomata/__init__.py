@@ -38,7 +38,7 @@ from .heuristics import (
     hoeffding_bound,
     hoeffding_compatible,
 )
-from .learner import LearnLog, LearnerConfig, LearnerState, learn, promote
+from .learner import LearnLog, LearnerConfig, learn
 from .merging import MergeOutcome, merge, merge_aggregates
 from .predict import (
     BinMethod,
@@ -87,7 +87,6 @@ __all__ = [
     "InconsistentSampleError",
     "LearnLog",
     "LearnerConfig",
-    "LearnerState",
     "MergeOutcome",
     "ModelFormatError",
     "Mse",
@@ -122,7 +121,6 @@ __all__ = [
     "parse_abbadingo",
     "parse_augmented",
     "predict_value",
-    "promote",
     "sample_words",
     "save_model",
     "structural_tree_check",

@@ -136,9 +136,6 @@ class Automaton:
             if dst is not None:
                 yield sym, dst
 
-    def children(self, q: StateId) -> list[StateId]:
-        return [dst for _, dst in self.out_edges(q)]
-
     @property
     def state_count(self) -> int:
         return len(self.states)

@@ -2,11 +2,14 @@
 
 The start state begins red (accepted into the model core) and its children
 blue (candidates).  Each round, every blue state is scored against every red
-state.  A blue state none of whose merges survive the heuristic, or whose
-scores all fall below the evidence cutoff, is promoted to red; otherwise the
-single highest-evidence merge is executed, its fresh state becomes red, and
-the blue frontier is recomputed as the non-red children of red states.  The
-run ends when the frontier is empty.
+state by a trial merge, rolled back, in one
+:class:`~flexautomata.merging.MergeArena` kept for the whole run.  A blue
+state none of whose merges survive the heuristic, or whose scores all fall
+below the evidence cutoff, is promoted to red; otherwise the single
+highest-evidence merge is committed in the arena, its fresh state becomes
+red, and the blue frontier is recomputed as the non-red children of red
+states.  The run ends when the frontier is empty; the machine is then
+extracted from the arena, once.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from .apta import build_apta
@@ -35,14 +39,6 @@ class LearnerConfig:
     def __post_init__(self):
         if math.isnan(self.min_evidence):
             raise ValueError("min_evidence must not be nan")
-
-
-@dataclass(frozen=True)
-class LearnerState:
-    """The coloring at one point of the loop, both sets in ascending order."""
-
-    red: tuple[StateId, ...]
-    blue: tuple[StateId, ...]
 
 
 @dataclass
@@ -76,22 +72,10 @@ def _event_line(e: tuple) -> str:
     return " ".join(str(x) for x in e)
 
 
-def promote(state: LearnerState, b: StateId, a: Automaton) -> LearnerState:
-    """Move blue state ``b`` to red and add its non-red children to blue."""
-    if b not in state.blue:
-        raise ValueError(f"state {b} is not blue")
-    red = tuple(sorted(set(state.red) | {b}))
-    blue = set(state.blue)
-    blue.discard(b)
-    blue.update(c for c in a.children(b) if c not in red)
-    return LearnerState(red=red, blue=tuple(sorted(blue)))
-
-
-def _frontier(a: Automaton, red: set[StateId]) -> tuple[StateId, ...]:
-    blue = set()
-    for r in red:
-        blue.update(c for c in a.children(r) if c not in red)
-    return tuple(sorted(blue))
+def _children(arena: MergeArena, src: Iterable[StateId], red: Collection[StateId]) -> set[StateId]:
+    """The classes that transitions from ``src`` lead to, less the ``red`` ones."""
+    find, out = arena.find, arena.out
+    return {c for q in src for t in out[q].values() if (c := find(t)) not in red}
 
 
 def trial_score(
@@ -116,9 +100,10 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
     arena = MergeArena(a, cfg.heuristic)
-    state = LearnerState(red=(a.start,), blue=_frontier(a, {a.start}))
-    # Scores stay valid until the automaton itself changes; promotions only
-    # recolor, so the cache survives them.
+    red = (a.start,)
+    blue = tuple(sorted(_children(arena, red, red)))
+    # A score stays valid until a merge is kept; promotions only recolor, so
+    # the cache survives them.
     scores: dict[tuple[StateId, StateId], EvidenceScore] = {}
 
     def emit(event: tuple) -> None:
@@ -126,29 +111,30 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         if cfg.debug_trace:
             print(_event_line(event), file=sys.stderr)
 
-    while state.blue:
-        for b in state.blue:
-            for r in state.red:
+    while blue:
+        for b in blue:
+            for r in red:
                 if (r, b) in scores:
                     continue
                 scores[(r, b)] = trial_score(arena, r, b, cfg.heuristic)
 
         promoted = None
-        for b in state.blue:
+        for b in blue:
             if all(
                 scores[(r, b)].failed or scores[(r, b)].value < cfg.min_evidence
-                for r in state.red
+                for r in red
             ):
                 promoted = b
                 break
         if promoted is not None:
-            state = promote(state, promoted, a)
+            red = tuple(sorted((*red, promoted)))
+            blue = tuple(sorted(set(blue).union(_children(arena, (promoted,), red)) - {promoted}))
             emit(("PROMOTE", promoted))
             continue
 
         best: tuple[float, StateId, StateId] | None = None
-        for r in state.red:
-            for b in state.blue:
+        for r in red:
+            for b in blue:
                 s = scores[(r, b)]
                 if s.failed or s.value < cfg.min_evidence:
                     continue
@@ -158,12 +144,11 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         value, r, b = best
         _outcome, frame = arena.run_merge(r, b)
         arena.pool(frame)
-        a = arena.extract()
-        red = {arena.find(s) for s in state.red}
+        red = tuple(sorted({arena.find(q) for q in red}))
+        blue = tuple(sorted(_children(arena, red, set(red))))
         emit(("MERGE", r, b, value))
-        arena = MergeArena(a, cfg.heuristic)
         scores.clear()
-        state = LearnerState(red=tuple(sorted(red)), blue=_frontier(a, red))
 
+    a = arena.extract()
     log.final_states = a.state_count
     return a, log

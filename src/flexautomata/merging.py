@@ -13,9 +13,10 @@ Every merge runs through one fold path, in :class:`MergeArena`: a merge
 folds labels and transitions, plus only the per-class statistic that the
 arena's heuristic reads, and can be rolled back.  The full aggregates of
 the merged classes are pooled afterwards, by :meth:`MergeArena.pool`, for a
-merge that is kept.  The learner scores many candidate merges this way
-against one machine without copying it, and the module-level :func:`merge`
-is the pure public form of a kept merge: one run, pool and extract.
+merge that is kept.  The learner builds one arena per run: it scores many
+candidate merges this way without copying the machine, commits each kept
+one in place and extracts once.  The module-level :func:`merge` is the pure
+public form of a kept merge: one run, pool and extract.
 
 A fold does only the work its result reads.  The arena keeps each class's
 parent, out-map, label and statistic in lists indexed by class id, takes
@@ -114,12 +115,14 @@ class MergeArena:
     original state id, or the fresh id minted when the class was formed.
     ``parent``, ``out``, ``label`` and ``stats`` are lists indexed by that id,
     with one entry per id below ``next_id``: the class's parent (-1 for a
-    root), its symbol → target map (None at an id that names no state, since
-    a learned or loaded model's ids are sparse; memory follows ``next_id``),
-    its label (True accepting, False rejecting, None unlabeled) and its
-    statistic.  A fresh class appends one entry to each list and points the
-    two classes it joins at itself; :meth:`rollback` makes those two roots
-    again and truncates the lists to the ``next_id`` the trial began at.
+    root), its symbol → target map, its label (True accepting, False
+    rejecting, None unlabeled) and its statistic.  An out-map or statistic of
+    None marks an id with no live class: a hole, since a learned or loaded
+    model's ids are sparse (memory follows ``next_id``), or a class that a
+    kept merge joined to another.  A fresh class appends one entry to each
+    list and points the two classes it joins at itself; :meth:`rollback`
+    makes those two roots again and truncates the lists to the ``next_id``
+    the trial began at.
     No out-map is written after it is made, so a fresh class whose second
     half adds no symbol holds its first half's map rather than a copy.
     Transition targets may go stale as classes merge; ``find`` resolves them.
@@ -131,7 +134,8 @@ class MergeArena:
     made by ``heuristic.evidence``.  Without a heuristic, or with one whose
     ``fold`` is None, a merge pools labels alone, makes no record and leaves
     ``stats`` empty.  The fresh classes get their full aggregates, in the
-    ``agg`` dict, only from :meth:`pool`, called once for a merge that is kept.
+    ``agg`` dict, only from :meth:`pool`, called once for a merge that is
+    kept; it also drops the dead halves and leaves every parent a root.
     State ids must be non-negative, and the two label sets disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
@@ -242,14 +246,25 @@ class MergeArena:
         del parent[n:], self.out[n:], self.label[n:], self.stats[n:]
 
     def pool(self, frame: _TrialFrame) -> None:
-        """Give the classes a trial merge created their full aggregates.
+        """Keep a trial merge: pool its aggregates, drop its dead halves, flatten parents.
 
         Replays the frame's folds in creation order, so each class pools the
-        aggregates its two parts had when they were folded.
+        aggregates its two parts had when they were folded; the parts'
+        aggregates, out-maps and statistics go, since no joined class is read
+        again.  Then every class points straight at its root, so ``find``
+        stays one step long: a fresh class has a larger id than both classes
+        it joins, so one descending pass over the ids finds each parent flat.
         """
-        agg = self.agg
+        agg, out, stats, parent = self.agg, self.out, self.stats, self.parent
         for z, x, y in frame.created:
-            agg[z] = merge_aggregates(agg[x], agg[y])
+            agg[z] = merge_aggregates(agg.pop(x), agg.pop(y))
+            out[x] = out[y] = None
+            if stats:
+                stats[x] = stats[y] = None
+        for c in range(len(parent) - 1, -1, -1):
+            p = parent[c]
+            if p >= 0 and parent[p] >= 0:
+                parent[c] = parent[p]
 
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""

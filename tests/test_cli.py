@@ -250,7 +250,7 @@ class TestEval:
         assert "positives_accepted 40/40" in out
 
     def test_trailing_token_on_start_line_exits_2(self, model_file, sample_file, tmp_path, capsys):
-        lines = open(model_file).read().splitlines()
+        lines = Path(model_file).read_text().splitlines()
         no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("start "))
         lines[no - 1] += " junk"
         broken = tmp_path / "broken.txt"
@@ -259,7 +259,7 @@ class TestEval:
         assert f"line {no}:" in capsys.readouterr().err
 
     def test_negative_transition_count_exits_2(self, model_file, sample_file, tmp_path, capsys):
-        lines = open(model_file).read().splitlines()
+        lines = Path(model_file).read_text().splitlines()
         no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("trans "))
         lines[no - 1] = " ".join(lines[no - 1].split()[:4] + ["-5"])
         broken = tmp_path / "broken.txt"
@@ -293,7 +293,7 @@ class TestEval:
 
     @pytest.mark.parametrize("kind", ["alphabet", "start"])
     def test_bare_model_line_exits_2(self, model_file, sample_file, tmp_path, capsys, kind):
-        lines = open(model_file).read().splitlines()
+        lines = Path(model_file).read_text().splitlines()
         no = next(i for i, ln in enumerate(lines, 1) if ln.startswith(kind + " "))
         lines[no - 1] = kind
         broken = tmp_path / "broken.txt"

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import pytest
@@ -16,7 +16,6 @@ from flexautomata import (
     EvidenceScore,
     LearnLog,
     LearnerConfig,
-    LearnerState,
     Mse,
     Outcome,
     Sample,
@@ -31,7 +30,6 @@ from flexautomata import (
     merge,
     merge_aggregates,
     parse_abbadingo,
-    promote,
     save_model,
 )
 from flexautomata.learner import trial_score
@@ -82,22 +80,6 @@ class TestBasics:
 
 
 class TestPromotion:
-    def test_promote_moves_blue_to_red(self, ref_apta):
-        state = LearnerState(red=(0,), blue=(1, 2))
-        after = promote(state, 1, ref_apta)
-        assert 1 in after.red
-        assert 1 not in after.blue
-        assert set(after.blue) >= set(ref_apta.children(1)) - set(after.red)
-
-    def test_promote_requires_a_blue_state(self, ref_apta):
-        with pytest.raises(ValueError):
-            promote(LearnerState(red=(0,), blue=(1,)), 2, ref_apta)
-
-    def test_sets_stay_sorted(self, ref_apta):
-        after = promote(LearnerState(red=(0,), blue=(1, 2)), 2, ref_apta)
-        assert after.red == tuple(sorted(after.red))
-        assert after.blue == tuple(sorted(after.blue))
-
     def test_conflicting_pair_forces_promotion(self):
         # "" accepting, "0" rejecting: root and child can never merge
         model, log = learn(parse_abbadingo("1 0\n0 1 0\n"))
@@ -207,7 +189,7 @@ def reachable(model) -> set:
     seen = {model.start}
     queue = deque([model.start])
     while queue:
-        for dst in model.children(queue.popleft()):
+        for _sym, dst in model.out_edges(queue.popleft()):
             if dst not in seen:
                 seen.add(dst)
                 queue.append(dst)
@@ -227,6 +209,58 @@ class TestReachability:
         sample = labeled_sample(rng, dfa, rng.randint(20, 80), 7, with_targets=True)
         model, _ = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=min_evidence))
         assert reachable(model) == set(model.states)
+
+
+class TestColoring:
+    """What ``learn``'s log shows of the red set: promoted states stay red."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([Edsm(), Alergia(alpha=0.05), Alergia(alpha=0.5), Mse(), Mse(penalty=1.0)]),
+        st.sampled_from([0.0, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_promoted_states_stay_red(self, seed, heuristic, min_evidence):
+        rng = random.Random(seed)
+        dfa = TargetDfa(rng, rng.randint(2, 4), 2)
+        sample = labeled_sample(rng, dfa, rng.randint(20, 80), 7, with_targets=True)
+        apta = build_apta(sample)
+        _, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=min_evidence))
+        promoted = set()
+        for event in log.events:
+            if event[0] == "PROMOTE":
+                assert event[1] not in promoted
+                promoted.add(event[1])
+            else:
+                _, r, b, _ = event
+                assert b not in promoted
+                # a red state is the start, a promoted state or a merged class
+                assert r == apta.start or r in promoted or r >= apta.next_id
+
+
+class TestOneArena:
+    """``learn`` builds one merge arena and extracts one machine, however many merges it keeps."""
+
+    @pytest.mark.parametrize("which", ["reference", "64-state target"])
+    def test_one_build_and_one_extract_per_learn(self, monkeypatch, ref_sample, which):
+        if which == "reference":
+            sample = ref_sample
+        else:
+            rng = random.Random(5)
+            sample = labeled_sample(rng, TargetDfa(rng, 64, 4), 300, 12)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MergeArena, "__init__", counted("build", MergeArena.__init__))
+        monkeypatch.setattr(MergeArena, "extract", counted("extract", MergeArena.extract))
+        _, log = learn(sample)
+        assert sum(e[0] == "MERGE" for e in log.events) > 1
+        assert calls == {"build": 1, "extract": 1}
 
 
 class TestLog:

@@ -261,7 +261,7 @@ class TestTrialPath:
 
 
 class TestTrialsLeaveNoTrace:
-    """Trial merges undo every write, and committed merges carry exact statistics.
+    """Trial merges undo every write; kept merges carry exact statistics, flat and pruned.
 
     Out-maps and ALERGIA's count maps are shared between classes rather than
     copied, which is sound only if nothing writes to them after they are
@@ -281,6 +281,19 @@ class TestTrialsLeaveNoTrace:
         n = arena.next_id
         assert len(arena.parent) == len(arena.out) == len(arena.label) == n
         assert len(arena.stats) == (n if arena.fold is not None else 0)
+
+    @staticmethod
+    def assert_flat_and_pruned(arena):
+        """A kept merge leaves every class one step from its root, and no dead class state."""
+        parent = arena.parent
+        for c in range(arena.next_id):
+            if parent[c] >= 0:
+                assert parent[parent[c]] == -1
+                assert c not in arena.agg and arena.out[c] is None
+                assert not arena.stats or arena.stats[c] is None
+            elif arena.out[c] is not None:
+                assert c in arena.agg
+        assert all(parent[c] == -1 for c in arena.agg)
 
     @given(
         st.integers(0, 10_000_000),
@@ -307,10 +320,17 @@ class TestTrialsLeaveNoTrace:
             if outcome.label_conflict:
                 assert self.snapshot(arena) == before
                 continue
-            arena.pool(frame)
-            for z, _, _ in frame.created:
+            # every class the merge made, intermediate ones included, carries
+            # the statistic of its pooled aggregate
+            agg = dict(arena.agg)
+            for z, x, y in frame.created:
+                agg[z] = merge_aggregates(agg[x], agg[y])
                 if arena.fold is not None:
-                    assert arena.stats[z] == heuristic.statistic(arena.agg[z])
+                    assert arena.stats[z] == heuristic.statistic(agg[z])
+            arena.pool(frame)
+            self.assert_one_entry_per_id(arena)
+            self.assert_flat_and_pruned(arena)
+            assert arena.agg == {c: agg[c] for c in arena.agg}
             assert check_integrity(arena.extract()) == []
         assert arena.base is a and a == base
 
