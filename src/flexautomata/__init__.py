@@ -6,7 +6,7 @@ pluggable evidence heuristic, then use the learned machine to classify,
 predict numeric targets, sample words, or render DOT.
 """
 
-from .apta import build_apta, structural_tree_check
+from .apta import build_apta
 from .automaton import (
     Automaton,
     ComputationResult,
@@ -15,7 +15,6 @@ from .automaton import (
     StateLabel,
     check_integrity,
     compute,
-    language_upto,
 )
 from .errors import (
     GenerationError,
@@ -32,9 +31,6 @@ from .heuristics import (
     Edsm,
     EvidenceScore,
     Mse,
-    evidence_alergia,
-    evidence_edsm,
-    evidence_mse,
     hoeffding_bound,
     hoeffding_compatible,
 )
@@ -108,12 +104,8 @@ __all__ = [
     "evaluate",
     "global_target_mean",
     "shortest_accepted_length",
-    "evidence_alergia",
-    "evidence_edsm",
-    "evidence_mse",
     "hoeffding_bound",
     "hoeffding_compatible",
-    "language_upto",
     "learn",
     "load_model",
     "merge",
@@ -123,7 +115,6 @@ __all__ = [
     "predict_value",
     "sample_words",
     "save_model",
-    "structural_tree_check",
     "write_dot",
     "write_sample",
 ]

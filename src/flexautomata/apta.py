@@ -124,19 +124,3 @@ def build_apta(sample: Sample) -> Automaton:
         next_id=next_id,
         attribute_arity=arity,
     )
-
-
-def structural_tree_check(a: Automaton) -> bool:
-    """True iff ``a`` is a tree rooted at the start state.
-
-    Every non-start state must have exactly one incoming transition and the
-    start state none; a self-loop therefore disqualifies.
-    """
-    incoming: dict[StateId, int] = {q: 0 for q in a.states}
-    for (_, _), dst in a.transitions.items():
-        if dst not in incoming:
-            return False
-        incoming[dst] += 1
-    if incoming.get(a.start, 1) != 0:
-        return False
-    return all(n == 1 for q, n in incoming.items() if q != a.start)

@@ -8,7 +8,7 @@ fresh automata instead of editing one in place, so concurrent readers never
 need locks.
 
 Exposed API: :class:`StateLabel`, :class:`StateAggregate`, :class:`Automaton`,
-:class:`ComputationResult`, :func:`compute`, :func:`language_upto`,
+:class:`ComputationResult`, :class:`Outcome`, :func:`compute`,
 :func:`check_integrity`.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -72,12 +71,6 @@ class StateAggregate:
     def end_count(self) -> int:
         return self.total_count - sum(self.out_counts.values())
 
-    @property
-    def mean_target(self) -> float | None:
-        if self.target_count == 0:
-            return None
-        return self.target_sum / self.target_count
-
     def sse(self) -> float:
         """Within-state sum of squared target residuals (0 when no targets)."""
         return squared_error(self.target_count, self.target_sum, self.target_sumsq)
@@ -125,9 +118,6 @@ class Automaton:
         if q in self.rejecting:
             return StateLabel.REJECTING
         return StateLabel.UNLABELED
-
-    def step(self, q: StateId, sym: Symbol) -> StateId | None:
-        return self.transitions.get((q, sym))
 
     def out_edges(self, q: StateId) -> Iterator[tuple[Symbol, StateId]]:
         """Outgoing edges of ``q`` in ascending symbol order."""
@@ -191,27 +181,6 @@ def compute(a: Automaton, word: Word) -> ComputationResult:
     end = a.label(cur)
     outcome = Outcome.ACCEPT if end is StateLabel.ACCEPTING else Outcome.REJECT_BY_LABEL
     return ComputationResult(tuple(path), outcome, end_label=end)
-
-
-def language_upto(a: Automaton, max_len: int) -> list[Word]:
-    """All accepted words of length <= max_len, shortest first, ties lexicographic.
-
-    Walks the transition structure breadth-first, so only words with a live
-    path are ever visited.  Intended as a small-bound oracle; the number of
-    paths grows quickly with cyclic automata and large bounds.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    accepted: list[Word] = []
-    queue: deque[tuple[StateId, Word]] = deque([(a.start, ())])
-    while queue:
-        q, word = queue.popleft()
-        if q in a.accepting:
-            accepted.append(word)
-        if len(word) < max_len:
-            for sym, dst in a.out_edges(q):
-                queue.append((dst, word + (sym,)))
-    return accepted
 
 
 # The slack of the squared-error check in check_integrity.  The exact sums

@@ -28,9 +28,7 @@ re-derive: ALERGIA's holds the end count, MSE's the squared error, each
 computed by the same expression on the same operands as a fold would use,
 so every test and every float sum comes out the same.  EDSM reads labels
 alone, so its ``statistic``, ``evidence`` and ``fold`` are None and its
-outcomes carry no record.  The public ``evidence_*`` functions take the
-learner's trial steps: one merge in an arena built for the heuristic,
-scored by its ``score``.
+outcomes carry no record.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol, squared_error
-from .merging import MergeArena, MergeOutcome, check_pair
+from .automaton import StateAggregate, StateId, Symbol, squared_error
+from .merging import MergeOutcome
 
 FAIL_LABEL_CONFLICT = "label_conflict"
 FAIL_DISTRIBUTION = "distribution_reject"
@@ -231,24 +229,3 @@ def score_outcome(outcome: MergeOutcome, heuristic: HeuristicId) -> EvidenceScor
     """Score an already-computed merge outcome under ``heuristic``."""
     return heuristic.score(outcome)
 
-
-def _evidence(heuristic: HeuristicId, a: Automaton, q1: StateId, q2: StateId) -> EvidenceScore:
-    """Score merging q1 and q2 of ``a`` by one trial merge, leaving ``a`` untouched."""
-    check_pair(a, q1, q2)
-    outcome, _frame = MergeArena(a, heuristic).run_merge(q1, q2)
-    return heuristic.score(outcome)
-
-
-def evidence_edsm(a: Automaton, q1: StateId, q2: StateId) -> EvidenceScore:
-    """Trial-merge q1 and q2 and count label-agreeing merged pairs."""
-    return _evidence(Edsm(), a, q1, q2)
-
-
-def evidence_alergia(a: Automaton, q1: StateId, q2: StateId, alpha: float = 0.05) -> EvidenceScore:
-    """Trial-merge q1 and q2 and test outgoing-frequency compatibility."""
-    return _evidence(Alergia(alpha), a, q1, q2)
-
-
-def evidence_mse(a: Automaton, q1: StateId, q2: StateId, penalty: float = 0.0) -> EvidenceScore:
-    """Trial-merge q1 and q2 and score the squared-error cost of pooling."""
-    return _evidence(Mse(penalty), a, q1, q2)

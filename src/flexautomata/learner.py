@@ -83,8 +83,7 @@ def trial_score(
 ) -> EvidenceScore:
     """Score merging ``r`` and ``b`` by a trial merge that ``arena`` undoes."""
     outcome, frame = arena.run_merge(r, b)
-    if not outcome.label_conflict:
-        arena.rollback(frame)
+    arena.rollback(frame)
     return score_outcome(outcome, heuristic)
 
 
@@ -112,34 +111,28 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             print(_event_line(event), file=sys.stderr)
 
     while blue:
-        for b in blue:
-            for r in red:
-                if (r, b) in scores:
-                    continue
-                scores[(r, b)] = trial_score(arena, r, b, cfg.heuristic)
-
+        # Every pair is scored before anything is decided: the first blue with
+        # no taker is promoted, else the best (value, red, blue) is merged.
         promoted = None
+        best: tuple[float, StateId, StateId] | None = None
         for b in blue:
-            if all(
-                scores[(r, b)].failed or scores[(r, b)].value < cfg.min_evidence
-                for r in red
-            ):
+            taken = False
+            for r in red:
+                s = scores.get((r, b))
+                if s is None:
+                    s = scores[(r, b)] = trial_score(arena, r, b, cfg.heuristic)
+                if s.failed or s.value < cfg.min_evidence:
+                    continue
+                taken = True
+                if best is None or s.value > best[0] or (s.value == best[0] and (r, b) < best[1:]):
+                    best = (s.value, r, b)
+            if not taken and promoted is None:
                 promoted = b
-                break
         if promoted is not None:
             red = tuple(sorted((*red, promoted)))
             blue = tuple(sorted(set(blue).union(_children(arena, (promoted,), red)) - {promoted}))
             emit(("PROMOTE", promoted))
             continue
-
-        best: tuple[float, StateId, StateId] | None = None
-        for r in red:
-            for b in blue:
-                s = scores[(r, b)]
-                if s.failed or s.value < cfg.min_evidence:
-                    continue
-                if best is None or s.value > best[0] or (s.value == best[0] and (r, b) < best[1:]):
-                    best = (s.value, r, b)
         assert best is not None  # no promotion means every blue has a taker
         value, r, b = best
         _outcome, frame = arena.run_merge(r, b)

@@ -99,7 +99,7 @@ _CONFLICT = MergeOutcome(result=None, label_conflict=True)
 
 
 class _TrialFrame:
-    """Undo information for one trial merge inside an arena."""
+    """Undo information for one merge, failed or not: each fresh class and the two it joined."""
 
     __slots__ = ("created", "next_id_before")
 
@@ -117,12 +117,12 @@ class MergeArena:
     with one entry per id below ``next_id``: the class's parent (-1 for a
     root), its symbol → target map, its label (True accepting, False
     rejecting, None unlabeled) and its statistic.  An out-map or statistic of
-    None marks an id with no live class: a hole, since a learned or loaded
-    model's ids are sparse (memory follows ``next_id``), or a class that a
-    kept merge joined to another.  A fresh class appends one entry to each
-    list and points the two classes it joins at itself; :meth:`rollback`
-    makes those two roots again and truncates the lists to the ``next_id``
-    the trial began at.
+    None marks an id with no live class: a hole in the automaton's ids, or a
+    class that a kept merge joined to another.  Memory follows ``next_id``,
+    so :func:`merge` renumbers a model's sparse ids first.  A fresh class
+    appends one entry to each list and points the two classes it joins at
+    itself; :meth:`rollback` makes those two roots again and truncates the
+    lists to the ``next_id`` the trial began at.
     No out-map is written after it is made, so a fresh class whose second
     half adds no symbol holds its first half's map rather than a copy.
     Transition targets may go stale as classes merge; ``find`` resolves them.
@@ -179,8 +179,8 @@ class MergeArena:
         """Merge the classes of q1 and q2, cascading until deterministic.
 
         Returns the outcome (without extraction) plus the undo frame.  On
-        label conflict the partial work is already rolled back, and the
-        frame still lists the classes that were created before it.
+        label conflict the arena keeps the classes created before it, as a
+        trial that succeeded does: :meth:`rollback` undoes either one.
         """
         frame = _TrialFrame(self.next_id)
         created = frame.created
@@ -203,7 +203,6 @@ class MergeArena:
                 lz = ly
             elif ly is not None:
                 if lz is not ly:
-                    self.rollback(frame)
                     return _CONFLICT, frame
                 label_matches += 1
             if fold is not None:
@@ -288,12 +287,17 @@ class MergeArena:
         )
 
 
-def check_pair(a: Automaton, q1: StateId, q2: StateId) -> None:
-    """Raise ValueError unless q1 and q2 are two distinct states of ``a``."""
-    if q1 not in a.states or q2 not in a.states:
-        raise ValueError(f"unknown state id in merge request ({q1}, {q2})")
-    if q1 == q2:
-        raise ValueError(f"cannot merge state {q1} with itself")
+def _renamed(a: Automaton, f, next_id: int) -> Automaton:
+    """``a`` with every state id ``q`` renamed ``f(q)`` and the given ``next_id``."""
+    return replace(
+        a,
+        states={f(q): g for q, g in a.states.items()},
+        accepting=frozenset(map(f, a.accepting)),
+        rejecting=frozenset(map(f, a.rejecting)),
+        transitions={(f(src), sym): f(dst) for (src, sym), dst in a.transitions.items()},
+        start=f(a.start),
+        next_id=next_id,
+    )
 
 
 def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
@@ -301,14 +305,33 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
 
     Pure: ``a`` is left untouched and the result, when the merge succeeds, is
     a new automaton whose state count dropped by exactly the number of merged
-    pairs, with the merged classes' aggregates pooled.  Fails (rather than
-    raising) iff determinization runs into a pair with conflicting labels.
-    Unknown or identical state ids are caller errors and raise ValueError.
+    pairs, with the merged classes' aggregates pooled; its fresh ids start at
+    ``a.next_id``.  Fails (rather than raising) iff determinization runs into
+    a pair with conflicting labels.  Unknown or identical state ids, or a
+    state id not below ``a.next_id``, are caller errors and raise ValueError.
+
+    The arena runs over a copy with the states renumbered 0..n-1 in ascending
+    order, so the cost follows the state count, not the size of the ids.
     """
-    check_pair(a, q1, q2)
-    arena = MergeArena(a)
-    outcome, frame = arena.run_merge(q1, q2)
+    if q1 not in a.states or q2 not in a.states:
+        raise ValueError(f"unknown state id in merge request ({q1}, {q2})")
+    if q1 == q2:
+        raise ValueError(f"cannot merge state {q1} with itself")
+    ids = sorted(a.states)
+    if ids[-1] >= a.next_id:
+        raise ValueError(f"state {ids[-1]} not below next_id {a.next_id}")
+    dense = {q: i for i, q in enumerate(ids)}
+    arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)))
+    outcome, frame = arena.run_merge(dense[q1], dense[q2])
     if outcome.label_conflict:
         return outcome
     arena.pool(frame)
-    return replace(outcome, result=arena.extract())
+    # Dense fresh ids n, n+1, ... name the ids a.next_id, a.next_id+1, ...
+    next_id = a.next_id + len(frame.created)
+    ids.extend(range(a.next_id, next_id))
+    back = ids.__getitem__
+    return replace(
+        outcome,
+        result=_renamed(arena.extract(), back, next_id),
+        merged_pairs=tuple((back(x), back(y)) for x, y in outcome.merged_pairs),
+    )

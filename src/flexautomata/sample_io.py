@@ -275,24 +275,15 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def write_dot(
-    a: Automaton,
-    *,
-    graph_name: str = "automaton",
-    show_counts: bool = True,
-    show_means: bool | None = None,
-) -> str:
+def write_dot(a: Automaton) -> str:
     """Render an automaton as a Graphviz digraph.
 
     Accepting states are double circles, rejecting states boxes.  Node labels
     carry occurrence counts in square brackets, and the state's mean target
-    when targets were observed (``show_means=None`` enables that
-    automatically).  Edges are labeled with the symbol name and the
+    when it observed targets.  Edges are labeled with the symbol name and the
     occurrence count of the transition.
     """
-    if show_means is None:
-        show_means = any(s.target_count > 0 for s in a.states.values())
-    lines = [f"digraph {graph_name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     lines.append(f"  __start -> s{a.start};")
     for q in sorted(a.states):
         agg = a.states[q]
@@ -302,18 +293,14 @@ def write_dot(
             shape = "box"
         else:
             shape = "circle"
-        parts = [str(q)]
-        if show_counts:
-            parts.append(f"[{agg.total_count}]")
-        if show_means and agg.target_count > 0:
+        parts = [str(q), f"[{agg.total_count}]"]
+        if agg.target_count > 0:
             parts.append(f"{agg.target_sum / agg.target_count:.4g}")
         label = _dot_quote("\\n".join(parts))
         lines.append(f"  s{q} [shape={shape}, label={label}];")
     for (src, sym), dst in sorted(a.transitions.items()):
         name = a.alphabet[sym] if 0 <= sym < len(a.alphabet) else str(sym)
-        text = name
-        if show_counts:
-            text += f" [{a.states[src].out_counts.get(sym, 0)}]"
+        text = f"{name} [{a.states[src].out_counts.get(sym, 0)}]"
         lines.append(f"  s{src} -> s{dst} [label={_dot_quote(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from flexautomata import (
     global_target_mean,
     hoeffding_bound,
     hoeffding_compatible,
-    language_upto,
     learn,
     load_model,
     merge,
@@ -37,10 +36,10 @@ from flexautomata import (
     predict_value,
     sample_words,
     save_model,
-    structural_tree_check,
     DiscretizationSpec,
 )
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
+from oracle_automaton import language_upto, structural_tree_check
 from oracle_merge import reference_language, reference_merge
 
 HEURISTICS = (Edsm(), Alergia(alpha=0.05), Mse(penalty=0.0))

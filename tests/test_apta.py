@@ -11,13 +11,12 @@ from flexautomata import (
     build_apta,
     check_integrity,
     compute,
-    language_upto,
     parse_abbadingo,
     parse_augmented,
-    structural_tree_check,
 )
 from flexautomata.automaton import Outcome
 from gen import TargetDfa, labeled_sample
+from oracle_automaton import language_upto, structural_tree_check
 
 
 def words_of(sample, label):

@@ -21,11 +21,11 @@ from flexautomata import (
     build_apta,
     check_integrity,
     compute,
-    language_upto,
     learn,
     parse_abbadingo,
 )
 from gen import complete_sample, even_ones_dfa, labeled_sample
+from oracle_automaton import language_upto
 import random
 
 

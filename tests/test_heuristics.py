@@ -16,14 +16,17 @@ from flexautomata import (
     EvidenceScore,
     Mse,
     build_apta,
-    evidence_alergia,
-    evidence_edsm,
-    evidence_mse,
     hoeffding_bound,
     hoeffding_compatible,
     parse_abbadingo,
     parse_augmented,
 )
+from flexautomata.merging import MergeArena
+
+
+def trial(h, a, q1, q2):
+    """Score merging q1 and q2 of ``a`` under heuristic ``h`` by one merge in a fresh arena."""
+    return h.score(MergeArena(a, h).run_merge(q1, q2)[0])
 
 
 class TestConfigs:
@@ -107,18 +110,18 @@ class TestEdsm:
     def test_counts_agreeing_pairs(self):
         # chain tree: root merge folds three pairs, one with matching labels
         a = build_apta(parse_abbadingo("1 2 0 0\n1 4 0 0 0 0\n"))
-        s = evidence_edsm(a, 0, 2)
+        s = trial(Edsm(), a, 0, 2)
         assert s.value == 1.0
 
     def test_conflict_reported(self):
         a = build_apta(parse_abbadingo("1 1 0\n0 2 0 0\n"))
-        s = evidence_edsm(a, 0, a.transitions[(0, 0)])
+        s = trial(Edsm(), a, 0, a.transitions[(0, 0)])
         assert s.failed
         assert s.reason == FAIL_LABEL_CONFLICT
 
     def test_no_labels_no_evidence(self):
         a = build_apta(parse_augmented("? 2 0 0\n"))
-        s = evidence_edsm(a, 0, 1)
+        s = trial(Edsm(), a, 0, 1)
         assert not s.failed
         assert s.value == 0.0
 
@@ -127,7 +130,7 @@ class TestEdsm:
         # chain of accepting states under an unlabeled root: folding the
         # whole chain onto the root makes three pairs, two of them
         # accepting-accepting; the root pair has only one labeled side
-        s = evidence_edsm(a, 0, 1)
+        s = trial(Edsm(), a, 0, 1)
         assert s.value == 2.0
 
 
@@ -136,7 +139,7 @@ class TestAlergia:
         # two sibling subtrees with identical outgoing statistics
         lines = "".join("1 2 0 0\n1 2 1 0\n" for _ in range(10))
         a = build_apta(parse_abbadingo(lines))
-        s = evidence_alergia(a, a.transitions[(0, 0)], a.transitions[(0, 1)], alpha=0.05)
+        s = trial(Alergia(alpha=0.05), a, a.transitions[(0, 0)], a.transitions[(0, 1)])
         assert not s.failed
         assert s.value == 2.0
 
@@ -145,25 +148,25 @@ class TestAlergia:
         lines = "".join("1 2 0 1\n" for _ in range(40))
         a = build_apta(parse_abbadingo(lines))
         child = a.transitions[(0, 0)]
-        s = evidence_alergia(a, 0, child, alpha=0.05)
+        s = trial(Alergia(alpha=0.05), a, 0, child)
         assert s.failed
         assert s.reason == FAIL_DISTRIBUTION
 
     def test_tiny_counts_are_vacuous(self):
         a = build_apta(parse_abbadingo("1 2 0 1\n"))
         child = a.transitions[(0, 0)]
-        s = evidence_alergia(a, 0, child, alpha=0.05)
+        s = trial(Alergia(alpha=0.05), a, 0, child)
         assert not s.failed
 
     def test_label_conflict_beats_distribution(self):
         a = build_apta(parse_abbadingo("1 1 0\n0 2 0 0\n"))
-        s = evidence_alergia(a, 0, a.transitions[(0, 0)], alpha=0.05)
+        s = trial(Alergia(alpha=0.05), a, 0, a.transitions[(0, 0)])
         assert s.failed
         assert s.reason == FAIL_LABEL_CONFLICT
 
     def test_value_is_pair_count(self):
         a = build_apta(parse_abbadingo("1 2 0 0\n1 4 0 0 0 0\n"))
-        s = evidence_alergia(a, 0, 2, alpha=0.05)
+        s = trial(Alergia(alpha=0.05), a, 0, 2)
         assert not s.failed
         assert s.value == 3.0
 
@@ -174,8 +177,8 @@ class TestAlergia:
         )
         a = build_apta(parse_abbadingo(lines))
         child = a.transitions[(0, 0)]
-        loose = evidence_alergia(a, 0, child, alpha=1e-6)
-        strict = evidence_alergia(a, 0, child, alpha=0.999)
+        loose = trial(Alergia(alpha=1e-6), a, 0, child)
+        strict = trial(Alergia(alpha=0.999), a, 0, child)
         assert not loose.failed
         assert strict.failed
 
@@ -185,7 +188,7 @@ class TestMse:
         a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/2.0 0/2.0\n"))
         child = a.transitions[(0, 0)]
         grand = a.transitions[(child, 0)]
-        s = evidence_mse(a, child, grand, penalty=0.0)
+        s = trial(Mse(penalty=0.0), a, child, grand)
         assert not s.failed
         assert s.value == pytest.approx(0.0)
 
@@ -193,7 +196,7 @@ class TestMse:
         a = build_apta(parse_augmented("? 1 0/0.0\n? 1 0/0.0\n? 2 0/4.0 0/4.0\n? 2 0/4.0 0/4.0\n"))
         child = a.transitions[(0, 0)]
         grand = a.transitions[(child, 0)]
-        s = evidence_mse(a, child, grand, penalty=0.0)
+        s = trial(Mse(penalty=0.0), a, child, grand)
         assert not s.failed
         assert s.value is not None and s.value < 0.0
 
@@ -201,19 +204,19 @@ class TestMse:
         a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/2.0 0/2.0\n"))
         child = a.transitions[(0, 0)]
         grand = a.transitions[(child, 0)]
-        plain = evidence_mse(a, child, grand, penalty=0.0)
-        boosted = evidence_mse(a, child, grand, penalty=1.0)
+        plain = trial(Mse(penalty=0.0), a, child, grand)
+        boosted = trial(Mse(penalty=1.0), a, child, grand)
         assert boosted.value == pytest.approx(plain.value + 1.0 * 1)
 
     def test_no_targets_rejected_distinctly(self):
         a = build_apta(parse_abbadingo("1 2 0 0\n1 4 0 0 0 0\n"))
-        s = evidence_mse(a, 0, 2, penalty=0.0)
+        s = trial(Mse(penalty=0.0), a, 0, 2)
         assert s.failed
         assert s.reason == FAIL_NO_TARGETS
 
     def test_label_conflict_still_wins(self):
         a = build_apta(parse_abbadingo("1 1 0\n0 2 0 0\n"))
-        s = evidence_mse(a, 0, a.transitions[(0, 0)], penalty=0.0)
+        s = trial(Mse(penalty=0.0), a, 0, a.transitions[(0, 0)])
         assert s.failed
         assert s.reason == FAIL_LABEL_CONFLICT
 
@@ -223,5 +226,5 @@ class TestMse:
         a = build_apta(parse_augmented("? 2 0/0.0 0/2.0\n? 2 0/0.0 0/2.0\n"))
         child = a.transitions[(0, 0)]
         grand = a.transitions[(child, 0)]
-        s = evidence_mse(a, child, grand, penalty=0.0)
+        s = trial(Mse(penalty=0.0), a, child, grand)
         assert s.value == pytest.approx(-4.0)

@@ -25,7 +25,6 @@ from flexautomata import (
     build_apta,
     check_integrity,
     compute,
-    language_upto,
     learn,
     merge,
     merge_aggregates,
@@ -35,6 +34,7 @@ from flexautomata import (
 from flexautomata.learner import trial_score
 from flexautomata.merging import MergeArena
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
+from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
 
 

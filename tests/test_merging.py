@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,6 @@ from flexautomata import (
     StateAggregate,
     build_apta,
     check_integrity,
-    evidence_alergia,
-    evidence_edsm,
-    evidence_mse,
-    language_upto,
     merge,
     merge_aggregates,
     parse_abbadingo,
@@ -28,6 +25,7 @@ from flexautomata import (
 from flexautomata.learner import trial_score
 from flexautomata.merging import MergeArena
 from gen import random_automaton
+from oracle_automaton import language_upto
 from oracle_merge import integer_sums, reference_language, reference_merge, reference_score
 
 
@@ -197,7 +195,8 @@ class TestTargetsThroughMerges:
 
     def test_sse_delta_nonnegative(self):
         a = build_apta(parse_augmented("? 1 0/0.0\n? 2 0/0.0 0/2.0\n? 3 0/2.0 0/2.0 0/2.0\n"))
-        score = evidence_mse(a, a.transitions[(0, 0)], a.transitions[(a.transitions[(0, 0)], 0)])
+        child = a.transitions[(0, 0)]
+        score = trial_score(MergeArena(a, Mse()), child, a.transitions[(child, 0)], Mse())
         assert not score.failed
         assert score.value <= 0.0
 
@@ -316,10 +315,12 @@ class TestTrialsLeaveNoTrace:
                 self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
             outcome, frame = arena.run_merge(*rng.sample(live, 2))
-            self.assert_one_entry_per_id(arena)
             if outcome.label_conflict:
+                arena.rollback(frame)
+                self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
                 continue
+            self.assert_one_entry_per_id(arena)
             # every class the merge made, intermediate ones included, carries
             # the statistic of its pooled aggregate
             agg = dict(arena.agg)
@@ -348,13 +349,26 @@ def relabel(a, f, next_id):
     )
 
 
+def sparse_names(rng, n, width):
+    """A renaming of ids 0..n-1 onto sorted ids below ``width``, and the next_id above them.
+
+    The fresh ids a merge mints follow next_id on both sides, so ids from n
+    on map past the new next_id.
+    """
+    ids = sorted(rng.sample(range(width), n))
+    top = ids[-1] + 1 + rng.randrange(4)
+    return (lambda q: ids[q] if q < n else q - n + top), top
+
+
 class TestSparseIds:
     """Merging a model whose ids have holes, as a learned or loaded one has.
 
     ``random_automaton`` numbers its states 0..n-1.  Renaming them onto sorted
     ids with gaps, below a ``next_id`` above the largest, must change nothing
     but the names: the fresh ids then start at that ``next_id``, and the
-    merge order, which follows symbols and not ids, stays the same.
+    merge order, which follows symbols and not ids, stays the same.  ``merge``
+    renumbers the ids first, so its gaps may be as wide as 10**12; an arena
+    holds one entry per id, so the trial scores run over narrow gaps.
     """
 
     @given(st.integers(0, 10_000_000))
@@ -363,14 +377,11 @@ class TestSparseIds:
         rng = random.Random(seed)
         a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
         n = a.next_id
-        ids = sorted(rng.sample(range(3 * n), n))
-        top = ids[-1] + 1 + rng.randrange(4)
-
-        def f(q):  # the fresh ids a merge mints follow next_id on both sides
-            return ids[q] if q < n else q - n + top
-
+        f, top = sparse_names(rng, n, 10**12)
         sparse = relabel(a, f, top)
-        assert check_integrity(sparse) == []
+        g, g_top = sparse_names(rng, n, 3 * n)
+        holed = relabel(a, g, g_top)
+        assert check_integrity(sparse) == [] and check_integrity(holed) == []
         pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
         for q1, q2 in rng.sample(pairs, min(len(pairs), 6)):
             dense_out = merge(a, q1, q2)
@@ -380,8 +391,38 @@ class TestSparseIds:
             assert sparse_out.label_matches == dense_out.label_matches
             if not dense_out.failed:
                 assert sparse_out.result == relabel(dense_out.result, f, f(dense_out.result.next_id))
-            for evidence in (evidence_edsm, evidence_alergia, evidence_mse):
-                assert evidence(sparse, f(q1), f(q2)) == evidence(a, q1, q2)
+            for h in (Edsm(), Alergia(), Mse()):
+                want = trial_score(MergeArena(a, h), q1, q2, h)
+                assert trial_score(MergeArena(holed, h), g(q1), g(q2), h) == want
+
+    def test_merge_cost_follows_the_states_not_the_ids(self):
+        # two states, ids 0 and 2 000 000: an arena sized by next_id would
+        # hold millions of entries for them
+        a = build_apta(parse_abbadingo("1 1 0\n"))
+        wide = relabel(a, lambda q: 2_000_000 * q, 2_000_001)
+        tracemalloc.start()
+        try:
+            out = merge(wide, 0, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert out.merged_pairs == ((0, 2_000_000),)
+        assert out.result == relabel(merge(a, 0, 1).result, lambda q: q + 1_999_999, 2_000_002)
+
+    def test_merge_accepts_negative_ids(self):
+        a = random_automaton(random.Random(5), max_states=4)
+
+        def f(q):  # fresh ids still start at next_id
+            return q - 2 if q < a.next_id else q
+
+        shifted = relabel(a, f, a.next_id)
+        for q1, q2 in ((0, 1), (1, 0), (0, a.next_id - 1)):
+            want = merge(a, q1, q2)
+            got = merge(shifted, f(q1), f(q2))
+            assert got.merged_pairs == tuple((f(x), f(y)) for x, y in want.merged_pairs)
+            if not want.failed:
+                assert got.result == relabel(want.result, f, want.result.next_id)
 
     def test_negative_ids_rejected(self):
         a = random_automaton(random.Random(5), max_states=4)

@@ -1,6 +1,7 @@
 """Trace parsing, serialization round-trips, DOT output, model persistence."""
 
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -19,7 +20,6 @@ from flexautomata import (
     Trace,
     TraceLabel,
     build_apta,
-    language_upto,
     learn,
     load_model,
     merge,
@@ -32,6 +32,8 @@ from flexautomata import (
 from flexautomata.sample_io import MAX_ALPHABET_SIZE
 from dot_check import DotSyntaxError, check_dot
 from gen import even_ones_dfa, labeled_sample, random_automaton
+from golden import cases, reparsed
+from oracle_automaton import language_upto
 import oracle_io
 import random
 
@@ -246,6 +248,18 @@ class TestDotOutput:
             ln for ln in dot.splitlines() if ln.strip().startswith(f"s{ref_apta.start} ")
         )
         assert f"[{len(ref_apta.states[ref_apta.start].out_counts) and 13}]" in root_line
+
+    def test_rendering_is_pinned(self, ref_sample, ref_apta):
+        # the reference model, its prefix tree, and a learned MSE model whose
+        # states hold targets, so that means are rendered too
+        factory, cfg = cases()["mse-0.0-steps-0"]
+        steps, _ = learn(reparsed(factory()), cfg)
+        models = (learn(ref_sample)[0], ref_apta, steps)
+        assert [hashlib.sha256(write_dot(m).encode("utf-8")).hexdigest() for m in models] == [
+            "bf68f310324c0a81ab76dca0821fa47be45bdafa44b6d5f2f9d912d0a0050f8e",
+            "49963ca1815a54afa73a2bda345ad7813215ee49ff9c349abfd508271c9d4ace",
+            "5d1c651b2eef9b9cdd4e6e5a28ca20ac03c7bf95d15c9cbee7f6d8beb8966004",
+        ]
 
     def test_means_shown_when_targets_present(self):
         sample = parse_augmented("? 1 0/2.0\n? 1 0/4.0\n")
