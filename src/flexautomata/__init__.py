@@ -94,6 +94,7 @@ __all__ = [
     "StateAggregate",
     "StateLabel",
     "SymbolInstance",
+    "TargetKind",
     "Trace",
     "TraceLabel",
     "bin_cuts",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
+from .automaton import Automaton, StateAggregate, StateId, Symbol, _make_aggregate
 from .errors import InconsistentSampleError, SampleFormatError
 from .sample_io import Sample, TraceLabel
 
@@ -96,16 +96,8 @@ def build_apta(sample: Sample) -> Automaton:
     next_id = 1
     while queue:
         q, node = queue.popleft()
-        states[q] = StateAggregate(
-            total_count=node.total,
-            end_pos_count=node.end_pos,
-            end_neg_count=node.end_neg,
-            out_counts=dict(node.out),
-            target_count=node.tcount,
-            target_sum=node.tsum,
-            target_sumsq=node.tsumsq,
-            attribute_sums=tuple(node.attrs),
-        )
+        states[q] = _make_aggregate(node.total, node.end_pos, node.end_neg, dict(node.out),
+                                    node.tcount, node.tsum, node.tsumsq, tuple(node.attrs))
         if node.end_pos:
             accepting.add(q)
         if node.end_neg:

@@ -15,10 +15,10 @@ Exposed API: :class:`StateLabel`, :class:`StateAggregate`, :class:`Automaton`,
 from __future__ import annotations
 
 import enum
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from math import inf, isfinite
 from typing import Iterator, Mapping
 
 Symbol = int
@@ -74,6 +74,33 @@ class StateAggregate:
     def sse(self) -> float:
         """Within-state sum of squared target residuals (0 when no targets)."""
         return squared_error(self.target_count, self.target_sum, self.target_sumsq)
+
+
+def _record_maker(cls):
+    """A positional maker for the frozen dataclass ``cls`` that skips its ``__init__``.
+
+    ``make(*values)`` returns a record equal to ``cls(*values)`` in class,
+    field order, ``==``, ``hash``, ``repr`` and :func:`dataclasses.replace`:
+    it writes the fields straight into a new instance's ``__dict__``, in
+    field order, where the frozen ``__init__`` sets each one through
+    ``object.__setattr__``.  That is two to three times cheaper, which counts
+    where a record is made per model line or per trace token.  The price is
+    paid on reads: CPython reads a field from such an instance dict more
+    slowly than from the inline values the constructor leaves, so a record
+    that is read once per use, like a shared bare symbol, is built by the
+    constructor instead.  Sound only for a class whose ``__init__`` takes
+    exactly its fields and has no ``__post_init__``; the tests pin both.
+    """
+    names = [f.name for f in fields(cls)]
+    sets = "".join(f"\n    _d[{n!r}] = {n}" for n in names)
+    source = (f"def make({', '.join(names)}):\n"
+              f"    _r = _new(_cls)\n    _d = _r.__dict__{sets}\n    return _r\n")
+    scope = {"_new": object.__new__, "_cls": cls}
+    exec(compile(source, f"<make {cls.__qualname__}>", "exec"), scope)
+    return scope["make"]
+
+
+_make_aggregate = _record_maker(StateAggregate)
 
 
 def squared_error(count: int, total: float, sumsq: float) -> float:
@@ -207,9 +234,12 @@ def check_integrity(a: Automaton) -> list[str]:
     Returns an empty list for a healthy automaton.  Violations are data, not
     exceptions, so loaders and tests can report all of them at once.  The
     order is fixed: the start state, the label sets, then the transitions
-    by ``(source, symbol)`` and the states by id.  Only offenders are
-    sorted, so a healthy automaton costs one unsorted pass over its
-    transitions and states.
+    by ``(source, symbol)`` and the states by id.
+
+    Cost: one unsorted pass over the transitions and one over the states.
+    A healthy state costs one combined test on its fields, plus one lookup
+    per out-count; only a state that fails that test gets the exact checks
+    that build its messages, and only offenders are sorted.
     """
     out: list[str] = []
     if a.start not in a.states:
@@ -238,21 +268,39 @@ def check_integrity(a: Automaton) -> list[str]:
     next_id, arity = a.next_id, a.attribute_arity
     by_state: dict[StateId, list[str]] = {}
     for q, agg in states.items():
+        total, pos, neg, outs = (
+            agg.total_count, agg.end_pos_count, agg.end_neg_count, agg.out_counts)
+        count, tsum, tsumsq, attrs = (
+            agg.target_count, agg.target_sum, agg.target_sumsq, agg.attribute_sums)
+        # One test that every healthy state passes.  It may also fail a state
+        # with no violation (a zero out-count, finite sums whose total
+        # overflows); the exact checks below then find nothing to report.
+        ends = total
+        for sym, c in outs.items():
+            ends -= c
+            if c <= 0 or (q, sym) not in transitions:
+                break
+        else:
+            if (q < next_id and pos >= 0 and neg >= 0 and pos + neg <= ends
+                    and 0 <= count <= total and tsumsq >= 0.0 and -inf < tsum + tsumsq < inf
+                    and (tsumsq - tsum * (tsum / count) >= -count * (4 * _EPS * tsumsq + _TINY)
+                         if 0 < count <= MAX_COUNT else count or tsum == tsumsq == 0.0)
+                    and (not attrs or len(attrs) == arity and -inf < sum(attrs) < inf)):
+                continue
         found: list[str] = []
-        total = agg.total_count
         if q >= next_id:
             found.append(f"state {q} not below next_id {next_id}")
-        if min(total, agg.end_pos_count, agg.end_neg_count, agg.target_count) < 0:
+        if min(total, pos, neg, count) < 0:
             found.append(f"state {q} has a negative count")
-        ends = total - sum(agg.out_counts.values())
+        ends = total - sum(outs.values())
         if ends < 0:
             found.append(f"state {q} out_counts exceed total_count")
-        if agg.end_pos_count + agg.end_neg_count > ends:
+        if pos + neg > ends:
             found.append(f"state {q} labeled end counts exceed its trace ends")
-        if agg.target_count > total:
+        if count > total:
             found.append(f"state {q} target_count exceeds total_count")
         bad_counts = []
-        for sym, c in agg.out_counts.items():
+        for sym, c in outs.items():
             if c < 0 or (c > 0 and (q, sym) not in transitions):
                 bad_counts.append((sym, c))
         for sym, c in sorted(bad_counts):
@@ -260,21 +308,20 @@ def check_integrity(a: Automaton) -> list[str]:
                 found.append(f"state {q} negative out count on symbol {sym}")
             else:
                 found.append(f"state {q} counts symbol {sym} but has no such transition")
-        for v in (agg.target_sum, agg.target_sumsq, *agg.attribute_sums):
-            if not math.isfinite(v):
+        for v in (tsum, tsumsq, *attrs):
+            if not isfinite(v):
                 found.append(f"state {q} has a non-finite aggregate value")
                 break
         else:  # finite target sums: the values they were summed from must exist
-            count, total, sumsq = agg.target_count, agg.target_sum, agg.target_sumsq
-            if sumsq < 0.0:
+            if tsumsq < 0.0:
                 found.append(f"state {q} has a negative target sum of squares")
-            elif 0 < count <= MAX_COUNT and sumsq - total * (total / count) < -count * (
-                    4 * _EPS * sumsq + _TINY):
+            elif 0 < count <= MAX_COUNT and tsumsq - tsum * (tsum / count) < -count * (
+                    4 * _EPS * tsumsq + _TINY):
                 found.append(f"state {q} has target sums with a negative squared error")
-            if count == 0 and (total != 0.0 or sumsq != 0.0):
+            if count == 0 and (tsum != 0.0 or tsumsq != 0.0):
                 found.append(f"state {q} has target sums but no targets")
-        if len(agg.attribute_sums) not in (0, arity):
-            found.append(f"state {q} attribute arity {len(agg.attribute_sums)} != {arity}")
+        if len(attrs) not in (0, arity):
+            found.append(f"state {q} attribute arity {len(attrs)} != {arity}")
         if found:
             by_state[q] = found
     for q in sorted(by_state):

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
+from .automaton import Automaton, StateAggregate, StateId, Symbol, _make_aggregate
 
 if TYPE_CHECKING:
     from .heuristics import HeuristicId
@@ -55,15 +55,15 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     out = dict(x.out_counts)
     for sym, c in y.out_counts.items():
         out[sym] = out.get(sym, 0) + c
-    return StateAggregate(
-        total_count=x.total_count + y.total_count,
-        end_pos_count=x.end_pos_count + y.end_pos_count,
-        end_neg_count=x.end_neg_count + y.end_neg_count,
-        out_counts=out,
-        target_count=x.target_count + y.target_count,
-        target_sum=x.target_sum + y.target_sum,
-        target_sumsq=x.target_sumsq + y.target_sumsq,
-        attribute_sums=attrs,
+    return _make_aggregate(
+        x.total_count + y.total_count,
+        x.end_pos_count + y.end_pos_count,
+        x.end_neg_count + y.end_neg_count,
+        out,
+        x.target_count + y.target_count,
+        x.target_sum + y.target_sum,
+        x.target_sumsq + y.target_sumsq,
+        attrs,
     )
 
 

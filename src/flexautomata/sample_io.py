@@ -24,11 +24,13 @@ line-oriented model format, see :func:`save_model`.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from math import isfinite, nan
 
 from . import automaton
-from .automaton import MAX_COUNT, Automaton, StateAggregate, StateId, Symbol
+from .automaton import (
+    MAX_COUNT, Automaton, StateAggregate, StateId, Symbol, _make_aggregate, _record_maker,
+)
 from .errors import ModelFormatError, SampleFormatError
 
 MODEL_HEADER = "flexautomata-model 1"
@@ -84,6 +86,9 @@ class Sample:
         return [t.word for t in self.traces if t.label is TraceLabel.NEGATIVE]
 
 
+_make_symbol = _record_maker(SymbolInstance)
+_make_trace = _record_maker(Trace)
+
 _PLAIN_LABELS = {"1": TraceLabel.POSITIVE, "0": TraceLabel.NEGATIVE}
 _EXT_LABELS = {**_PLAIN_LABELS, "?": TraceLabel.UNLABELED}
 
@@ -91,29 +96,23 @@ _EXT_LABELS = {**_PLAIN_LABELS, "?": TraceLabel.UNLABELED}
 def _finite(token: str) -> float:
     """A real number; ``nan`` and infinities raise ValueError like any non-number."""
     value = float(token)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(token)
     return value
 
 
-def _parse_symbol_token(token: str, extended: bool, line_no: int) -> SymbolInstance:
+def _symbol_part(part: str, token: str, extended: bool, line_no: int
+                 ) -> tuple[Symbol, tuple[float, ...]]:
+    """The symbol and attributes of ``token``, whose text before any ``/target`` is ``part``."""
     attrs: tuple[float, ...] = ()
-    target = None
-    sym_part = token
-    if extended:
-        if "/" in token:
-            sym_part, _, tgt_part = token.rpartition("/")
+    sym_part = part
+    if extended and ":" in part:
+        sym_part, _, attr_part = part.partition(":")
+        if attr_part:
             try:
-                target = _finite(tgt_part)
+                attrs = tuple(_finite(x) for x in attr_part.split(","))
             except ValueError:
-                raise SampleFormatError(f"bad target value {tgt_part!r}", line_no) from None
-        if ":" in sym_part:
-            sym_part, _, attr_part = sym_part.partition(":")
-            if attr_part:
-                try:
-                    attrs = tuple(_finite(x) for x in attr_part.split(","))
-                except ValueError:
-                    raise SampleFormatError(f"bad attribute list {attr_part!r}", line_no) from None
+                raise SampleFormatError(f"bad attribute list {attr_part!r}", line_no) from None
     try:
         sym = int(sym_part)
     except ValueError:
@@ -124,7 +123,7 @@ def _parse_symbol_token(token: str, extended: bool, line_no: int) -> SymbolInsta
         raise SampleFormatError(
             f"symbol {sym} exceeds the alphabet bound {MAX_ALPHABET_SIZE}", line_no
         )
-    return SymbolInstance(sym, attrs, target)
+    return sym, attrs
 
 
 def _valid_data_first_line(tokens: list[str], labels: dict[str, TraceLabel]) -> bool:
@@ -160,6 +159,9 @@ def _parse_sample(text: str, extended: bool) -> Sample:
     # A bare token (no '/' or ':' part) always parses to the same immutable
     # instance, so each distinct one is parsed once per call and then shared.
     bare: dict[str, SymbolInstance] = {}
+    # The symbol and attributes of each distinct part before a '/target',
+    # checked once per call.
+    heads: dict[str, tuple[Symbol, tuple[float, ...]]] = {}
     for no, tokens in rows:
         if len(tokens) < 2:
             raise SampleFormatError("expected 'label length sym...'", no)
@@ -180,9 +182,24 @@ def _parse_sample(text: str, extended: bool) -> Sample:
         for token in tokens[2:]:
             inst = bare.get(token)
             if inst is None:
-                inst = _parse_symbol_token(token, extended, no)
-                if not (extended and ("/" in token or ":" in token)):
-                    bare[token] = inst
+                head, slash, tail = token.rpartition("/")
+                if slash and extended:
+                    try:
+                        target = float(tail)
+                    except ValueError:
+                        target = nan  # refused below, like a non-finite value
+                    if not isfinite(target):
+                        raise SampleFormatError(f"bad target value {tail!r}", no)
+                    parts = heads.get(head)
+                    if parts is None:
+                        parts = heads[head] = _symbol_part(head, token, True, no)
+                    inst = _make_symbol(parts[0], parts[1], target)
+                elif extended and ":" in token:
+                    inst = _make_symbol(*_symbol_part(token, token, True, no), None)
+                else:
+                    # Shared and read once per occurrence, so built by the
+                    # constructor, whose records read faster than made ones.
+                    inst = bare[token] = SymbolInstance(*_symbol_part(token, token, extended, no))
             symbols.append(inst)
         for inst in symbols:
             if inst.attributes:
@@ -200,7 +217,7 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                         no,
                     )
                 max_sym = inst.symbol
-        traces.append(Trace(label, tuple(symbols)))
+        traces.append(_make_trace(label, tuple(symbols)))
 
     if declared_count is not None and declared_count != len(traces):
         raise SampleFormatError(
@@ -224,10 +241,15 @@ def parse_abbadingo(text: str) -> Sample:
 def parse_augmented(text: str) -> Sample:
     """Parse the extended trace format (adds '?' labels, attributes, targets).
 
-    One pass, linear in the text.  Equal bare tokens (no ``:`` or ``/``
-    part) share one immutable :class:`SymbolInstance`, parsed once per call;
-    annotated tokens are parsed each time.  The per-trace checks run on
-    every symbol.
+    One pass, linear in the text.  What a token costs: a bare token (no
+    ``:`` or ``/`` part) is one dict lookup once it has been seen, since
+    equal bare tokens share one immutable :class:`SymbolInstance` parsed
+    once per call.  An annotated ``sym/target`` token is one
+    ``rpartition``, one lookup of its ``sym`` part in a per-call table of
+    parts already checked, one ``float`` with its finiteness check, and one
+    record made without the dataclass ``__init__``; a ``sym:attrs`` token
+    without a target is parsed in full each time.  The per-trace checks run
+    on every symbol.
     """
     return _parse_sample(text, extended=True)
 
@@ -419,6 +441,12 @@ def load_model(text: str) -> Automaton:
     versions, duplicate ``(state, symbol)`` transition lines (determinism
     violation), negative transition counts, and anything
     :func:`check_integrity` complains about after assembly.
+
+    What a line costs: one ``split``; a ``trans`` line then four ``int``
+    conversions, a duplicate check and two dict writes; a ``state`` line six
+    conversions (plus one per attribute) and one aggregate made without the
+    dataclass ``__init__``.  The integrity check adds one pass over the transitions
+    and one combined test per healthy state.
     """
     alphabet: tuple[str, ...] | None = None
     arity = 0
@@ -492,8 +520,8 @@ def load_model(text: str) -> Automaton:
             counts = out_counts.get(q)
             if counts is None:
                 counts = out_counts[q] = {}
-            states[q] = StateAggregate(total, end_pos, end_neg, counts, target_count,
-                                       target_sum, target_sumsq, attribute_sums)
+            states[q] = _make_aggregate(total, end_pos, end_neg, counts, target_count,
+                                        target_sum, target_sumsq, attribute_sums)
             if label == "acc":
                 accepting.add(q)
             elif label == "rej":

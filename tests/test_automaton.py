@@ -1,6 +1,8 @@
 """Core automaton semantics: computations, language enumeration, integrity."""
 
 import dataclasses
+import inspect
+import math
 from itertools import product
 
 import pytest
@@ -24,8 +26,10 @@ from flexautomata import (
     learn,
     parse_abbadingo,
 )
-from gen import complete_sample, even_ones_dfa, labeled_sample
+from flexautomata import automaton, sample_io
+from gen import complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
+import oracle_automaton
 import random
 
 
@@ -194,3 +198,153 @@ class TestCheckIntegrity:
         assert check_integrity(build_apta(sample)) == []
         model, _ = learn(sample, LearnerConfig(heuristic=Mse()))
         assert check_integrity(model) == []
+
+
+# Values that sit on or past the edges check_integrity tests: signs, the
+# 2**53 count bound, float overflow, subnormals and non-finite values.
+_INTS = [-1, 0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 10**400]
+_FLOATS = [0.0, -0.0, 1.0, -2.5, 4.0, 9.0, 1e308, -1e308, 1e-310, 5e-324,
+           math.inf, -math.inf, math.nan]
+_COUNT_FIELDS = ["total_count", "end_pos_count", "end_neg_count", "target_count"]
+_SUM_FIELDS = ["target_sum", "target_sumsq"]
+
+
+@st.composite
+def _mutated_automata(draw):
+    """Automata built directly, with aggregates, transitions and ``next_id`` mutated.
+
+    Many of them hold what no loaded model can: a state at or above
+    ``next_id``, out-counts that are negative or have no transition, the
+    wrong attribute arity, non-finite attributes, counts at and above 2**53.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = random_automaton(rng, 6, 2)
+    arity = draw(st.integers(0, 2))
+    states = {q: dataclasses.replace(agg, attribute_sums=tuple(
+        rng.uniform(-3.0, 3.0) for _ in range(arity))) for q, agg in a.states.items()}
+    transitions = dict(a.transitions)
+    for _ in range(draw(st.integers(0, 4))):
+        q = draw(st.sampled_from(sorted(states)))
+        kind = draw(st.sampled_from(
+            _COUNT_FIELDS + _SUM_FIELDS + ["attribute_sums", "out_counts", "transition"]))
+        if kind == "transition":
+            transitions.pop((q, draw(st.integers(0, 1))), None)
+            continue
+        if kind in _COUNT_FIELDS:
+            value = draw(st.sampled_from(_INTS))
+        elif kind in _SUM_FIELDS:
+            value = draw(st.sampled_from(_FLOATS))
+        elif kind == "attribute_sums":
+            value = tuple(draw(st.lists(st.sampled_from(_FLOATS), max_size=3)))
+        else:
+            sym = draw(st.integers(0, 2))
+            value = {**states[q].out_counts, sym: draw(st.sampled_from(_INTS))}
+        states[q] = dataclasses.replace(states[q], **{kind: value})
+    next_id = draw(st.sampled_from([a.next_id, a.next_id + 3, a.next_id - 1, 1]))
+    return dataclasses.replace(a, states=states, transitions=transitions, next_id=next_id,
+                               attribute_arity=arity)
+
+
+def _with_state_zero(**fields):
+    """A one-state-plus-sink automaton whose state 0 has ``fields`` changed."""
+    healthy = StateAggregate(total_count=3, end_pos_count=1, out_counts={0: 2},
+                             target_count=2, target_sum=1.0, target_sumsq=1.0,
+                             attribute_sums=(0.5,))
+    return Automaton(
+        alphabet=("0", "1"),
+        states={0: dataclasses.replace(healthy, **fields),
+                1: StateAggregate(total_count=2, end_pos_count=2, attribute_sums=(1.0,))},
+        accepting=frozenset([0, 1]), rejecting=frozenset(), transitions={(0, 0): 1},
+        start=0, next_id=2, attribute_arity=1,
+    )
+
+
+class TestCheckIntegrityAgainstOracle:
+    """``check_integrity`` against its reference copy in ``oracle_automaton``."""
+
+    @given(_mutated_automata())
+    @settings(max_examples=500, deadline=None)
+    def test_same_violations_as_the_reference(self, a):
+        assert check_integrity(a) == oracle_automaton.check_integrity(a)
+
+    @pytest.mark.parametrize("a, message", [
+        (dataclasses.replace(_with_state_zero(), next_id=1),
+         "state 1 not below next_id 1"),
+        (_with_state_zero(out_counts={0: 2, 1: 0}), None),
+        (_with_state_zero(total_count=4, out_counts={0: 2, 1: 1}),
+         "state 0 counts symbol 1 but has no such transition"),
+        (_with_state_zero(out_counts={0: 2, 1: -1}),
+         "state 0 negative out count on symbol 1"),
+        (_with_state_zero(attribute_sums=(0.5, 0.5)), "state 0 attribute arity 2 != 1"),
+        (_with_state_zero(attribute_sums=(math.inf,)),
+         "state 0 has a non-finite aggregate value"),
+        (_with_state_zero(attribute_sums=(math.nan,)),
+         "state 0 has a non-finite aggregate value"),
+        (_with_state_zero(total_count=2**53 + 2, target_count=2**53, target_sum=9.0), None),
+        (_with_state_zero(total_count=2**53 + 2, target_count=2**53, target_sum=2.0**60),
+         "state 0 has target sums with a negative squared error"),
+        (_with_state_zero(total_count=2**53 + 2, target_count=2**53 + 1, target_sum=2.0**60),
+         None),
+        (_with_state_zero(target_count=0), "state 0 has target sums but no targets"),
+    ])
+    def test_cases_no_model_text_reaches(self, a, message):
+        got = check_integrity(a)
+        assert got == oracle_automaton.check_integrity(a)
+        assert got == ([] if message is None else [message])
+
+
+# The records a load or a parse makes, with the private maker each uses.
+_MAKERS = [
+    (StateAggregate, automaton._make_aggregate),
+    (SymbolInstance, sample_io._make_symbol),
+    (Trace, sample_io._make_trace),
+]
+_reals = st.floats(allow_nan=True, allow_infinity=True)
+_symbols = st.builds(SymbolInstance, st.integers(0, 9),
+                     st.lists(_reals, max_size=2).map(tuple), st.none() | _reals)
+_FIELD_VALUES = {
+    StateAggregate: st.tuples(
+        st.integers(), st.integers(), st.integers(),
+        st.dictionaries(st.integers(0, 3), st.integers()), st.integers(),
+        _reals, _reals, st.lists(_reals, max_size=3).map(tuple)),
+    SymbolInstance: st.tuples(st.integers(), st.lists(_reals, max_size=3).map(tuple),
+                              st.none() | _reals),
+    Trace: st.tuples(st.sampled_from(TraceLabel), st.lists(_symbols, max_size=4).map(tuple)),
+}
+
+
+class TestRecordMaker:
+    """The private makers give the records the dataclass constructors give."""
+
+    @pytest.mark.parametrize("cls, make", _MAKERS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_maker_sets_exactly_what_the_constructor_takes(self, cls, make):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert not hasattr(cls, "__post_init__")
+        assert all(f.init for f in dataclasses.fields(cls))
+        assert list(inspect.signature(cls).parameters) == names
+        assert list(inspect.signature(make).parameters) == names
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_made_records_equal_constructed_ones(self, data):
+        cls, make = data.draw(st.sampled_from(_MAKERS))
+        values = data.draw(_FIELD_VALUES[cls])
+        made, built = make(*values), cls(*values)
+        assert type(made) is cls
+        assert made == built and repr(made) == repr(built)
+        assert list(vars(made).items()) == list(vars(built).items())
+        try:
+            want = hash(built)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(made)
+        else:
+            assert hash(made) == want
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.__setattr__(dataclasses.fields(cls)[0].name, None)
+        other = data.draw(_FIELD_VALUES[cls])
+        name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+        i = [f.name for f in dataclasses.fields(cls)].index(name)
+        assert dataclasses.replace(made) == built
+        assert (dataclasses.replace(made, **{name: other[i]})
+                == dataclasses.replace(built, **{name: other[i]}))

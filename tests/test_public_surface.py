@@ -8,7 +8,7 @@ PUBLIC = [
     "FAIL_NO_TARGETS", "Fallback", "GenerationError", "InconsistentSampleError",
     "LearnLog", "LearnerConfig", "MergeOutcome", "ModelFormatError", "Mse", "Outcome",
     "PredictionConfig", "PredictionError", "Sample", "SampleFormatError",
-    "StateAggregate", "StateLabel", "SymbolInstance", "Trace", "TraceLabel",
+    "StateAggregate", "StateLabel", "SymbolInstance", "TargetKind", "Trace", "TraceLabel",
     "bin_cuts", "build_apta", "check_integrity", "compute", "discretize", "evaluate",
     "global_target_mean", "hoeffding_bound", "hoeffding_compatible", "learn",
     "load_model", "merge", "merge_aggregates", "parse_abbadingo", "parse_augmented",
