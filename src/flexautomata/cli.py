@@ -14,6 +14,7 @@ requests).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -87,6 +88,7 @@ def _read_model(path: str) -> Automaton:
         raise _DataError(f"{path}: {exc}") from exc
 
 
+@functools.cache  # parse_args leaves a parser as it found it, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexautomata",

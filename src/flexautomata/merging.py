@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol, _make_aggregate
+from .automaton import Automaton, StateAggregate, StateId, Symbol
 
 if TYPE_CHECKING:
     from .heuristics import HeuristicId
@@ -55,7 +55,7 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     out = dict(x.out_counts)
     for sym, c in y.out_counts.items():
         out[sym] = out.get(sym, 0) + c
-    return _make_aggregate(
+    return StateAggregate(
         x.total_count + y.total_count,
         x.end_pos_count + y.end_pos_count,
         x.end_neg_count + y.end_neg_count,

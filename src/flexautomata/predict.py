@@ -292,6 +292,9 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
     lo, hi = min(series), max(series)
     names = _bin_names(cuts, lo, hi)
     symbols = [bisect_left(cuts, v) for v in series]
+    # One shared instance per bin, for every symbol but the target's.
+    shared = {s: SymbolInstance(s) for s in set(symbols)}
+    bare = [shared[s] for s in symbols]
 
     traces = []
     w = spec.window
@@ -300,9 +303,8 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
             target = series[i + w] - series[i + w - 1]
         else:
             target = series[i + w]
-        insts = [SymbolInstance(symbols[j]) for j in range(i, i + w - 1)]
-        insts.append(SymbolInstance(symbols[i + w - 1], (), target))
-        traces.append(Trace(TraceLabel.UNLABELED, tuple(insts)))
+        last = SymbolInstance(symbols[i + w - 1], (), target)
+        traces.append(Trace(TraceLabel.UNLABELED, (*bare[i:i + w - 1], last)))
     return Sample(tuple(traces), names, 0)
 
 

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from math import isfinite, nan
 
 from . import automaton
-from .automaton import (
-    MAX_COUNT, Automaton, StateAggregate, StateId, Symbol, _make_aggregate, _record_maker,
-)
+from .automaton import MAX_COUNT, Automaton, StateAggregate, StateId, Symbol
 from .errors import ModelFormatError, SampleFormatError
 
 MODEL_HEADER = "flexautomata-model 1"
@@ -46,7 +44,7 @@ class TraceLabel(enum.Enum):
     UNLABELED = "unlabeled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolInstance:
     """One occurrence of a symbol inside a trace, with optional annotations."""
 
@@ -55,7 +53,7 @@ class SymbolInstance:
     target: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     label: TraceLabel
     symbols: tuple[SymbolInstance, ...]
@@ -85,9 +83,6 @@ class Sample:
     def negative_words(self) -> list[tuple[Symbol, ...]]:
         return [t.word for t in self.traces if t.label is TraceLabel.NEGATIVE]
 
-
-_make_symbol = _record_maker(SymbolInstance)
-_make_trace = _record_maker(Trace)
 
 _PLAIN_LABELS = {"1": TraceLabel.POSITIVE, "0": TraceLabel.NEGATIVE}
 _EXT_LABELS = {**_PLAIN_LABELS, "?": TraceLabel.UNLABELED}
@@ -193,12 +188,10 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                     parts = heads.get(head)
                     if parts is None:
                         parts = heads[head] = _symbol_part(head, token, True, no)
-                    inst = _make_symbol(parts[0], parts[1], target)
+                    inst = SymbolInstance(parts[0], parts[1], target)
                 elif extended and ":" in token:
-                    inst = _make_symbol(*_symbol_part(token, token, True, no), None)
+                    inst = SymbolInstance(*_symbol_part(token, token, True, no))
                 else:
-                    # Shared and read once per occurrence, so built by the
-                    # constructor, whose records read faster than made ones.
                     inst = bare[token] = SymbolInstance(*_symbol_part(token, token, extended, no))
             symbols.append(inst)
         for inst in symbols:
@@ -217,7 +210,7 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                         no,
                     )
                 max_sym = inst.symbol
-        traces.append(_make_trace(label, tuple(symbols)))
+        traces.append(Trace(label, tuple(symbols)))
 
     if declared_count is not None and declared_count != len(traces):
         raise SampleFormatError(
@@ -247,9 +240,8 @@ def parse_augmented(text: str) -> Sample:
     once per call.  An annotated ``sym/target`` token is one
     ``rpartition``, one lookup of its ``sym`` part in a per-call table of
     parts already checked, one ``float`` with its finiteness check, and one
-    record made without the dataclass ``__init__``; a ``sym:attrs`` token
-    without a target is parsed in full each time.  The per-trace checks run
-    on every symbol.
+    record; a ``sym:attrs`` token without a target is parsed in full each
+    time.  The per-trace checks run on every symbol.
     """
     return _parse_sample(text, extended=True)
 
@@ -439,14 +431,15 @@ def load_model(text: str) -> Automaton:
     Each state's aggregate is built from its line, sharing the out-count
     map that the ``trans`` lines then fill.  Rejects unknown format
     versions, duplicate ``(state, symbol)`` transition lines (determinism
-    violation), negative transition counts, and anything
-    :func:`check_integrity` complains about after assembly.
+    violation), negative transition counts, an ``attributes`` line after a
+    ``state`` line, and anything :func:`check_integrity` complains about
+    after assembly.
 
     What a line costs: one ``split``; a ``trans`` line then four ``int``
     conversions, a duplicate check and two dict writes; a ``state`` line six
-    conversions (plus one per attribute) and one aggregate made without the
-    dataclass ``__init__``.  The integrity check adds one pass over the transitions
-    and one combined test per healthy state.
+    conversions (plus one per attribute) and one aggregate.  The integrity
+    check adds one pass over the transitions and one combined test per
+    healthy state.
     """
     alphabet: tuple[str, ...] | None = None
     arity = 0
@@ -520,8 +513,8 @@ def load_model(text: str) -> Automaton:
             counts = out_counts.get(q)
             if counts is None:
                 counts = out_counts[q] = {}
-            states[q] = _make_aggregate(total, end_pos, end_neg, counts, target_count,
-                                        target_sum, target_sumsq, attribute_sums)
+            states[q] = StateAggregate(total, end_pos, end_neg, counts, target_count,
+                                       target_sum, target_sumsq, attribute_sums)
             if label == "acc":
                 accepting.add(q)
             elif label == "rej":
@@ -542,6 +535,8 @@ def load_model(text: str) -> Automaton:
             arity = _line_int(tokens, "attribute arity", no)
             if arity < 0:
                 raise ModelFormatError(f"negative attribute arity {arity}", no)
+            if states:  # the state lines before it were read with the old arity
+                raise ModelFormatError("attributes line after a state line", no)
         elif kind == "start":
             _once(kind, seen, no)
             start = _line_int(tokens, "start state", no)

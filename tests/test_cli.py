@@ -562,6 +562,28 @@ class TestRunAsModule:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == expected
 
+    def test_calls_in_one_process_run_as_they_run_alone(
+            self, model_file, sample_file, tmp_path, capsys, monkeypatch):
+        # run() keeps one parser per process; no call may see what an earlier one did.
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+        evaluation = ["eval", "--model", model_file, "--input", sample_file]
+        calls = [
+            ["--help"],
+            ["learn", "--input", sample_file, "--bogus"],
+            ["eval", "--model", str(tmp_path / "absent.txt"), "--input", sample_file],
+            evaluation,
+            evaluation,
+        ]
+        codes = []
+        for argv in calls:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            proc = self.python_m("flexautomata", *argv)
+            assert (code, out.encode(), err.encode()) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [0, 1, 2, 0, 0]
+
     def test_missing_input_exits_2(self, tmp_path):
         proc = self.python_m("flexautomata", "learn", "--input", str(tmp_path / "absent.txt"))
         assert proc.returncode == 2

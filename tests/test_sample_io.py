@@ -443,6 +443,19 @@ class TestModelPersistence:
         assert err.value.line == no
         assert str(err.value) == f"line {no}: negative transition count -5"
 
+    @pytest.mark.parametrize("head, message", [
+        ("", "line 4: attributes line after a state line"),
+        ("attributes 0\n", "line 5: second attributes line"),
+    ])
+    def test_attributes_line_after_a_state_line_is_refused(self, head, message):
+        # Read with arity 0, the state line would save with two fields fewer
+        # than the arity the later line declares.
+        text = (f"flexautomata-model 1\nalphabet 0\n{head}state 0 acc 1 0.0 0.0 1 0 0\n"
+                "attributes 2\nstart 0\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(text)
+        assert str(err.value) == message
+
     def test_version_header_is_checked(self):
         with pytest.raises(ModelFormatError):
             load_model("flexautomata-model 2\nalphabet 0\nstate 0 unl 0 0.0 0.0 0 0 0\nstart 0\n")
@@ -608,6 +621,13 @@ class TestAgainstOracle:
             no = int(got[1].split(":")[0].removeprefix("line "))
             tokens = text.splitlines()[no - 1].split()
             assert tokens[0] == "trans" and int(tokens[4]) < 0
+            return
+        if isinstance(got, tuple) and got[1].endswith(": attributes line after a state line"):
+            # The reference reads the state lines before it with the old arity; the loader
+            # refuses the line.
+            no = int(got[1].split(":")[0].removeprefix("line "))
+            kinds = [ln.split()[0] for ln in text.splitlines()[:no] if ln.split()]
+            assert kinds[-1] == "attributes" and "state" in kinds
             return
         if isinstance(got, tuple) and got[1].endswith("exceeds the bound 2**53"):
             # The reference takes any count; the loader refuses those above 2**53.
