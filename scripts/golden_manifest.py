@@ -1,31 +1,53 @@
-"""Regenerate ``tests/golden_manifest.json``, the pinned hashes of the golden corpus.
+"""Regenerate or check ``tests/golden_manifest.json``, the pinned hashes of the golden corpus.
 
-Usage: ``PYTHONPATH=src python scripts/golden_manifest.py``
+Usage:
+    python scripts/golden_manifest.py            # rewrite the manifest
+    python scripts/golden_manifest.py --check    # compare, never write
 
 The manifest is the determinism contract made executable: ``tests/test_golden.py``
 fails whenever a change alters a learned model or its log.  Only a change
-that means to alter learned models may run this script, and it must say so
+that means to alter learned models may regenerate it, and it must say so
 in CHANGES.md, naming the cases whose hashes moved.  A refactor or a speed-up
 never regenerates the manifest.
+
+``--check`` recomputes every case, prints the name of each case whose
+hashes differ from the manifest's, and exits 1 if any do, 0 otherwise.  It
+needs only the standard library and the package, so it can be run under
+any supported CPython, with or without the test extras, to check that the
+interpreter learns the same bytes.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-TESTS = Path(__file__).resolve().parent.parent / "tests"
-sys.path.insert(0, str(TESTS))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from golden import MANIFEST, cases, digests  # noqa: E402
+from golden import MANIFEST, cases, digests, load_manifest  # noqa: E402
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden manifest.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare every case with the manifest and write nothing")
+    args = parser.parse_args(argv)
     manifest = {name: digests(name) for name in sorted(cases())}
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest)} cases to {MANIFEST}")
+    if not args.check:
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(manifest)} cases to {MANIFEST}")
+        return 0
+    pinned = load_manifest()
+    differ = sorted(n for n in manifest.keys() | pinned.keys() if manifest.get(n) != pinned.get(n))
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(manifest)} cases differ from {MANIFEST.name} "
+          f"(Python {sys.version.split()[0]})")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

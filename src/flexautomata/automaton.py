@@ -132,9 +132,17 @@ class Automaton:
 
     @cached_property
     def target_totals(self) -> tuple[int, float]:
-        """Target count and target sum pooled over every state, in ``states`` order."""
-        count = sum(s.target_count for s in self.states.values())
-        return count, sum(s.target_sum for s in self.states.values())
+        """Target count and target sum pooled over every state, in ``states`` order.
+
+        The sum is a plain left-to-right ``+=``: the built-in ``sum()`` of
+        floats compensates its rounding since CPython 3.12, which would make
+        the global mean, and so the bytes of ``predict``, depend on the version.
+        """
+        count, total = 0, 0
+        for s in self.states.values():
+            count += s.target_count
+            total += s.target_sum
+        return count, total
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,7 @@ class Mse:
 HeuristicId = Edsm | Alergia | Mse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceScore:
     """A merge score: a real value, or a failure with a reason."""
 

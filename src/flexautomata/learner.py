@@ -1,15 +1,21 @@
 """The red-blue merging loop that turns a prefix tree into a small machine.
 
 The start state begins red (accepted into the model core) and its children
-blue (candidates).  Each round, every blue state is scored against every red
-state by a trial merge, rolled back, in one
-:class:`~flexautomata.merging.MergeArena` kept for the whole run.  A blue
-state none of whose merges survive the heuristic, or whose scores all fall
-below the evidence cutoff, is promoted to red; otherwise the single
-highest-evidence merge is committed in the arena, its fresh state becomes
-red, and the blue frontier is recomputed as the non-red children of red
-states.  The run ends when the frontier is empty; the machine is then
-extracted from the arena, once.
+blue (candidates).  Every red × blue pair is scored by a trial merge,
+rolled back, in one :class:`~flexautomata.merging.MergeArena` kept for the
+whole run.  A blue state none of whose merges survive the heuristic, or
+whose scores all fall below the evidence cutoff, is promoted to red;
+otherwise the single highest-evidence merge is committed in the arena, its
+fresh state becomes red, and the blue frontier is recomputed as the
+non-red children of red states.  The run ends when the frontier is empty;
+the machine is then extracted from the arena, once.
+
+Each blue state keeps its best passing score over the reds it has been
+tried against.  A promotion only recolors, so those scores stay valid, and
+the next iteration tries only the new pairs: the new red against each
+remaining blue, and each new blue against every red.  A kept merge can
+change any score, so it drops them all.  Every decision then reads one
+entry per blue state.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take
@@ -95,15 +101,22 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     always ends: ``2 * states - red`` is never negative and falls by at least
     one per iteration (a promotion adds a red state, a merge removes at least
     one state), so there are at most ``2 * initial_states - 1`` iterations.
+
+    Cost: each red × blue pair is tried once between kept merges.  An
+    iteration after a promotion tries only the pairs the promotion made, and
+    its decision reads one best score per blue state.
     """
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
-    arena = MergeArena(a, cfg.heuristic)
+    heuristic, min_evidence = cfg.heuristic, cfg.min_evidence
+    arena = MergeArena(a, heuristic)
     red = (a.start,)
     blue = tuple(sorted(_children(arena, red, red)))
-    # A score stays valid until a merge is kept; promotions only recolor, so
-    # the cache survives them.
-    scores: dict[tuple[StateId, StateId], EvidenceScore] = {}
+    # Each blue state's best passing (value, red) over the reds it has been
+    # tried against, None if none passed.  A blue state in ``best`` lacks only
+    # ``new_red``, the red promoted last; a kept merge clears ``best``.
+    best: dict[StateId, tuple[float, StateId] | None] = {}
+    new_red: tuple[StateId, ...] = ()
 
     def emit(event: tuple) -> None:
         log.events.append(event)
@@ -114,33 +127,44 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         # Every pair is scored before anything is decided: the first blue with
         # no taker is promoted, else the best (value, red, blue) is merged.
         promoted = None
-        best: tuple[float, StateId, StateId] | None = None
+        top: tuple[float, StateId, StateId] | None = None
         for b in blue:
-            taken = False
-            for r in red:
-                s = scores.get((r, b))
-                if s is None:
-                    s = scores[(r, b)] = trial_score(arena, r, b, cfg.heuristic)
-                if s.failed or s.value < cfg.min_evidence:
+            if b in best:
+                taker, untried = best[b], new_red
+            else:
+                taker, untried = None, red
+            for r in untried:
+                s = trial_score(arena, r, b, heuristic)
+                if s.failed:
                     continue
-                taken = True
-                if best is None or s.value > best[0] or (s.value == best[0] and (r, b) < best[1:]):
-                    best = (s.value, r, b)
-            if not taken and promoted is None:
-                promoted = b
+                value = s.value
+                if value < min_evidence:
+                    continue
+                if taker is None or value > taker[0] or (value == taker[0] and r < taker[1]):
+                    taker = (value, r)
+            best[b] = taker
+            if taker is None:
+                if promoted is None:
+                    promoted = b
+            # Blue states come in ascending order, so a tie on (value, red)
+            # keeps the smaller blue.
+            elif top is None or taker[0] > top[0] or (taker[0] == top[0] and taker[1] < top[1]):
+                top = (*taker, b)
         if promoted is not None:
             red = tuple(sorted((*red, promoted)))
             blue = tuple(sorted(set(blue).union(_children(arena, (promoted,), red)) - {promoted}))
+            del best[promoted]
+            new_red = (promoted,)
             emit(("PROMOTE", promoted))
             continue
-        assert best is not None  # no promotion means every blue has a taker
-        value, r, b = best
+        assert top is not None  # no promotion means every blue has a taker
+        value, r, b = top
         _outcome, frame = arena.run_merge(r, b)
         arena.pool(frame)
         red = tuple(sorted({arena.find(q) for q in red}))
         blue = tuple(sorted(_children(arena, red, set(red))))
         emit(("MERGE", r, b, value))
-        scores.clear()
+        best.clear()
 
     a = arena.extract()
     log.final_states = a.state_count

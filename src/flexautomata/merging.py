@@ -67,7 +67,7 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeOutcome:
     """What one merge did.
 

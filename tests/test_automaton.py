@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     Automaton,
+    EvidenceScore,
     LearnerConfig,
+    MergeOutcome,
     Mse,
     Outcome,
     Sample,
@@ -294,8 +296,8 @@ class TestCheckIntegrityAgainstOracle:
         assert got == ([] if message is None else [message])
 
 
-# The records a load or a parse builds.
-_RECORDS = [StateAggregate, SymbolInstance, Trace]
+# The records a load or a parse builds, and the two each trial merge builds.
+_RECORDS = [StateAggregate, SymbolInstance, Trace, MergeOutcome, EvidenceScore]
 _reals = st.floats(allow_nan=True, allow_infinity=True)
 _symbols = st.builds(SymbolInstance, st.integers(0, 9),
                      st.lists(_reals, max_size=2).map(tuple), st.none() | _reals)
@@ -307,6 +309,10 @@ _FIELD_VALUES = {
     SymbolInstance: st.tuples(st.integers(), st.lists(_reals, max_size=3).map(tuple),
                               st.none() | _reals),
     Trace: st.tuples(st.sampled_from(TraceLabel), st.lists(_symbols, max_size=4).map(tuple)),
+    MergeOutcome: st.tuples(
+        st.none(), st.lists(st.tuples(st.integers(), st.integers()), max_size=3).map(tuple),
+        st.integers(), st.booleans(), st.none() | st.integers()),
+    EvidenceScore: st.tuples(st.none() | _reals, st.text(max_size=3)),
 }
 
 

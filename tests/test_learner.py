@@ -3,7 +3,7 @@
 import hashlib
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from flexautomata import (
     FAIL_LABEL_CONFLICT,
     Alergia,
+    DiscretizationSpec,
     Edsm,
     EvidenceScore,
     LearnLog,
@@ -25,6 +26,7 @@ from flexautomata import (
     build_apta,
     check_integrity,
     compute,
+    discretize,
     learn,
     merge,
     merge_aggregates,
@@ -305,7 +307,20 @@ def assert_learns_like_the_oracle(sample, heuristic, min_evidence, **oracle_kwar
     assert log.text() == want_log.text()
     assert (log.initial_states, log.final_states) == (want_log.initial_states,
                                                       want_log.final_states)
-    return model
+    return model, log
+
+
+def step_series(seed: int, n: int, sigma: float) -> Sample:
+    """A noisy three-level step series that holds each level 50 steps, discretized."""
+    rng = random.Random(seed)
+    values = [5.0 * ((i // 50) % 3) + rng.gauss(0.0, sigma) for i in range(n)]
+    return discretize(values, DiscretizationSpec(bins=3, window=5))
+
+
+def event_counts(log: LearnLog) -> tuple[int, int]:
+    """The promotions and the merges in ``log``."""
+    promotions = sum(e[0] == "PROMOTE" for e in log.events)
+    return promotions, log.iterations - promotions
 
 
 class TestAgainstOracle:
@@ -323,6 +338,23 @@ class TestAgainstOracle:
     def test_reference_sample_matches(self, ref_sample):
         for heuristic in (Edsm(), Alergia(), Mse()):
             assert_learns_like_the_oracle(ref_sample, heuristic, 0.0)
+
+    def test_promotion_heavy_series_matches(self):
+        # Most iterations promote, so most decisions read scores that earlier
+        # iterations took, and each promoted red must still meet every blue.
+        _, log = assert_learns_like_the_oracle(step_series(2, 120, 2.0), Mse(), 0.0)
+        promotions, merges = event_counts(log)
+        assert merges >= 5 and promotions >= 3 * merges
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_tied_scores_go_to_the_smallest_red_then_blue(self, seed):
+        # Every target is 0.0, so every MSE merge that passes scores 0.0 at
+        # penalty 0: the (red, blue) tie-break alone picks each merge.
+        rng = random.Random(seed)
+        sample = labeled_sample(rng, TargetDfa(rng, 4, 2), 40, 6, with_targets=True)
+        _, log = assert_learns_like_the_oracle(sample, Mse(0.0), 0.0)
+        merged = [e[3] for e in log.events if e[0] == "MERGE"]
+        assert len(merged) >= 3 and set(merged) == {0.0}
 
 
 @dataclass(slots=True)
@@ -384,7 +416,53 @@ class TestHeuristicProtocol:
     @settings(max_examples=60, deadline=None)
     def test_learn_runs_it_like_the_naive_loop(self, seed, min_evidence):
         sample = small_sample(random.Random(seed))
-        model = assert_learns_like_the_oracle(sample, MinVisits(), min_evidence,
-                                              score=reference_min_visits)
+        model, _ = assert_learns_like_the_oracle(sample, MinVisits(), min_evidence,
+                                                 score=reference_min_visits)
         assert consistent(model, sample)
         assert check_integrity(model) == []
+
+
+class CountedScore:
+    """An evidence score that counts each read of ``value`` and ``failed``."""
+
+    __slots__ = ("_score", "_reads")
+
+    def __init__(self, score: EvidenceScore, reads: Counter):
+        self._score, self._reads = score, reads
+
+    @property
+    def value(self):
+        self._reads["reads"] += 1
+        return self._score.value
+
+    @property
+    def failed(self):
+        self._reads["reads"] += 1
+        return self._score.failed
+
+
+@dataclass(frozen=True)
+class ReadCountingMse(Mse):
+    """Mse, with scores that count how often the learner reads them."""
+
+    reads: Counter = field(default_factory=Counter, compare=False)
+
+    def score(self, outcome):
+        self.reads["trials"] += 1
+        return CountedScore(super().score(outcome), self.reads)
+
+
+class TestCost:
+    """What a run costs, counted in the learner's reads of its scores."""
+
+    def test_each_score_is_read_a_bounded_number_of_times(self):
+        # A loop that rescans every red x blue score each iteration reads a
+        # score once per iteration it survives, and a promotion-heavy run
+        # keeps most scores across many iterations.
+        heuristic = ReadCountingMse()
+        sample = step_series(2, 300, 2.0)
+        _, log = learn(sample, LearnerConfig(heuristic=heuristic))
+        promotions, merges = event_counts(log)
+        assert promotions >= 3 * merges
+        assert heuristic.reads["trials"] > 0
+        assert heuristic.reads["reads"] <= 3 * heuristic.reads["trials"]

@@ -103,11 +103,17 @@ def _reference_walk(a, word):
 
 
 def _reference_predict(a, word, fallback):
-    """predict_value as it was before the totals were cached: a pass per call."""
-    total = sum(s.target_count for s in a.states.values())
+    """predict_value as it was before the totals were cached: a pass per call.
+
+    The target sums are pooled left to right, as ``target_totals`` pools them.
+    """
+    total, target_sum = 0, 0
+    for s in a.states.values():
+        total += s.target_count
+        target_sum += s.target_sum
     if total == 0:
         raise PredictionError("model carries no target data")
-    mean = sum(s.target_sum for s in a.states.values()) / total
+    mean = target_sum / total
     path, complete = _reference_walk(a, word)
     end = a.states[path[-1]]
     if complete and end.target_count > 0:

@@ -1,8 +1,8 @@
 """The example scripts run on the bundled data and print what they promise.
 
 Each script runs as a subprocess from a temporary directory, so it must find
-the package and the bundled data on its own.  ``golden_manifest.py`` is not
-run here: it rewrites the checked-in manifest.
+the package and the bundled data on its own.  ``golden_manifest.py`` runs
+only with ``--check``; without it, it rewrites the checked-in manifest.
 """
 
 import subprocess
@@ -12,9 +12,9 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str, cwd: Path) -> str:
+def run_script(name: str, cwd: Path, *args: str) -> str:
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / name)],
+        [sys.executable, str(SCRIPTS / name), *args],
         cwd=cwd, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -35,3 +35,11 @@ def test_regression_demo_reports_both_errors(tmp_path):
     out = run_script("regression_demo.py", tmp_path)
     assert "model MSE" in out
     assert "baseline MSE" in out
+
+
+def test_golden_manifest_check_matches_and_writes_nothing(tmp_path):
+    manifest = SCRIPTS.parent / "tests" / "golden_manifest.json"
+    before = manifest.read_bytes()
+    out = run_script("golden_manifest.py", tmp_path, "--check")
+    assert out.startswith("0 of ")
+    assert manifest.read_bytes() == before
