@@ -166,27 +166,40 @@ class ComputationResult:
         return self.outcome is Outcome.ACCEPT
 
 
+def walk(a: Automaton, word: Word) -> tuple[list[StateId], bool]:
+    """Follow ``word`` from the start state as far as the transitions allow.
+
+    Returns the states visited and whether the whole word was consumed.  A
+    symbol outside the alphabet is a missing transition like any other.
+    """
+    transitions = a.transitions
+    cur = a.start
+    path = [cur]
+    for sym in word:
+        cur = transitions.get((cur, sym))
+        if cur is None:
+            return path, False
+        path.append(cur)
+    return path, True
+
+
 def compute(a: Automaton, word: Word) -> ComputationResult:
     """Run ``word`` through ``a`` from the start state.
 
     Accepts iff the whole word is consumed and the end state is accepting.
     A symbol outside the alphabet range raises ValueError; a merely missing
-    transition is a normal rejection, not an error.
+    transition is a normal rejection, not an error.  Only the symbol that
+    stopped the walk is range-checked: in an automaton that passes
+    :func:`check_integrity` no transition uses a symbol outside the alphabet.
     """
-    size = len(a.alphabet)
-    path = [a.start]
-    cur = a.start
-    for i, sym in enumerate(word):
+    path, complete = walk(a, word)
+    if not complete:
+        i = len(path) - 1
+        sym, size = word[i], len(a.alphabet)
         if not 0 <= sym < size:
-            raise ValueError(
-                f"symbol {sym} at position {i} outside alphabet of size {size}"
-            )
-        nxt = a.transitions.get((cur, sym))
-        if nxt is None:
-            return ComputationResult(tuple(path), Outcome.REJECT_NO_TRANSITION, missing_at=i)
-        cur = nxt
-        path.append(cur)
-    end = a.label(cur)
+            raise ValueError(f"symbol {sym} at position {i} outside alphabet of size {size}")
+        return ComputationResult(tuple(path), Outcome.REJECT_NO_TRANSITION, missing_at=i)
+    end = a.label(path[-1])
     outcome = Outcome.ACCEPT if end is StateLabel.ACCEPTING else Outcome.REJECT_BY_LABEL
     return ComputationResult(tuple(path), outcome, end_label=end)
 

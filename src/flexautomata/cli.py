@@ -41,12 +41,10 @@ from .predict import (
 )
 from .sample_io import (
     Sample,
-    SymbolInstance,
-    Trace,
-    TraceLabel,
     load_model,
     parse_abbadingo,
     parse_augmented,
+    positive_lines,
     save_model,
     write_dot,
     write_sample,
@@ -113,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(--min-evidence=-inf disables the cutoff)")
     p.add_argument("--output", help="model file (default: stdout)")
     p.add_argument("--dot", help="also write a DOT rendering to this file")
-    p.add_argument("--trace", action="store_true", help="log merges and promotions to stderr")
+    p.add_argument("--trace", action="store_true",
+                   help="log merges and promotions to stderr when learning ends")
 
     p = sub.add_parser("predict", help="predict a target value per trace")
     p.add_argument("--model", required=True)
@@ -155,12 +154,9 @@ def _cmd_learn(args) -> int:
         heuristic = Alergia(args.alpha)
     else:
         heuristic = Mse(args.penalty)
-    cfg = LearnerConfig(
-        heuristic=heuristic,
-        min_evidence=args.min_evidence,
-        debug_trace=args.trace,
-    )
-    model, _log = learn(sample, cfg)
+    model, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=args.min_evidence))
+    if args.trace:
+        sys.stderr.write(log.text())
     text = save_model(model)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -182,17 +178,12 @@ def _cmd_predict(args) -> int:
 
 def _cmd_generate(args) -> int:
     model = _read_model(args.model)
-    if args.n < 0:
-        raise _DataError("n must be >= 0")
-    if args.max_len < 0:
-        raise _DataError("max-len must be >= 0")
+    # Every word is drawn before the first is written, so a failed draw
+    # leaves stdout empty.
     words = sample_words(model, args.n, args.seed, args.max_len)
-    # One shared instance per distinct symbol, built only for symbols drawn.
-    shared = {s: SymbolInstance(s) for s in set().union(*words)}
-    traces = tuple(
-        Trace(TraceLabel.POSITIVE, tuple([shared[s] for s in word])) for word in words
-    )
-    sys.stdout.write(write_sample(Sample(traces, model.alphabet)))
+    write = sys.stdout.write
+    for line in positive_lines(words, len(model.alphabet)):
+        write(line)
     return 0
 
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automaton import StateAggregate, StateId, Symbol, squared_error
+from .automaton import StateAggregate, Symbol, squared_error
 from .merging import MergeOutcome
 
 FAIL_LABEL_CONFLICT = "label_conflict"
@@ -111,8 +111,7 @@ class Alergia:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""
         return (agg.total_count, agg.out_counts, agg.end_count)
 
-    def fold(self, ev: AlergiaEvidence, x: StateId, fx: Frequencies,
-             y: StateId, fy: Frequencies) -> Frequencies:
+    def fold(self, ev: AlergiaEvidence, fx: Frequencies, fy: Frequencies) -> Frequencies:
         """Pool one pair's frequencies, testing it unless an earlier pair failed."""
         if not ev.reject and self._rejects(fx, fy):
             ev.reject = True
@@ -162,8 +161,7 @@ class Mse:
         """
         return (agg.target_count, agg.target_sum, agg.target_sumsq, agg.sse())
 
-    def fold(self, ev: MseEvidence, x: StateId, tx: TargetStats,
-             y: StateId, ty: TargetStats) -> TargetStats:
+    def fold(self, ev: MseEvidence, tx: TargetStats, ty: TargetStats) -> TargetStats:
         """Pool one pair's target statistics, carrying the pooled squared error."""
         count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
         sse = squared_error(count, total, sumsq)

@@ -25,7 +25,6 @@ fresh increasing ids, so identical inputs yield byte-identical models.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ from .sample_io import Sample
 class LearnerConfig:
     heuristic: HeuristicId = field(default_factory=Edsm)
     min_evidence: float = 0.0
-    debug_trace: bool = False
 
     def __post_init__(self):
         if math.isnan(self.min_evidence):
@@ -52,7 +50,8 @@ class LearnLog:
     """Line-oriented record of what the learner did.
 
     ``events`` holds one tuple per loop iteration: ``("PROMOTE", id)`` or
-    ``("MERGE", red, blue, score)``.  No state is ever dropped: merging
+    ``("MERGE", red, blue, score)``.  :meth:`text` is what ``learn --trace``
+    writes to stderr once learning ends.  No state is ever dropped: merging
     states of an automaton whose states are all reachable leaves every
     class reachable.
     """
@@ -117,11 +116,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     # ``new_red``, the red promoted last; a kept merge clears ``best``.
     best: dict[StateId, tuple[float, StateId] | None] = {}
     new_red: tuple[StateId, ...] = ()
-
-    def emit(event: tuple) -> None:
-        log.events.append(event)
-        if cfg.debug_trace:
-            print(_event_line(event), file=sys.stderr)
+    events = log.events
 
     while blue:
         # Every pair is scored before anything is decided: the first blue with
@@ -155,7 +150,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             blue = tuple(sorted(set(blue).union(_children(arena, (promoted,), red)) - {promoted}))
             del best[promoted]
             new_red = (promoted,)
-            emit(("PROMOTE", promoted))
+            events.append(("PROMOTE", promoted))
             continue
         assert top is not None  # no promotion means every blue has a taker
         value, r, b = top
@@ -163,7 +158,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         arena.pool(frame)
         red = tuple(sorted({arena.find(q) for q in red}))
         blue = tuple(sorted(_children(arena, red, set(red))))
-        emit(("MERGE", r, b, value))
+        events.append(("MERGE", r, b, value))
         best.clear()
 
     a = arena.extract()

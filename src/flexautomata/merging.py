@@ -147,7 +147,7 @@ class MergeArena:
             raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
         n = self.next_id = a.next_id
-        self.statistic = heuristic.statistic if heuristic is not None else None
+        statistic = heuristic.statistic if heuristic is not None else None
         self.fold = heuristic.fold if heuristic is not None else None
         self.evidence = heuristic.evidence if heuristic is not None else None
         self.parent: list[StateId] = [-1] * n
@@ -166,7 +166,7 @@ class MergeArena:
         if self.fold is not None:
             self.stats = [None] * n
             for q, g in a.states.items():
-                self.stats[q] = self.statistic(g)
+                self.stats[q] = statistic(g)
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
 
     def find(self, s: StateId) -> StateId:
@@ -206,7 +206,7 @@ class MergeArena:
                     return _CONFLICT, frame
                 label_matches += 1
             if fold is not None:
-                stats.append(fold(evidence, x, stats[x], y, stats[y]))
+                stats.append(fold(evidence, stats[x], stats[y]))
             ox = oz = out[x]
             oy = out[y]
             if oy:

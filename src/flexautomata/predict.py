@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .automaton import Automaton, StateId, Symbol, Word
+from .automaton import Automaton, StateId, Symbol, Word, walk
 from .errors import GenerationError, PredictionError
 from .sample_io import MAX_ALPHABET_SIZE, Sample, SymbolInstance, Trace, TraceLabel
 
@@ -44,24 +44,6 @@ class Fallback(enum.Enum):
 @dataclass(frozen=True)
 class PredictionConfig:
     fallback: Fallback = Fallback.GLOBAL_MEAN
-
-
-def _walk(a: Automaton, word: Word) -> tuple[list[StateId], bool]:
-    """Follow ``word`` as far as the transitions allow.
-
-    Symbols outside the alphabet count as missing transitions here, unlike
-    in :func:`flexautomata.automaton.compute`: a prediction query should
-    degrade to its fallback, not blow up.
-    """
-    path = [a.start]
-    cur = a.start
-    for sym in word:
-        nxt = a.transitions.get((cur, sym))
-        if nxt is None:
-            return path, False
-        cur = nxt
-        path.append(cur)
-    return path, True
 
 
 def global_target_mean(a: Automaton) -> float:
@@ -78,9 +60,12 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
     the end state's target mean exactly.  Anything else resolves per
     ``cfg.fallback``; LAST_STATE uses the deepest reached state that carries
     targets and falls back to the global mean when the whole path is bare.
-    A model with no target data at all is an error under every policy.
+    A symbol outside the alphabet is a missing transition here, unlike in
+    :func:`~flexautomata.automaton.compute`: a query degrades to its
+    fallback.  A model with no target data at all is an error under every
+    policy.
     """
-    path, complete = _walk(a, word)
+    path, complete = walk(a, word)
     return _resolve(a, word, path, complete, cfg.fallback)
 
 
@@ -339,7 +324,7 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     n_t = 0
     for trace in sample.traces:
         word = trace.word
-        path, complete = _walk(a, word)
+        path, complete = walk(a, word)
         ok = complete and path[-1] in a.accepting
         accepted += ok
         if trace.label is TraceLabel.POSITIVE:

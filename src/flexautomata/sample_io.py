@@ -24,6 +24,7 @@ line-oriented model format, see :func:`save_model`.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import isfinite, nan
 
@@ -151,9 +152,9 @@ def _parse_sample(text: str, extended: bool) -> Sample:
     traces: list[Trace] = []
     arity: int | None = None
     max_sym = -1
-    # A bare token (no '/' or ':' part) always parses to the same immutable
+    # A token without a '/target' part always parses to the same immutable
     # instance, so each distinct one is parsed once per call and then shared.
-    bare: dict[str, SymbolInstance] = {}
+    shared: dict[str, SymbolInstance] = {}
     # The symbol and attributes of each distinct part before a '/target',
     # checked once per call.
     heads: dict[str, tuple[Symbol, tuple[float, ...]]] = {}
@@ -175,7 +176,7 @@ def _parse_sample(text: str, extended: bool) -> Sample:
             )
         symbols = []
         for token in tokens[2:]:
-            inst = bare.get(token)
+            inst = shared.get(token)
             if inst is None:
                 head, slash, tail = token.rpartition("/")
                 if slash and extended:
@@ -189,10 +190,8 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                     if parts is None:
                         parts = heads[head] = _symbol_part(head, token, True, no)
                     inst = SymbolInstance(parts[0], parts[1], target)
-                elif extended and ":" in token:
-                    inst = SymbolInstance(*_symbol_part(token, token, True, no))
                 else:
-                    inst = bare[token] = SymbolInstance(*_symbol_part(token, token, extended, no))
+                    inst = shared[token] = SymbolInstance(*_symbol_part(token, token, extended, no))
             symbols.append(inst)
         for inst in symbols:
             if inst.attributes:
@@ -234,14 +233,14 @@ def parse_abbadingo(text: str) -> Sample:
 def parse_augmented(text: str) -> Sample:
     """Parse the extended trace format (adds '?' labels, attributes, targets).
 
-    One pass, linear in the text.  What a token costs: a bare token (no
-    ``:`` or ``/`` part) is one dict lookup once it has been seen, since
-    equal bare tokens share one immutable :class:`SymbolInstance` parsed
-    once per call.  An annotated ``sym/target`` token is one
-    ``rpartition``, one lookup of its ``sym`` part in a per-call table of
-    parts already checked, one ``float`` with its finiteness check, and one
-    record; a ``sym:attrs`` token without a target is parsed in full each
-    time.  The per-trace checks run on every symbol.
+    One pass, linear in the text.  What a token costs: a token without a
+    ``/target`` part, bare ``sym`` or ``sym:attrs``, is one dict lookup once
+    it has been seen, since equal such tokens share one immutable
+    :class:`SymbolInstance` parsed once per call.  A ``sym/target`` or
+    ``sym:attrs/target`` token is one ``rpartition``, one lookup of its part
+    before the ``/`` in a per-call table of parts already checked, one
+    ``float`` with its finiteness check, and one record.  The per-trace
+    checks, attribute arity and alphabet size, run on every symbol.
     """
     return _parse_sample(text, extended=True)
 
@@ -262,23 +261,38 @@ def _format_symbol(inst: SymbolInstance) -> str:
     return token
 
 
+def _text_lines(n: int, size: int, rows: Iterable[tuple[TraceLabel, list[str]]]
+                ) -> Iterator[str]:
+    """The lines, newline included, of ``n`` traces over ``size`` symbols.
+
+    First the header, skipped in the degenerate shapes where it would itself
+    read as a valid data line; then per ``(label, symbol tokens)`` row its
+    label token, its length and its tokens.
+    """
+    if not (size == 0 and n <= 1):
+        yield f"{n} {size}\n"
+    for label, tokens in rows:
+        yield " ".join([_LABEL_TOKENS[label], str(len(tokens)), *tokens]) + "\n"
+
+
 def write_sample(sample: Sample) -> str:
     """Render a sample back to trace-format text.
 
     Output is always readable by :func:`parse_augmented`, and by
     :func:`parse_abbadingo` when nothing extended is present.  Reals use
-    shortest round-trip decimals.  The header is skipped in the degenerate
-    shapes where it would itself read as a valid data line.
+    shortest round-trip decimals.
     """
-    lines = []
-    n, size = len(sample.traces), len(sample.alphabet)
-    if not (size == 0 and n <= 1):
-        lines.append(f"{n} {size}")
-    for trace in sample.traces:
-        tokens = [_LABEL_TOKENS[trace.label], str(len(trace.symbols))]
-        tokens.extend(_format_symbol(s) for s in trace.symbols)
-        lines.append(" ".join(tokens))
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = ((t.label, [_format_symbol(s) for s in t.symbols]) for t in sample.traces)
+    return "".join(_text_lines(len(sample.traces), len(sample.alphabet), rows))
+
+
+def positive_lines(words: Sequence[Sequence[Symbol]], size: int) -> Iterator[str]:
+    """The lines of :func:`write_sample` for ``words`` as positive traces over ``size`` symbols.
+
+    No record is built for a word, and no text for more than one line.
+    """
+    rows = ((TraceLabel.POSITIVE, [str(s) for s in word]) for word in words)
+    return _text_lines(len(words), size, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 ``check_integrity`` is the package's integrity check as it was before its
 per-state pass tested a healthy state with one combined condition and built
-messages only for a state that fails it.  Its body is kept verbatim.
+messages only for a state that fails it.  ``compute`` is the package's
+``compute`` as it was before it was built on the shared walk, when it
+range-checked every symbol before following it.  Both bodies are kept
+verbatim.
 """
 
 from __future__ import annotations
@@ -11,7 +14,15 @@ import math
 import sys
 from collections import deque
 
-from flexautomata.automaton import MAX_COUNT, Automaton, StateId
+from flexautomata.automaton import (
+    MAX_COUNT,
+    Automaton,
+    ComputationResult,
+    Outcome,
+    StateId,
+    StateLabel,
+    Word,
+)
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -36,6 +47,31 @@ def language_upto(a, max_len):
             for sym, dst in a.out_edges(q):
                 queue.append((dst, word + (sym,)))
     return accepted
+
+
+def compute(a: Automaton, word: Word) -> ComputationResult:
+    """Run ``word`` through ``a`` from the start state.
+
+    Accepts iff the whole word is consumed and the end state is accepting.
+    A symbol outside the alphabet range raises ValueError; a merely missing
+    transition is a normal rejection, not an error.
+    """
+    size = len(a.alphabet)
+    path = [a.start]
+    cur = a.start
+    for i, sym in enumerate(word):
+        if not 0 <= sym < size:
+            raise ValueError(
+                f"symbol {sym} at position {i} outside alphabet of size {size}"
+            )
+        nxt = a.transitions.get((cur, sym))
+        if nxt is None:
+            return ComputationResult(tuple(path), Outcome.REJECT_NO_TRANSITION, missing_at=i)
+        cur = nxt
+        path.append(cur)
+    end = a.label(cur)
+    outcome = Outcome.ACCEPT if end is StateLabel.ACCEPTING else Outcome.REJECT_BY_LABEL
+    return ComputationResult(tuple(path), outcome, end_label=end)
 
 
 def structural_tree_check(a):

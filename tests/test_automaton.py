@@ -85,6 +85,26 @@ class TestCompute:
         with pytest.raises(ValueError):
             compute(a, (7,))
 
+    @given(st.integers(0, 10_000_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_symbol_check(self, seed):
+        # Words over the alphabet plus three symbols outside it, through
+        # healthy automata: the same result, or the same error message.
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=10, n_syms=rng.choice((1, 2, 3)))
+        assert check_integrity(a) == []
+        size = len(a.alphabet)
+        for _ in range(30):
+            word = tuple(rng.randrange(-1, size + 2) for _ in range(rng.randint(0, 6)))
+            try:
+                want = oracle_automaton.compute(a, word)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    compute(a, word)
+                assert str(err.value) == str(exc)
+            else:
+                assert compute(a, word) == want
+
     def test_path_states_all_exist(self):
         rng = random.Random(11)
         sample = labeled_sample(rng, even_ones_dfa(), 30, 6)
@@ -144,6 +164,11 @@ class TestCheckIntegrity:
             ref_apta, transitions={**ref_apta.transitions, (0, 1): 10_000}
         )
         assert any("not in state set" in v for v in check_integrity(bad))
+
+    @pytest.mark.parametrize("field", ["accepting", "rejecting"])
+    def test_labeled_state_outside_the_state_set_is_reported(self, ref_apta, field):
+        bad = dataclasses.replace(ref_apta, **{field: getattr(ref_apta, field) | {10_000}})
+        assert check_integrity(bad) == [f"{field} state 10000 not in state set"]
 
     def test_missing_start_is_reported(self):
         a = Automaton(

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 import flexautomata
 from flexautomata import (
+    Alergia,
     DiscretizationSpec,
+    Edsm,
     LearnerConfig,
+    Mse,
     Sample,
     SymbolInstance,
     Trace,
@@ -80,10 +84,14 @@ class TestLearn:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_trace_flag_logs_to_stderr(self, sample_file, capsys):
-        assert run(["learn", "--input", sample_file, "--trace"]) == 0
-        err = capsys.readouterr().err
-        assert "MERGE" in err or "PROMOTE" in err
+    def test_trace_flag_logs_to_stderr(self, sample_file, ref_sample, capsys):
+        for name, heuristic in (("edsm", Edsm()), ("alergia", Alergia()), ("mse", Mse())):
+            assert run(["learn", "--input", sample_file, "--heuristic", name, "--trace"]) == 0
+            out, err = capsys.readouterr()
+            model, log = learn(ref_sample, LearnerConfig(heuristic=heuristic))
+            assert log.events
+            assert err == log.text()
+            assert out == save_model(model)
 
     def test_missing_file_exits_2(self, capsys):
         assert run(["learn", "--input", "/nonexistent/file"]) == 2
@@ -219,6 +227,47 @@ class TestGenerate:
                         "--max-len", "20"]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("flag", ["-n", "--max-len"])
+    def test_negative_count_exits_1(self, model_file, capsys, flag):
+        assert run(["generate", "--model", model_file, flag, "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be >= 0" in err
+
+    def test_failed_draw_writes_nothing(self, tmp_path, capsys):
+        # Every walk leaves the one state along its loop, weighted 2**53 + 1
+        # against 1 for stopping, so with --max-len 0 every walk restarts
+        # until the sampler gives up.
+        model = tmp_path / "loop.txt"
+        model.write_text("flexautomata-model 1\nalphabet 1 a\nattributes 0\n"
+                         f"state 0 acc {2**53} 0.0 0.0 0 0 0\ntrans 0 0 0 {2**53}\nstart 0\n")
+        assert run(["generate", "--model", str(model), "-n", "1", "--max-len", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "sampling failed to terminate" in err
+
+    def test_memory_follows_the_output(self, model_file):
+        # The drawn words are held until the last is written, but no record
+        # per word and not the whole text, so the peak stays a small
+        # multiple of the output.
+        class Counting:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = Counting()
+        argv = ["generate", "--model", model_file, "-n", "40000", "--max-len", "30"]
+        with contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sink.chars > 500_000
+        assert peak < 6 * sink.chars
 
     def test_impossible_request_exits_2(self, tmp_path, capsys):
         data = tmp_path / "neg.txt"

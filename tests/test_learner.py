@@ -278,12 +278,6 @@ class TestLog:
         _, log = learn(ref_sample)
         assert log.text().splitlines() == log.lines()
 
-    def test_debug_trace_goes_to_stderr(self, ref_sample, capsys):
-        _, log = learn(ref_sample, LearnerConfig(debug_trace=True))
-        err = capsys.readouterr().err
-        assert "MERGE" in err or "PROMOTE" in err
-        assert err.splitlines() == log.lines()
-
 
 def small_sample(rng: random.Random) -> Sample:
     """A few short words of a random DFA, some unlabeled, each symbol with a target."""
@@ -373,7 +367,7 @@ class MinVisits:
         return agg.total_count
 
     @staticmethod
-    def fold(ev, x, nx, y, ny):
+    def fold(ev, nx, ny):
         ev.total += min(nx, ny)
         return nx + ny
 

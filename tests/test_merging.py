@@ -16,6 +16,7 @@ from flexautomata import (
     StateAggregate,
     build_apta,
     check_integrity,
+    learn,
     merge,
     merge_aggregates,
     parse_abbadingo,
@@ -143,6 +144,16 @@ class TestConflicts:
         out = merge(a, a.transitions[(0, 0)], a.transitions[(0, 1)])
         assert not out.failed
         assert out.label_matches == 1
+
+
+class TestCallerErrors:
+    def test_state_at_next_id_is_refused(self, ref_sample):
+        model, _ = learn(ref_sample)
+        top = max(model.states)
+        stale = dataclasses.replace(model, next_id=top)
+        with pytest.raises(ValueError) as err:
+            merge(stale, min(model.states), top)
+        assert str(err.value) == f"state {top} not below next_id {top}"
 
 
 class TestPurity:

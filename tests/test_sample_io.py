@@ -112,6 +112,12 @@ class TestAbbadingoParsing:
         assert first[1] is second[0]
         assert [s.symbol for s in first + second] == [0, 1, 0, 1, 2]
 
+    def test_negative_length_names_its_line(self):
+        for parser in (parse_abbadingo, parse_augmented):
+            with pytest.raises(SampleFormatError) as err:
+                parser("1 -1 0\n")
+            assert str(err.value) == "line 1: negative length -1"
+
     def test_annotated_symbols_need_extended_format(self):
         with pytest.raises(SampleFormatError):
             parse_abbadingo("1 1 0:1.5/0.2\n")
@@ -150,6 +156,12 @@ class TestAugmentedParsing:
         with pytest.raises(SampleFormatError) as err:
             parse_augmented("1 1 0/1.5\n" + line + "\n")
         assert err.value.line == 2
+
+    def test_equal_attribute_tokens_share_one_instance(self):
+        sample = parse_augmented("2 3\n? 2 0:1.5 1:2.5\n? 2 1:2.5 0:1.5\n")
+        first, second = (t.symbols for t in sample.traces)
+        assert first[0] is second[1] and first[1] is second[0]
+        assert first == (SymbolInstance(0, (1.5,)), SymbolInstance(1, (2.5,)))
 
     def test_plain_symbols_among_annotated_are_fine(self):
         sample = parse_augmented("? 2 0 1:2.0\n")
@@ -344,6 +356,12 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError) as err:
             load_model("\n".join(lines) + "\n")
         assert err.value.line == no
+
+    def test_alphabet_names_must_match_their_count(self):
+        with pytest.raises(ModelFormatError) as err:
+            load_model("flexautomata-model 1\nalphabet 2 a\nattributes 0\n"
+                       "state 0 unl 0 0.0 0.0 0 0 0\nstart 0\n")
+        assert str(err.value) == "line 2: alphabet declares 2 names, found 1"
 
     def test_alphabet_is_bounded(self):
         names = " ".join(str(i) for i in range(MAX_ALPHABET_SIZE + 1))
