@@ -33,6 +33,7 @@ from flexautomata import (
     parse_abbadingo,
     save_model,
 )
+from flexautomata.cli import run
 from flexautomata.learner import trial_score
 from flexautomata.merging import MergeArena
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
@@ -277,6 +278,17 @@ class TestLog:
     def test_text_round_trips_lines(self, ref_sample):
         _, log = learn(ref_sample)
         assert log.text().splitlines() == log.lines()
+
+    def test_debug_trace_goes_to_stderr(self, ref_sample, ref_text, tmp_path, capsys):
+        # The library writes nothing; `learn --trace` writes the log it returns.
+        _, log = learn(ref_sample)
+        assert capsys.readouterr().err == ""
+        path = tmp_path / "traces.txt"
+        path.write_text(ref_text)
+        assert run(["learn", "--input", str(path), "--trace"]) == 0
+        err = capsys.readouterr().err
+        assert "MERGE" in err or "PROMOTE" in err
+        assert err.splitlines() == log.lines()
 
 
 def small_sample(rng: random.Random) -> Sample:
