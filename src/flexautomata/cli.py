@@ -86,6 +86,17 @@ def _read_model(path: str) -> Automaton:
         raise _DataError(f"{path}: {exc}") from exc
 
 
+def _count(text: str) -> int:
+    """A flag value that counts something: an int, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache  # parse_args leaves a parser as it found it, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -123,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample accepted words from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("-n", type=int, default=10, help="number of words")
+    p.add_argument("-n", type=_count, default=10, help="number of words")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--max-len", type=_count, default=32)
 
     p = sub.add_parser("eval", help="replay a trace file and report accuracy")
     p.add_argument("--model", required=True)

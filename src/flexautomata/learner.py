@@ -14,8 +14,19 @@ Each blue state keeps its best passing score over the reds it has been
 tried against.  A promotion only recolors, so those scores stay valid, and
 the next iteration tries only the new pairs: the new red against each
 remaining blue, and each new blue against every red.  A kept merge can
-change any score, so it drops them all.  Every decision then reads one
-entry per blue state.
+change any score, so it drops them all but the known label conflicts.
+Every decision then reads one entry per blue state.
+
+A label conflict is kept because no later merge can undo it.  Merges only
+coarsen the partition of the prefix tree's states.  If closing a partition
+P under the merge of classes r and b put an accepting and a rejecting state
+together, then closing any coarser P' under the merge of classes R ⊇ r and
+B ⊇ b puts them together too.  So the learner keeps, for each class, the
+classes it is known to conflict with, hands them on to the class that
+absorbs it in a kept merge, and never tries such a pair: the trial would
+fail.  Only the arena's own verdict, ``MergeOutcome.label_conflict``,
+counts; a heuristic's other failures (ALERGIA's frequency test, MSE's
+missing targets) can change as classes grow, so they are never kept.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take
@@ -86,10 +97,35 @@ def _children(arena: MergeArena, src: Iterable[StateId], red: Collection[StateId
 def trial_score(
     arena: MergeArena, r: StateId, b: StateId, heuristic: HeuristicId
 ) -> EvidenceScore:
-    """Score merging ``r`` and ``b`` by a trial merge that ``arena`` undoes."""
+    """Score merging ``r`` and ``b`` by a trial merge that ``arena`` undoes.
+
+    :func:`learn` runs the same three steps itself, since it also reads the
+    outcome's label conflict.
+    """
     outcome, frame = arena.run_merge(r, b)
     arena.rollback(frame)
     return score_outcome(outcome, heuristic)
+
+
+def _carry_conflicts(conflicts: dict[StateId, set[StateId]], created) -> None:
+    """Hand the conflict partners of each pair a kept merge joined on to its fresh class.
+
+    ``conflicts`` is symmetric: ``q in conflicts[p]`` iff ``p in conflicts[q]``.
+    ``created`` lists each fresh class ``z`` with the two classes ``x``, ``y``
+    it joined, in creation order.  Two classes that a kept merge joins are
+    never partners, since the merge would have failed; so ``z`` takes the
+    union of their partner sets, and each partner swaps ``x`` and ``y`` for
+    ``z``.
+    """
+    for z, x, y in created:
+        partners = conflicts.pop(x, set()) | conflicts.pop(y, set())
+        if partners:
+            for p in partners:
+                theirs = conflicts[p]
+                theirs.discard(x)
+                theirs.discard(y)
+                theirs.add(z)
+            conflicts[z] = partners
 
 
 def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automaton, LearnLog]:
@@ -101,9 +137,11 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     one per iteration (a promotion adds a red state, a merge removes at least
     one state), so there are at most ``2 * initial_states - 1`` iterations.
 
-    Cost: each red × blue pair is tried once between kept merges.  An
-    iteration after a promotion tries only the pairs the promotion made, and
-    its decision reads one best score per blue state.
+    Cost: each red × blue pair is tried at most once between kept merges,
+    and never again once it is known to end in a label conflict, since a
+    conflict outlives every later merge.  An iteration after a promotion
+    tries only the pairs the promotion made, and its decision reads one best
+    score per blue state.
     """
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
@@ -115,6 +153,8 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     # tried against, None if none passed.  A blue state in ``best`` lacks only
     # ``new_red``, the red promoted last; a kept merge clears ``best``.
     best: dict[StateId, tuple[float, StateId] | None] = {}
+    # Each class's known label-conflict partners, kept across kept merges.
+    conflicts: dict[StateId, set[StateId]] = {}
     new_red: tuple[StateId, ...] = ()
     events = log.events
 
@@ -128,9 +168,19 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
                 taker, untried = best[b], new_red
             else:
                 taker, untried = None, red
+            known = conflicts.get(b)
             for r in untried:
-                s = trial_score(arena, r, b, heuristic)
+                if known is not None and r in known:
+                    continue
+                outcome, frame = arena.run_merge(r, b)
+                arena.rollback(frame)
+                s = score_outcome(outcome, heuristic)
                 if s.failed:
+                    if outcome.label_conflict:
+                        if known is None:
+                            known = conflicts[b] = set()
+                        known.add(r)
+                        conflicts.setdefault(r, set()).add(b)
                     continue
                 value = s.value
                 if value < min_evidence:
@@ -156,6 +206,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         value, r, b = top
         _outcome, frame = arena.run_merge(r, b)
         arena.pool(frame)
+        _carry_conflicts(conflicts, frame.created)
         red = tuple(sorted({arena.find(q) for q in red}))
         blue = tuple(sorted(_children(arena, red, set(red))))
         events.append(("MERGE", r, b, value))

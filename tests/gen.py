@@ -99,7 +99,13 @@ def random_automaton(rng: random.Random, max_states: int = 30, n_syms: int = 2) 
             rejecting.add(q)
         total = sum(out_counts.values()) + rng.randint(0, 10)
         tcount = rng.randint(0, min(total, 5))
-        values = [rng.uniform(-2.0, 2.0) for _ in range(tcount)]
+        # Pooled left to right from int 0, as Automaton.target_totals pools:
+        # sum() of floats compensates its rounding since CPython 3.12.
+        tsum = tsumsq = 0
+        for _ in range(tcount):
+            v = rng.uniform(-2.0, 2.0)
+            tsum += v
+            tsumsq += v * v
         # Labeled ends are a share of the trace ends, as check_integrity requires.
         ends = total - sum(out_counts.values())
         end_pos = min(rng.randint(0, 3), ends)
@@ -110,8 +116,8 @@ def random_automaton(rng: random.Random, max_states: int = 30, n_syms: int = 2) 
             end_neg_count=end_neg,
             out_counts=out_counts,
             target_count=tcount,
-            target_sum=sum(values),
-            target_sumsq=sum(v * v for v in values),
+            target_sum=tsum,
+            target_sumsq=tsumsq,
         )
     return Automaton(
         alphabet=tuple(str(i) for i in range(n_syms)),

@@ -233,7 +233,7 @@ class TestGenerate:
         assert run(["generate", "--model", model_file, flag, "-1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "must be >= 0" in err
+        assert f"argument {flag}: must be >= 0" in err
 
     def test_failed_draw_writes_nothing(self, tmp_path, capsys):
         # Every walk leaves the one state along its loop, weighted 2**53 + 1

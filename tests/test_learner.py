@@ -472,3 +472,26 @@ class TestCost:
         assert promotions >= 3 * merges
         assert heuristic.reads["trials"] > 0
         assert heuristic.reads["reads"] <= 3 * heuristic.reads["trials"]
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(0.05)], ids=repr)
+    def test_no_known_conflict_is_retried(self, monkeypatch, ref_sample, heuristic):
+        # Merges only coarsen the partition, so once merging the classes of
+        # q1 and q2 hits a label conflict, merging the classes that later
+        # absorb them must too: no merge is run on such a pair again.
+        known: list[tuple] = []
+        retried: list[tuple] = []
+        run_merge = MergeArena.run_merge
+
+        def recording(arena, q1, q2):
+            for r, b in known:
+                if {arena.find(r), arena.find(b)} == {q1, q2}:
+                    retried.append((r, b, q1, q2))
+            outcome, frame = run_merge(arena, q1, q2)
+            if outcome.label_conflict:
+                known.append((q1, q2))
+            return outcome, frame
+
+        monkeypatch.setattr(MergeArena, "run_merge", recording)
+        learn(ref_sample, LearnerConfig(heuristic=heuristic))
+        assert known
+        assert retried == []
