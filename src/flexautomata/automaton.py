@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from math import inf, isfinite
 from typing import Iterator, Mapping
@@ -45,7 +45,58 @@ class Outcome(enum.Enum):
     REJECT_NO_TRANSITION = "reject_no_transition"
 
 
-@dataclass(frozen=True, slots=True)
+class _Factory:
+    """The default that stands for a field's default factory in a record's ``__init__``."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _record(cls):
+    """Make ``cls`` a slotted frozen dataclass whose ``__init__`` writes its slots directly.
+
+    The ``__init__`` that :func:`dataclasses.dataclass` generates for a frozen
+    class stores each field with ``object.__setattr__``, which looks the name
+    up through the type on every call before it reaches the slot's member
+    descriptor.  This one takes the same parameters, defaults and default
+    factories, and calls each slot descriptor's ``__set__``, bound once here:
+    the same store, which the frozen ``__setattr__`` does not see either,
+    without the lookup.  A record then costs about two thirds as much to
+    build.  Like ``dataclasses``, it is generated from the field list, so the
+    fields are declared once; a record has no ``__post_init__`` and no
+    keyword-only or ``init=False`` field.  Nothing else changes: ``fields``,
+    ``replace``, equality, hashing, ``repr``, pickling and the frozen
+    ``__setattr__`` are the dataclass's own.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    namespace: dict[str, object] = {"_FACTORY": _FACTORY}
+    params, body = [], []
+    for f in fields(cls):
+        name = f.name
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        value = name
+        if f.default_factory is not MISSING:
+            namespace[f"_make_{name}"] = f.default_factory
+            params.append(f"{name}=_FACTORY")
+            value = f"_make_{name}() if {name} is _FACTORY else {name}"
+        elif f.default is not MISSING:
+            namespace[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"    _set_{name}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class StateAggregate:
     """Occurrence statistics accumulated at one state.
 
@@ -145,7 +196,7 @@ class Automaton:
         return count, total
 
 
-@dataclass(frozen=True)
+@_record
 class ComputationResult:
     """Outcome of running one word through an automaton.
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .automaton import StateAggregate, Symbol, squared_error
+from .automaton import StateAggregate, Symbol, _record, squared_error
 from .merging import MergeOutcome
 
 FAIL_LABEL_CONFLICT = "label_conflict"
@@ -183,7 +183,7 @@ class Mse:
 HeuristicId = Edsm | Alergia | Mse
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class EvidenceScore:
     """A merge score: a real value, or a failure with a reason."""
 

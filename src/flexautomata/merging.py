@@ -27,10 +27,10 @@ adds no symbol share the first half's out-map instead of copying it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol
+from .automaton import Automaton, StateAggregate, StateId, Symbol, _record
 
 if TYPE_CHECKING:
     from .heuristics import HeuristicId
@@ -67,7 +67,7 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MergeOutcome:
     """What one merge did.
 

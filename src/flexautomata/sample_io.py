@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import isfinite, nan
 
 from . import automaton
-from .automaton import MAX_COUNT, Automaton, StateAggregate, StateId, Symbol
+from .automaton import MAX_COUNT, Automaton, StateAggregate, StateId, Symbol, _record
 from .errors import ModelFormatError, SampleFormatError
 
 MODEL_HEADER = "flexautomata-model 1"
@@ -45,7 +45,7 @@ class TraceLabel(enum.Enum):
     UNLABELED = "unlabeled"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SymbolInstance:
     """One occurrence of a symbol inside a trace, with optional annotations."""
 
@@ -54,7 +54,7 @@ class SymbolInstance:
     target: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Trace:
     label: TraceLabel
     symbols: tuple[SymbolInstance, ...]
@@ -299,8 +299,10 @@ def positive_lines(words: Sequence[Sequence[Symbol]], size: int) -> Iterator[str
 # DOT rendering
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_quote(*lines: str) -> str:
+    """A DOT string showing ``lines`` one under another: each escaped, then joined by ``\\n``."""
+    return '"' + "\\n".join(
+        line.replace("\\", "\\\\").replace('"', '\\"') for line in lines) + '"'
 
 
 def write_dot(a: Automaton) -> str:
@@ -324,8 +326,7 @@ def write_dot(a: Automaton) -> str:
         parts = [str(q), f"[{agg.total_count}]"]
         if agg.target_count > 0:
             parts.append(f"{agg.target_sum / agg.target_count:.4g}")
-        label = _dot_quote("\\n".join(parts))
-        lines.append(f"  s{q} [shape={shape}, label={label}];")
+        lines.append(f"  s{q} [shape={shape}, label={_dot_quote(*parts)}];")
     for (src, sym), dst in sorted(a.transitions.items()):
         name = a.alphabet[sym] if 0 <= sym < len(a.alphabet) else str(sym)
         text = f"{name} [{a.states[src].out_counts.get(sym, 0)}]"

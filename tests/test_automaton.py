@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     Automaton,
+    ComputationResult,
     EvidenceScore,
     LearnerConfig,
     MergeOutcome,
@@ -321,8 +322,9 @@ class TestCheckIntegrityAgainstOracle:
         assert got == ([] if message is None else [message])
 
 
-# The records a load or a parse builds, and the two each trial merge builds.
-_RECORDS = [StateAggregate, SymbolInstance, Trace, MergeOutcome, EvidenceScore]
+# The records a load or a parse builds, the two each trial merge builds, and
+# the one each computation builds.
+_RECORDS = [StateAggregate, SymbolInstance, Trace, MergeOutcome, EvidenceScore, ComputationResult]
 _reals = st.floats(allow_nan=True, allow_infinity=True)
 _symbols = st.builds(SymbolInstance, st.integers(0, 9),
                      st.lists(_reals, max_size=2).map(tuple), st.none() | _reals)
@@ -338,13 +340,17 @@ _FIELD_VALUES = {
         st.none(), st.lists(st.tuples(st.integers(), st.integers()), max_size=3).map(tuple),
         st.integers(), st.booleans(), st.none() | st.integers()),
     EvidenceScore: st.tuples(st.none() | _reals, st.text(max_size=3)),
+    ComputationResult: st.tuples(
+        st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple), st.sampled_from(Outcome),
+        st.none() | st.integers(0, 3), st.none() | st.sampled_from(StateLabel)),
 }
 
 
 def _plain_twin(cls):
-    """A frozen dataclass with ``cls``'s name and fields, but with an instance ``__dict__``."""
-    return dataclasses.make_dataclass(
-        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+    """A frozen dataclass with ``cls``'s name, fields and defaults, but an instance ``__dict__``."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory))
+        for f in dataclasses.fields(cls)], frozen=True)
 
 
 _PLAIN = {cls: _plain_twin(cls) for cls in _RECORDS}
@@ -389,3 +395,22 @@ class TestRecordContract:
             # object, equal to nothing, so only a record without one must compare equal.
             assert type(copied) is cls and repr(copied) == repr(rec)
             assert copied == rec or "nan" in repr(rec)
+
+    @pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_defaults_and_keywords_build_what_the_plain_twin_builds(self, cls, data):
+        plain = _PLAIN[cls]
+        assert str(inspect.signature(cls)) == str(inspect.signature(plain))
+        fields = dataclasses.fields(cls)
+        values = data.draw(_FIELD_VALUES[cls])
+        keywords = {f.name: v for f, v in zip(fields, values)}
+        required = {f.name: v for f, v in zip(fields, values)
+                    if f.default is f.default_factory is dataclasses.MISSING}
+        assert repr(cls(**keywords)) == repr(plain(**keywords))
+        first, second = cls(**required), cls(**required)
+        assert type(first) is cls and repr(first) == repr(plain(**required))
+        for f in fields:  # StateAggregate.out_counts: a fresh empty dict per build
+            if f.default_factory is not dataclasses.MISSING:
+                assert getattr(first, f.name) == f.default_factory()
+                assert getattr(first, f.name) is not getattr(second, f.name)

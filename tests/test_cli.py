@@ -37,6 +37,7 @@ from flexautomata import (
 from flexautomata.cli import run
 from dot_check import check_dot
 from gen import TargetDfa, labeled_sample
+from golden import cases
 
 
 @pytest.fixture()
@@ -270,13 +271,23 @@ class TestGenerate:
         assert peak < 6 * sink.chars
 
     def test_impossible_request_exits_2(self, tmp_path, capsys):
-        data = tmp_path / "neg.txt"
-        data.write_text("0 1 0\n")
-        model_path = tmp_path / "m.txt"
-        run(["learn", "--input", str(data), "--output", str(model_path)])
-        capsys.readouterr()
-        assert run(["generate", "--model", str(model_path), "-n", "3"]) == 2
-        capsys.readouterr()
+        # generate draws accepted words only: a model with no accepting state,
+        # learned from an all-negative sample or by ALERGIA from unlabeled
+        # walks, has none to draw
+        negatives = tmp_path / "neg.txt"
+        negatives.write_text("0 1 0\n")
+        walks = tmp_path / "walks.txt"
+        walks.write_text(write_sample(cases()["alergia-0.05-walks-0"][0]()))
+        for data, heuristic in ((negatives, "edsm"), (walks, "alergia")):
+            model_path = tmp_path / f"{heuristic}.txt"
+            assert run(["learn", "--input", str(data), "--heuristic", heuristic,
+                        "--output", str(model_path)]) == 0
+            assert not load_model(model_path.read_text()).accepting
+            capsys.readouterr()
+            assert run(["generate", "--model", str(model_path), "-n", "3"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "model accepts no word of length <= 32" in err
 
 
 class TestEval:

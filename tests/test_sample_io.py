@@ -261,6 +261,13 @@ class TestDotOutput:
         )
         assert f"[{len(ref_apta.states[ref_apta.start].out_counts) and 13}]" in root_line
 
+    def test_node_label_puts_the_count_under_the_id(self, ref_apta):
+        # one backslash: Graphviz reads \n in a label as a line break, and \\n
+        # as a backslash followed by the letter n
+        q = ref_apta.start
+        line = next(ln for ln in write_dot(ref_apta).splitlines() if ln.startswith(f"  s{q} ["))
+        assert line.endswith(f'label="{q}\\n[{ref_apta.states[q].total_count}]"];')
+
     def test_rendering_is_pinned(self, ref_sample, ref_apta):
         # the reference model, its prefix tree, and a learned MSE model whose
         # states hold targets, so that means are rendered too
@@ -268,9 +275,9 @@ class TestDotOutput:
         steps, _ = learn(reparsed(factory()), cfg)
         models = (learn(ref_sample)[0], ref_apta, steps)
         assert [hashlib.sha256(write_dot(m).encode("utf-8")).hexdigest() for m in models] == [
-            "bf68f310324c0a81ab76dca0821fa47be45bdafa44b6d5f2f9d912d0a0050f8e",
-            "49963ca1815a54afa73a2bda345ad7813215ee49ff9c349abfd508271c9d4ace",
-            "5d1c651b2eef9b9cdd4e6e5a28ca20ac03c7bf95d15c9cbee7f6d8beb8966004",
+            "4d0f093d8f6cc1d1396015394b243a48b159f39e01748b0f4e3bbe6a518d41ba",
+            "aaee99d9ba59ce09e8534b002ecac32171c9f543cedd218092c43a88771a1594",
+            "e6203287cfc2950e0313d5c31d6a574d9d51f6d54691bb339c959ea79063e36f",
         ]
 
     def test_means_shown_when_targets_present(self):
