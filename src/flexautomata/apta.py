@@ -6,12 +6,11 @@ trace ends there; a word occurring with both labels is a hard error.  All
 occurrence aggregates are filled in the same single pass over the traces,
 with symbol attributes and targets credited to the state the symbol leads
 to.  Ids are assigned breadth-first, children visited in ascending symbol
-order, so the root is always state 0.
+order, so the root is always state 0.  Every trace that leaves a state along
+a symbol visits that child, so each out count is the child's total.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol
 from .errors import InconsistentSampleError, SampleFormatError
@@ -24,17 +23,13 @@ _MAX_POOLED_MAGNITUDE = 1e300
 
 
 class _Node:
-    __slots__ = (
-        "children", "total", "end_pos", "end_neg", "out",
-        "tcount", "tsum", "tsumsq", "attrs",
-    )
+    __slots__ = ("children", "total", "end_pos", "end_neg", "tcount", "tsum", "tsumsq", "attrs")
 
     def __init__(self, arity: int):
         self.children: dict[Symbol, _Node] = {}
         self.total = 0
         self.end_pos = 0
         self.end_neg = 0
-        self.out: dict[Symbol, int] = {}
         self.tcount = 0
         self.tsum = 0.0
         self.tsumsq = 0.0
@@ -61,7 +56,6 @@ def build_apta(sample: Sample) -> Automaton:
                 raise ValueError(
                     f"symbol {inst.symbol} outside alphabet of size {len(sample.alphabet)}"
                 )
-            node.out[inst.symbol] = node.out.get(inst.symbol, 0) + 1
             child = node.children.get(inst.symbol)
             if child is None:
                 child = _Node(arity)
@@ -92,19 +86,20 @@ def build_apta(sample: Sample) -> Automaton:
     accepting: set[StateId] = set()
     rejecting: set[StateId] = set()
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
-    queue: deque[tuple[StateId, _Node]] = deque([(0, root)])
+    queue = [(0, root)]  # iterated while it grows: breadth-first
     next_id = 1
-    while queue:
-        q, node = queue.popleft()
-        states[q] = StateAggregate(node.total, node.end_pos, node.end_neg, dict(node.out),
+    for q, node in queue:
+        children = node.children
+        out = {sym: children[sym].total for sym in sorted(children)}
+        states[q] = StateAggregate(node.total, node.end_pos, node.end_neg, out,
                                    node.tcount, node.tsum, node.tsumsq, tuple(node.attrs))
         if node.end_pos:
             accepting.add(q)
         if node.end_neg:
             rejecting.add(q)
-        for sym in sorted(node.children):
+        for sym in out:
             transitions[(q, sym)] = next_id
-            queue.append((next_id, node.children[sym]))
+            queue.append((next_id, children[sym]))
             next_id += 1
     return Automaton(
         alphabet=sample.alphabet,

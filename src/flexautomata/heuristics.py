@@ -102,8 +102,12 @@ class Alergia:
         bound = self._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
         if abs(end1 / n1 - end2 / n2) > bound:
             return True
-        for sym in out1.keys() | out2.keys():
-            if abs(out1.get(sym, 0) / n1 - out2.get(sym, 0) / n2) > bound:
+        for sym, c1 in out1.items():
+            if abs(c1 / n1 - out2.get(sym, 0) / n2) > bound:
+                return True
+        # A symbol only out2 has differs by c2 / n2, the float abs(0 / n1 - c2 / n2).
+        for sym, c2 in out2.items():
+            if sym not in out1 and c2 / n2 > bound:
                 return True
         return False
 
@@ -116,9 +120,9 @@ class Alergia:
         if not ev.reject and self._rejects(fx, fy):
             ev.reject = True
         (n1, out1, end1), (n2, out2, end2) = fx, fy
-        # Count maps are never written once made, so y adding no symbol shares x's map.
-        out = out1
-        if out2:
+        # Count maps are never written once made, so an empty side shares the other's map.
+        out = out1 or out2
+        if out1 and out2:
             out = dict(out1)
             for sym, c in out2.items():
                 out[sym] = out.get(sym, 0) + c

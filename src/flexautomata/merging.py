@@ -3,11 +3,11 @@
 Merging two states replaces them with a fresh state that takes over both
 label sets, both aggregates, and both transition sets.  When the two states
 leave on the same symbol toward different targets, those targets are merged
-too, and so on until the machine is deterministic again; the work queue is
-seeded in ascending symbol order and drained breadth-first, so the sequence
-of merged pairs is reproducible.  A merge fails iff any pair along the way
-puts an accepting and a rejecting state together.  The input automaton is
-never modified.
+too, and so on until the machine is deterministic again.  The work queue is
+a list iterated while it grows, so it drains breadth-first, and each fold
+queues its target pairs in ascending symbol order, fixing the order of the
+merged pairs.  A merge fails iff any pair along the way puts an accepting
+and a rejecting state together.  The input automaton is never modified.
 
 Every merge runs through one fold path, in :class:`MergeArena`: a merge
 folds labels and transitions, plus only the per-class statistic that the
@@ -26,7 +26,6 @@ adds no symbol share the first half's out-map instead of copying it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -99,13 +98,19 @@ _CONFLICT = MergeOutcome(result=None, label_conflict=True)
 
 
 class _TrialFrame:
-    """Undo information for one merge, failed or not: each fresh class and the two it joined."""
+    """Undo information for one merge, failed or not: the pairs it folded, in fold order."""
 
-    __slots__ = ("created", "next_id_before")
+    __slots__ = ("pairs", "next_id_before")
 
     def __init__(self, next_id_before: int):
-        self.created: list[tuple[StateId, StateId, StateId]] = []
+        self.pairs: list[tuple[StateId, StateId]] = []
         self.next_id_before = next_id_before
+
+    @property
+    def created(self) -> list[tuple[StateId, StateId, StateId]]:
+        """Each fresh class ``z``, the i-th from ``next_id_before``, with the pair it joined."""
+        z = self.next_id_before
+        return [(z + i, x, y) for i, (x, y) in enumerate(self.pairs)]
 
 
 class MergeArena:
@@ -121,8 +126,9 @@ class MergeArena:
     class that a kept merge joined to another.  Memory follows ``next_id``,
     so :func:`merge` renumbers a model's sparse ids first.  A fresh class
     appends one entry to each list and points the two classes it joins at
-    itself; :meth:`rollback` makes those two roots again and truncates the
-    lists to the ``next_id`` the trial began at.
+    itself; the frame records the pair once, its fresh id being the frame's
+    ``next_id_before`` plus the pair's index.  :meth:`rollback` makes each
+    recorded class a root again and truncates the lists to ``next_id_before``.
     No out-map is written after it is made, so a fresh class whose second
     half adds no symbol holds its first half's map rather than a copy.
     Transition targets may go stale as classes merge; ``find`` resolves them.
@@ -183,14 +189,13 @@ class MergeArena:
         trial that succeeded does: :meth:`rollback` undoes either one.
         """
         frame = _TrialFrame(self.next_id)
-        created = frame.created
+        pairs = frame.pairs
         parent, out, label, stats, fold = self.parent, self.out, self.label, self.stats, self.fold
         evidence = self.evidence() if fold is not None else None
         label_matches = 0
         z = self.next_id
-        queue: deque[tuple[StateId, StateId]] = deque([(q1, q2)])
-        while queue:
-            x, y = queue.popleft()
+        queue = [(q1, q2)]
+        for x, y in queue:
             while parent[x] >= 0:
                 x = parent[x]
             while parent[y] >= 0:
@@ -222,16 +227,10 @@ class MergeArena:
             parent.append(-1)
             parent[x] = z
             parent[y] = z
-            created.append((z, x, y))
+            pairs.append((x, y))
             z += 1
         self.next_id = z
-        outcome = MergeOutcome(
-            result=None,
-            merged_pairs=tuple([(x, y) for _, x, y in created]),
-            label_matches=label_matches,
-            evidence=evidence,
-        )
-        return outcome, frame
+        return MergeOutcome(None, tuple(pairs), label_matches, False, evidence), frame
 
     def rollback(self, frame: _TrialFrame) -> None:
         """Undo a trial merge: make each folded pair roots again, cut every list back.
@@ -239,7 +238,7 @@ class MergeArena:
         A merge given its aggregates by :meth:`pool` is kept, never rolled back.
         """
         parent = self.parent
-        for _, x, y in frame.created:
+        for x, y in frame.pairs:
             parent[x] = parent[y] = -1
         n = self.next_id = frame.next_id_before
         del parent[n:], self.out[n:], self.label[n:], self.stats[n:]
@@ -327,7 +326,7 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
         return outcome
     arena.pool(frame)
     # Dense fresh ids n, n+1, ... name the ids a.next_id, a.next_id+1, ...
-    next_id = a.next_id + len(frame.created)
+    next_id = a.next_id + len(frame.pairs)
     ids.extend(range(a.next_id, next_id))
     back = ids.__getitem__
     return replace(

@@ -1,6 +1,7 @@
 """Prefix tree construction: shape, ids, labels, counts, targets."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     InconsistentSampleError,
+    Sample,
+    SymbolInstance,
+    Trace,
+    TraceLabel,
     build_apta,
     check_integrity,
     compute,
@@ -24,6 +29,27 @@ def words_of(sample, label):
         {t.word for t in sample.traces if t.label.name == label},
         key=lambda w: (len(w), w),
     )
+
+
+def assert_out_counts_recount(sample):
+    """Every state's out counts are the traces that continue its prefix, per symbol.
+
+    Each count is recounted from the traces, and every out count has a
+    transition: the counts name exactly the symbols the state leaves along.
+    """
+    a = build_apta(sample)
+    continuing: dict[tuple, Counter] = {}
+    for t in sample.traces:
+        w = t.word
+        for i, sym in enumerate(w):
+            continuing.setdefault(w[:i], Counter())[sym] += 1
+    prefix_of = {a.start: ()}
+    for (src, sym), dst in sorted(a.transitions.items()):
+        prefix_of[dst] = prefix_of[src] + (sym,)
+    assert sorted(prefix_of) == sorted(a.states)
+    for q, agg in a.states.items():
+        assert dict(agg.out_counts) == dict(continuing.get(prefix_of[q], {}))
+        assert sorted(agg.out_counts) == sorted(sym for (src, sym) in a.transitions if src == q)
 
 
 class TestShape:
@@ -110,6 +136,9 @@ class TestAggregates:
         assert root.out_counts.get(0, 0) == starts_0
         assert root.out_counts.get(1, 0) == starts_1
 
+    def test_out_counts_recount_the_traces(self, ref_sample):
+        assert_out_counts_recount(ref_sample)
+
     def test_end_counts_by_polarity(self):
         # tree states see one word each, so polarities land on separate states
         a = build_apta(parse_abbadingo("1 1 0\n1 1 0\n0 1 1\n"))
@@ -172,3 +201,24 @@ class TestAgainstRandomSamples:
         assert language_upto(a, longest) == sorted(
             set(sample.positive_words), key=lambda w: (len(w), w)
         )
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_out_counts_recount_mixed_traces(self, seed):
+        # labeled, unlabeled and annotated traces in one sample, duplicates included
+        rng = random.Random(seed)
+        dfa = TargetDfa(rng, rng.randint(2, 5), rng.choice((1, 2, 3)))
+        traces = []
+        for _ in range(rng.randint(0, 60)):
+            word = tuple(rng.randrange(dfa.n_syms) for _ in range(rng.randint(0, 6)))
+            if rng.random() < 0.3:
+                label = TraceLabel.UNLABELED
+            else:
+                label = TraceLabel.POSITIVE if dfa.accepts(word) else TraceLabel.NEGATIVE
+            annotated = rng.random() < 0.5
+            traces.append(Trace(label, tuple(
+                SymbolInstance(sym, (rng.uniform(-1, 1), 1.0), rng.uniform(-3, 3))
+                if annotated else SymbolInstance(sym)
+                for sym in word
+            )))
+        assert_out_counts_recount(Sample(tuple(traces), tuple(map(str, range(dfa.n_syms))), 2))

@@ -1,10 +1,8 @@
 """Command-line behavior: every subcommand, the exit-code contract, pipelines."""
 
 import contextlib
-import hashlib
 import io
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -18,14 +16,9 @@ from hypothesis import strategies as st
 import flexautomata
 from flexautomata import (
     Alergia,
-    DiscretizationSpec,
     Edsm,
     LearnerConfig,
     Mse,
-    Sample,
-    SymbolInstance,
-    Trace,
-    TraceLabel,
     discretize,
     learn,
     load_model,
@@ -36,8 +29,7 @@ from flexautomata import (
 )
 from flexautomata.cli import run
 from dot_check import check_dot
-from gen import TargetDfa, labeled_sample
-from golden import cases
+from golden import GENERATE_GOLDEN, SERVING_GOLDEN, cases, generated_words, serving_outputs
 
 
 @pytest.fixture()
@@ -206,28 +198,8 @@ class TestGenerate:
         assert [t.word for t in sample.traces] == [()] * n
         assert all(t.label.name == "POSITIVE" for t in sample.traces)
 
-    # SHA-256 of the stdout of ``generate -n 200 --max-len 20``, pinned from
-    # the sampler that rebuilt each state's options and called Random.choices
-    # at every step.
-    GENERATE_GOLDEN = {
-        "reference": "a920118db11062241fa54f60260a295211fcd7604237adc4a86a3e82b2f86852",
-        "dfa": "21d39c1a15c61cf51109ccab759f426efcf18dfbafad0f7e0926b5ec2d4ce952",
-    }
-
-    def test_generated_words_are_pinned(self, model_file, tmp_path, capsys):
-        rng = random.Random(17)
-        dfa = TargetDfa(rng, 12, 3)
-        data = tmp_path / "dfa.txt"
-        data.write_text(write_sample(labeled_sample(rng, dfa, 300, 14)))
-        dfa_model = tmp_path / "dfa-model.txt"
-        assert run(["learn", "--input", str(data), "--output", str(dfa_model)]) == 0
-        capsys.readouterr()
-        for (name, digest), (path, seed) in zip(
-                self.GENERATE_GOLDEN.items(), [(model_file, "5"), (str(dfa_model), "3")]):
-            assert run(["generate", "--model", path, "-n", "200", "--seed", seed,
-                        "--max-len", "20"]) == 0
-            out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+    def test_generated_words_are_pinned(self, tmp_path):
+        assert generated_words(tmp_path) == GENERATE_GOLDEN
 
     @pytest.mark.parametrize("flag", ["-n", "--max-len"])
     def test_negative_count_exits_1(self, model_file, capsys, flag):
@@ -550,55 +522,8 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "mse" in out
 
-    # SHA-256 of the stdout of each serving command below, pinned from the
-    # implementation that pooled the global target mean on every query.
-    SERVING_GOLDEN = {
-        ("predict", "mean"): "64e125bea57b65cd9c4b2a875429fba72a3ef7ea4ddaca22bda560876aff25ee",
-        ("predict", "last"): "dfdd85722a0df573dd56b4003c60e93863a43c85be2465bfe91b6e36abc5cb78",
-        ("eval", None): "58fc1849438f71af016a0039223ea7e719b046f54a21277fc8f225a0792773ca",
-    }
-
-    def test_serving_outputs_are_pinned(self, tmp_path, capsys):
-        rng = random.Random(41)
-
-        def step_series(n):
-            values, level = [], 0.0
-            for i in range(n):
-                if i % 40 == 0:
-                    level = rng.choice([0.0, 5.0, 10.0])
-                values.append(level + rng.gauss(0.0, 0.3))
-            return values
-
-        series = tmp_path / "train.csv"
-        series.write_text("".join(f"{v!r}\n" for v in step_series(400)))
-        traces = tmp_path / "train.txt"
-        assert run(["discretize", "--input", str(series), "--bins", "4", "--window", "3"]) == 0
-        traces.write_text(capsys.readouterr().out)
-        model = tmp_path / "model.txt"
-        assert run(["learn", "--input", str(traces), "--heuristic", "mse",
-                    "--output", str(model)]) == 0
-        capsys.readouterr()
-
-        spec = DiscretizationSpec(bins=4, window=3)
-        held_out = discretize(step_series(200), spec).traces
-        # symbol 9 is outside the 4-bin alphabet: these words leave the model
-        # at depths 0 to 3, where the fallbacks differ
-        off = tuple(
-            Trace(TraceLabel.UNLABELED,
-                  tuple(SymbolInstance(s) for s in (0, 1, 2)[:depth])
-                  + (SymbolInstance(9, (), float(depth)),))
-            for depth in range(4)
-        )
-        queries = tmp_path / "queries.txt"
-        queries.write_text(write_sample(Sample(held_out + off, tuple(map(str, range(10))))))
-
-        for (command, fallback), digest in self.SERVING_GOLDEN.items():
-            argv = [command, "--model", str(model), "--input", str(queries)]
-            if fallback:
-                argv += ["--fallback", fallback]
-            assert run(argv) == 0
-            out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (command, fallback)
+    def test_serving_outputs_are_pinned(self, tmp_path):
+        assert serving_outputs(tmp_path) == SERVING_GOLDEN
 
 
 class TestRunAsModule:

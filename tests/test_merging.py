@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,90 @@ class TestTrialsLeaveNoTrace:
             assert arena.agg == {c: agg[c] for c in arena.agg}
             assert check_integrity(arena.extract()) == []
         assert arena.base is a and a == base
+
+
+class TestFrameContract:
+    """A trial's frame lists each folded pair once, in breadth-first fold order.
+
+    The i-th pair's fresh class is ``next_id_before + i``, the ``(z, x, y)``
+    view that a kept merge reads is derived from the pairs, and the order is
+    that of a fold whose work queue is a ``deque`` drained from the left,
+    seeded with the requested pair and fed each fold's target pairs in
+    ascending symbol order.
+    """
+
+    @staticmethod
+    def deque_fold(arena, q1, q2):
+        """Whether merging q1 and q2 succeeds, and the pairs folded until it ends or conflicts."""
+        parent, label = list(arena.parent), list(arena.label)
+        out = [None if m is None else dict(m) for m in arena.out]
+
+        def find(s):
+            while parent[s] >= 0:
+                s = parent[s]
+            return s
+
+        pairs = []
+        queue = deque([(q1, q2)])
+        while queue:
+            x, y = queue.popleft()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if None not in (label[x], label[y]) and label[x] != label[y]:
+                return False, pairs
+            merged = dict(out[x])
+            for sym in sorted(out[y]):
+                if sym in out[x]:
+                    queue.append((out[x][sym], out[y][sym]))
+                else:
+                    merged[sym] = out[y][sym]
+            z = len(parent)
+            parent[x] = parent[y] = z
+            parent.append(-1)
+            out.append(merged)
+            label.append(label[y] if label[x] is None else label[x])
+            pairs.append((x, y))
+        return True, pairs
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()])
+    def test_frame_pairs_fresh_ids_and_order(self, heuristic):
+        passed = conflicted = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+            arena = MergeArena(a, heuristic)
+            for _ in range(12):
+                live = [c for c in range(arena.next_id)
+                        if arena.parent[c] == -1 and arena.out[c] is not None]
+                if len(live) < 2:
+                    break
+                q1, q2 = rng.sample(live, 2)
+                ok, want = self.deque_fold(arena, q1, q2)
+                start = arena.next_id
+                outcome, frame = arena.run_merge(q1, q2)
+                assert frame.next_id_before == start
+                assert outcome.label_conflict is not ok
+                assert frame.pairs == want
+                if not ok:
+                    conflicted += 1
+                    arena.rollback(frame)
+                    continue
+                passed += 1
+                assert list(outcome.merged_pairs) == want
+                assert frame.created == [
+                    (frame.next_id_before + i, x, y)
+                    for i, (x, y) in enumerate(outcome.merged_pairs)
+                ]
+                # the arena appended one id per pair, from next_id_before up
+                assert arena.next_id == len(arena.parent) == start + len(want)
+                for z, x, y in frame.created:
+                    assert arena.parent[x] == arena.parent[y] == z
+                if rng.random() < 0.3:
+                    arena.pool(frame)
+                else:
+                    arena.rollback(frame)
+        assert passed and conflicted
 
 
 def relabel(a, f, next_id):
