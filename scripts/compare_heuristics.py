@@ -21,22 +21,16 @@ from flexautomata import (
     Edsm,
     LearnerConfig,
     Mse,
-    Outcome,
     build_apta,
-    compute,
+    evaluate,
     learn,
     parse_augmented,
 )
 
 
 def consistent(model, sample) -> bool:
-    for word in sample.positive_words:
-        if compute(model, word).outcome is not Outcome.ACCEPT:
-            return False
-    for word in sample.negative_words:
-        if compute(model, word).outcome is Outcome.ACCEPT:
-            return False
-    return True
+    report = evaluate(model, sample)
+    return report.pos_accepted == report.pos_total and report.neg_rejected == report.neg_total
 
 
 def main() -> None:

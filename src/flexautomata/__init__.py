@@ -31,8 +31,6 @@ from .heuristics import (
     Edsm,
     EvidenceScore,
     Mse,
-    hoeffding_bound,
-    hoeffding_compatible,
 )
 from .learner import LearnLog, LearnerConfig, learn
 from .merging import MergeOutcome, merge, merge_aggregates
@@ -105,8 +103,6 @@ __all__ = [
     "evaluate",
     "global_target_mean",
     "shortest_accepted_length",
-    "hoeffding_bound",
-    "hoeffding_compatible",
     "learn",
     "load_model",
     "merge",

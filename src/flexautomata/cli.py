@@ -165,6 +165,10 @@ def _cmd_learn(args) -> int:
         heuristic = Alergia(args.alpha)
     else:
         heuristic = Mse(args.penalty)
+        # Every MSE trial on such a sample fails, so nothing would merge.
+        if all(s.target is None for t in sample.traces for s in t.symbols):
+            raise _DataError(f"{args.input}: no trace carries a target, "
+                             "which --heuristic mse needs")
     model, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=args.min_evidence))
     if args.trace:
         sys.stderr.write(log.text())

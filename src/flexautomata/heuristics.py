@@ -28,17 +28,21 @@ re-derive: ALERGIA's holds the end count, MSE's the squared error, each
 computed by the same expression on the same operands as a fold would use,
 so every test and every float sum comes out the same.  EDSM reads labels
 alone, so its ``statistic``, ``evidence`` and ``fold`` are None and its
-outcomes carry no record.
+outcomes carry no record.  This module reads
+:class:`~flexautomata.merging.MergeOutcome` in annotations only, so it does
+not import the merge engine at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .automaton import StateAggregate, Symbol, _record, squared_error
-from .merging import MergeOutcome
+
+if TYPE_CHECKING:
+    from .merging import MergeOutcome
 
 FAIL_LABEL_CONFLICT = "label_conflict"
 FAIL_DISTRIBUTION = "distribution_reject"
@@ -46,13 +50,6 @@ FAIL_NO_TARGETS = "no_targets"
 
 Frequencies = tuple[int, Mapping[Symbol, int], int]  # visits, per-symbol counts, ends
 TargetStats = tuple[int, float, float, float]  # target count, sum, sum of squares, squared error
-
-
-def _hoeffding_scale(alpha: float) -> float:
-    """The alpha-only factor of every Hoeffding bound; alpha must lie in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return math.sqrt(0.5 * math.log(2.0 / alpha))
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,11 @@ class Alergia:
     evidence = AlergiaEvidence
 
     def __post_init__(self):
+        alpha = self.alpha
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         # The alpha-only factor of every Hoeffding bound, taken once.
-        object.__setattr__(self, "_bound_scale", _hoeffding_scale(self.alpha))
+        object.__setattr__(self, "_bound_scale", math.sqrt(0.5 * math.log(2.0 / alpha)))
 
     def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
         """The Hoeffding test of one merged pair, given its frequencies.
@@ -201,30 +201,6 @@ class EvidenceScore:
     @classmethod
     def fail(cls, reason: str) -> "EvidenceScore":
         return cls(None, reason)
-
-
-def hoeffding_bound(n1: int, n2: int, alpha: float) -> float:
-    """Hoeffding deviation bound for comparing two frequencies.
-
-    Two observed frequencies f1/n1 and f2/n2 are deemed compatible when
-    their difference stays within sqrt(ln(2/alpha)/2) * (1/sqrt(n1) +
-    1/sqrt(n2)).
-    """
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("counts must be positive")
-    return _hoeffding_scale(alpha) * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
-
-
-def hoeffding_compatible(f1: int, n1: int, f2: int, n2: int, alpha: float) -> bool:
-    """True iff the two frequencies pass the Hoeffding test at level alpha.
-
-    Vacuously true when either count is zero: no data, no contradiction.
-    ``alpha`` must lie in (0, 1) either way.
-    """
-    if n1 == 0 or n2 == 0:
-        _hoeffding_scale(alpha)
-        return True
-    return abs(f1 / n1 - f2 / n2) <= hoeffding_bound(n1, n2, alpha)
 
 
 def score_outcome(outcome: MergeOutcome, heuristic: HeuristicId) -> EvidenceScore:

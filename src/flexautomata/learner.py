@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .apta import build_apta
 from .automaton import Automaton, StateId
-from .heuristics import Edsm, EvidenceScore, HeuristicId, score_outcome
+from .heuristics import Edsm, HeuristicId, score_outcome
 from .merging import MergeArena
 from .sample_io import Sample
 
@@ -92,19 +92,6 @@ def _children(arena: MergeArena, src: Iterable[StateId], red: Collection[StateId
     """The classes that transitions from ``src`` lead to, less the ``red`` ones."""
     find, out = arena.find, arena.out
     return {c for q in src for t in out[q].values() if (c := find(t)) not in red}
-
-
-def trial_score(
-    arena: MergeArena, r: StateId, b: StateId, heuristic: HeuristicId
-) -> EvidenceScore:
-    """Score merging ``r`` and ``b`` by a trial merge that ``arena`` undoes.
-
-    :func:`learn` runs the same three steps itself, since it also reads the
-    outcome's label conflict.
-    """
-    outcome, frame = arena.run_merge(r, b)
-    arena.rollback(frame)
-    return score_outcome(outcome, heuristic)
 
 
 def _carry_conflicts(conflicts: dict[StateId, set[StateId]], created) -> None:

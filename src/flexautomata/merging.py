@@ -16,7 +16,8 @@ the merged classes are pooled afterwards, by :meth:`MergeArena.pool`, for a
 merge that is kept.  The learner builds one arena per run: it scores many
 candidate merges this way without copying the machine, commits each kept
 one in place and extracts once.  The module-level :func:`merge` is the pure
-public form of a kept merge: one run, pool and extract.
+public form of a kept merge: one run, pool and extract, in an arena under
+EDSM, whose merges fold labels alone.
 
 A fold does only the work its result reads.  The arena keeps each class's
 parent, out-map, label and statistic in lists indexed by class id, takes
@@ -27,12 +28,9 @@ adds no symbol share the first half's out-map instead of copying it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol, _record
-
-if TYPE_CHECKING:
-    from .heuristics import HeuristicId
+from .heuristics import Edsm, HeuristicId
 
 
 def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
@@ -133,29 +131,30 @@ class MergeArena:
     half adds no symbol holds its first half's map rather than a copy.
     Transition targets may go stale as classes merge; ``find`` resolves them.
 
-    The heuristic decides what a merge pools besides labels and transitions:
-    ``heuristic.statistic`` takes it from a state's aggregate, once per
-    original state when the arena is built, and ``heuristic.fold`` pools one
-    pair of them while writing that pair's evidence into the merge's record,
-    made by ``heuristic.evidence``.  Without a heuristic, or with one whose
-    ``fold`` is None, a merge pools labels alone, makes no record and leaves
-    ``stats`` empty.  The fresh classes get their full aggregates, in the
-    ``agg`` dict, only from :meth:`pool`, called once for a merge that is
-    kept; it also drops the dead halves and leaves every parent a root.
+    Every arena takes a heuristic, which decides what a merge pools besides
+    labels and transitions: ``heuristic.statistic`` takes it from a state's
+    aggregate, once per original state when the arena is built, and
+    ``heuristic.fold`` pools one pair of them while writing that pair's
+    evidence into the merge's record, made by ``heuristic.evidence``.  With
+    a heuristic whose ``fold`` is None, such as :class:`Edsm`, a merge pools
+    labels alone, makes no record and leaves ``stats`` empty.  The fresh
+    classes get their full aggregates, in the ``agg`` dict, only from
+    :meth:`pool`, called once for a merge that is kept; it also drops the
+    dead halves and leaves every parent a root.
     State ids must be non-negative, and the two label sets disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
 
-    def __init__(self, a: Automaton, heuristic: HeuristicId | None = None):
+    def __init__(self, a: Automaton, heuristic: HeuristicId):
         if not a.accepting.isdisjoint(a.rejecting):
             raise ValueError("a state is both accepting and rejecting")
         if min(a.states, default=0) < 0:
             raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
         n = self.next_id = a.next_id
-        statistic = heuristic.statistic if heuristic is not None else None
-        self.fold = heuristic.fold if heuristic is not None else None
-        self.evidence = heuristic.evidence if heuristic is not None else None
+        statistic = heuristic.statistic
+        self.fold = heuristic.fold
+        self.evidence = heuristic.evidence
         self.parent: list[StateId] = [-1] * n
         out: list[dict[Symbol, StateId] | None] = [None] * n
         for q in a.states:
@@ -320,7 +319,7 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     if ids[-1] >= a.next_id:
         raise ValueError(f"state {ids[-1]} not below next_id {a.next_id}")
     dense = {q: i for i, q in enumerate(ids)}
-    arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)))
+    arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
     outcome, frame = arena.run_merge(dense[q1], dense[q2])
     if outcome.label_conflict:
         return outcome

@@ -9,11 +9,13 @@ the result is read off the quotient.
 
 :func:`reference_score` is the matching oracle for heuristic scores: it
 replays a merge's pairs over fully pooled aggregates and applies each stock
-heuristic's rule to them directly.
+heuristic's rule to them directly.  Its frequency test is
+:func:`hoeffding_compatible`, written here apart from ``Alergia._rejects``.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from flexautomata import (
@@ -24,9 +26,39 @@ from flexautomata import (
     Edsm,
     EvidenceScore,
     Mse,
-    hoeffding_compatible,
     merge_aggregates,
 )
+
+
+def _hoeffding_scale(alpha: float) -> float:
+    """The alpha-only factor of every Hoeffding bound; alpha must lie in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return math.sqrt(0.5 * math.log(2.0 / alpha))
+
+
+def hoeffding_bound(n1: int, n2: int, alpha: float) -> float:
+    """Hoeffding deviation bound for comparing two frequencies.
+
+    Two observed frequencies f1/n1 and f2/n2 are deemed compatible when
+    their difference stays within sqrt(ln(2/alpha)/2) * (1/sqrt(n1) +
+    1/sqrt(n2)).
+    """
+    if n1 <= 0 or n2 <= 0:
+        raise ValueError("counts must be positive")
+    return _hoeffding_scale(alpha) * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+
+
+def hoeffding_compatible(f1: int, n1: int, f2: int, n2: int, alpha: float) -> bool:
+    """True iff the two frequencies pass the Hoeffding test at level alpha.
+
+    Vacuously true when either count is zero: no data, no contradiction.
+    ``alpha`` must lie in (0, 1) either way.
+    """
+    if n1 == 0 or n2 == 0:
+        _hoeffding_scale(alpha)
+        return True
+    return abs(f1 / n1 - f2 / n2) <= hoeffding_bound(n1, n2, alpha)
 
 
 def reference_merge(a, q1, q2):

@@ -26,8 +26,6 @@ from flexautomata import (
     discretize,
     evaluate,
     global_target_mean,
-    hoeffding_bound,
-    hoeffding_compatible,
     learn,
     load_model,
     merge,
@@ -247,10 +245,13 @@ def test_c8_determinism_and_persistence(ref_sample):
 
 
 def test_c9_frequency_test_spot_check():
-    """The compatibility test matches a direct evaluation of its bound."""
-    assert not hoeffding_compatible(10, 10, 0, 10, 0.05)
-    assert hoeffding_compatible(3, 10, 3, 10, 0.05)
+    """ALERGIA's compatibility test matches a direct evaluation of its bound."""
+    alergia = Alergia(0.05)
+    # Two states visited 10 times each, ending 10 and 0 times, then 3 and 3.
+    assert alergia._rejects((10, {}, 10), (10, {}, 0))
+    assert not alergia._rejects((10, {}, 3), (10, {}, 3))
     direct = math.sqrt(0.5 * math.log(2.0 / 0.05)) * (
         1.0 / math.sqrt(10) + 1.0 / math.sqrt(10)
     )
-    assert abs(hoeffding_bound(10, 10, 0.05) - direct) < 1e-9
+    bound = alergia._bound_scale * (1.0 / math.sqrt(10) + 1.0 / math.sqrt(10))
+    assert abs(bound - direct) < 1e-9

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import flexautomata
 from flexautomata import (
     Alergia,
+    DiscretizationSpec,
     Edsm,
     LearnerConfig,
     Mse,
@@ -36,6 +37,15 @@ from golden import GENERATE_GOLDEN, SERVING_GOLDEN, cases, generated_words, serv
 def sample_file(tmp_path, ref_text):
     p = tmp_path / "traces.txt"
     p.write_text(ref_text)
+    return str(p)
+
+
+@pytest.fixture()
+def series_file(tmp_path):
+    """A discretized step series: unlabeled traces whose last symbols carry targets."""
+    series = [5.0 * (i // 25 % 3) + 0.1 * (i % 7) for i in range(150)]
+    p = tmp_path / "series.txt"
+    p.write_text(write_sample(discretize(series, DiscretizationSpec(bins=3, window=4))))
     return str(p)
 
 
@@ -65,10 +75,18 @@ class TestLearn:
         load_model(model_path.read_text())
         check_dot(dot_path.read_text())
 
-    def test_each_heuristic_runs(self, sample_file, capsys):
-        for h in ("edsm", "alergia", "mse"):
-            assert run(["learn", "--input", sample_file, "--heuristic", h]) == 0
+    def test_each_heuristic_runs(self, sample_file, series_file, capsys):
+        for h, path in (("edsm", sample_file), ("alergia", sample_file), ("mse", series_file)):
+            assert run(["learn", "--input", path, "--heuristic", h]) == 0
             capsys.readouterr()
+
+    def test_mse_without_targets_exits_2(self, sample_file, capsys):
+        # Every MSE trial would fail with no_targets, leaving the prefix tree unmerged.
+        assert run(["learn", "--input", sample_file, "--heuristic", "mse"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {sample_file}: no trace carries a target, "
+                       "which --heuristic mse needs\n")
 
     def test_learn_is_reproducible(self, sample_file, capsys):
         run(["learn", "--input", sample_file])
@@ -77,11 +95,15 @@ class TestLearn:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_trace_flag_logs_to_stderr(self, sample_file, ref_sample, capsys):
-        for name, heuristic in (("edsm", Edsm()), ("alergia", Alergia()), ("mse", Mse())):
-            assert run(["learn", "--input", sample_file, "--heuristic", name, "--trace"]) == 0
+    def test_trace_flag_logs_to_stderr(self, sample_file, series_file, capsys):
+        for name, heuristic, path in (
+            ("edsm", Edsm(), sample_file), ("alergia", Alergia(), sample_file),
+            ("mse", Mse(), series_file),
+        ):
+            assert run(["learn", "--input", path, "--heuristic", name, "--trace"]) == 0
             out, err = capsys.readouterr()
-            model, log = learn(ref_sample, LearnerConfig(heuristic=heuristic))
+            sample = parse_augmented(Path(path).read_text())
+            model, log = learn(sample, LearnerConfig(heuristic=heuristic))
             assert log.events
             assert err == log.text()
             assert out == save_model(model)

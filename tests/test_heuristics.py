@@ -16,17 +16,32 @@ from flexautomata import (
     EvidenceScore,
     Mse,
     build_apta,
-    hoeffding_bound,
-    hoeffding_compatible,
     parse_abbadingo,
     parse_augmented,
 )
 from flexautomata.merging import MergeArena
 
 
+def trial_score(arena, q1, q2, h):
+    """Score merging q1 and q2 under ``h`` as ``learn`` does, by a trial ``arena`` undoes."""
+    outcome, frame = arena.run_merge(q1, q2)
+    arena.rollback(frame)
+    return h.score(outcome)
+
+
 def trial(h, a, q1, q2):
-    """Score merging q1 and q2 of ``a`` under heuristic ``h`` by one merge in a fresh arena."""
-    return h.score(MergeArena(a, h).run_merge(q1, q2)[0])
+    """Score merging q1 and q2 of ``a`` under heuristic ``h`` in a fresh arena."""
+    return trial_score(MergeArena(a, h), q1, q2, h)
+
+
+def bound(n1, n2, alpha):
+    """The Hoeffding bound ``Alergia._rejects`` tests a pair against."""
+    return Alergia(alpha)._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+
+
+def rejects(f1, n1, f2, n2, alpha):
+    """Whether ALERGIA's test rejects end frequencies f1/n1 and f2/n2 of two symbol-free states."""
+    return Alergia(alpha)._rejects((n1, {}, f1), (n2, {}, f2))
 
 
 class TestConfigs:
@@ -53,27 +68,28 @@ class TestConfigs:
 
 
 class TestHoeffding:
+    """ALERGIA's own test, on states that only end: the frequency compared is the end count's."""
+
     def test_spot_check_10_vs_0(self):
         # frequencies 10/10 vs 0/10 at alpha 0.05: gap 1.0 exceeds the bound
-        bound = hoeffding_bound(10, 10, 0.05)
-        assert bound == pytest.approx(0.8589388166934752, abs=1e-12)
-        assert not hoeffding_compatible(10, 10, 0, 10, 0.05)
+        assert bound(10, 10, 0.05) == pytest.approx(0.8589388166934752, abs=1e-12)
+        assert rejects(10, 10, 0, 10, 0.05)
 
     def test_bound_formula(self):
         for n1, n2, alpha in ((5, 7, 0.1), (100, 3, 0.01), (1, 1, 0.5)):
             expect = math.sqrt(0.5 * math.log(2.0 / alpha)) * (
                 1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2)
             )
-            assert hoeffding_bound(n1, n2, alpha) == pytest.approx(expect, rel=1e-15)
+            assert bound(n1, n2, alpha) == pytest.approx(expect, rel=1e-15)
 
     def test_identical_frequencies_compatible(self):
-        assert hoeffding_compatible(3, 10, 3, 10, 0.05)
-        assert hoeffding_compatible(0, 10, 0, 10, 0.05)
+        assert not rejects(3, 10, 3, 10, 0.05)
+        assert not rejects(0, 10, 0, 10, 0.05)
 
     def test_zero_observations_always_compatible(self):
-        assert hoeffding_compatible(0, 0, 10, 10, 0.05)
-        assert hoeffding_compatible(10, 10, 0, 0, 0.05)
-        assert hoeffding_compatible(0, 0, 0, 0, 0.05)
+        assert not rejects(0, 0, 10, 10, 0.05)
+        assert not rejects(10, 10, 0, 0, 0.05)
+        assert not rejects(0, 0, 0, 0, 0.05)
 
     @given(
         st.integers(0, 50), st.integers(1, 50),
@@ -84,26 +100,23 @@ class TestHoeffding:
     def test_compatibility_matches_direct_evaluation(self, f1, n1, f2, n2, alpha):
         f1, f2 = min(f1, n1), min(f2, n2)
         gap = abs(f1 / n1 - f2 / n2)
-        assert hoeffding_compatible(f1, n1, f2, n2, alpha) == (
-            gap <= hoeffding_bound(n1, n2, alpha)
+        direct = math.sqrt(0.5 * math.log(2.0 / alpha)) * (
+            1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2)
         )
+        assert rejects(f1, n1, f2, n2, alpha) == (gap > direct)
 
     def test_larger_samples_tighten_the_bound(self):
-        assert hoeffding_bound(100, 100, 0.05) < hoeffding_bound(10, 10, 0.05)
+        assert bound(100, 100, 0.05) < bound(10, 10, 0.05)
 
     def test_smaller_alpha_loosens_the_bound(self):
-        assert hoeffding_bound(10, 10, 0.01) > hoeffding_bound(10, 10, 0.05)
+        assert bound(10, 10, 0.01) > bound(10, 10, 0.05)
 
     @pytest.mark.parametrize("alpha", [0.0, 3.0, -1.0, float("nan"), 2.0])
     def test_alpha_outside_the_unit_interval_rejected(self, alpha):
         # at 0 the bound divided by zero, at 3 and -1 it took a negative log,
         # and at nan and 2 it quietly gave a verdict
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            hoeffding_bound(10, 10, alpha)
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            hoeffding_compatible(3, 10, 7, 10, alpha)
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            hoeffding_compatible(0, 0, 7, 10, alpha)
+            Alergia(alpha=alpha)
 
 
 class TestEdsm:

@@ -34,11 +34,11 @@ from flexautomata import (
     save_model,
 )
 from flexautomata.cli import run
-from flexautomata.learner import trial_score
 from flexautomata.merging import MergeArena
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
+from test_heuristics import trial_score
 
 
 def consistent(model, sample) -> bool:

@@ -24,11 +24,11 @@ from flexautomata import (
     parse_augmented,
     save_model,
 )
-from flexautomata.learner import trial_score
 from flexautomata.merging import MergeArena
 from gen import random_automaton
 from oracle_automaton import language_upto
 from oracle_merge import integer_sums, reference_language, reference_merge, reference_score
+from test_heuristics import trial, trial_score
 
 
 class TestMergeAggregates:
@@ -208,7 +208,7 @@ class TestTargetsThroughMerges:
     def test_sse_delta_nonnegative(self):
         a = build_apta(parse_augmented("? 1 0/0.0\n? 2 0/0.0 0/2.0\n? 3 0/2.0 0/2.0 0/2.0\n"))
         child = a.transitions[(0, 0)]
-        score = trial_score(MergeArena(a, Mse()), child, a.transitions[(child, 0)], Mse())
+        score = trial(Mse(), a, child, a.transitions[(child, 0)])
         assert not score.failed
         assert score.value <= 0.0
 
@@ -488,8 +488,8 @@ class TestSparseIds:
             if not dense_out.failed:
                 assert sparse_out.result == relabel(dense_out.result, f, f(dense_out.result.next_id))
             for h in (Edsm(), Alergia(), Mse()):
-                want = trial_score(MergeArena(a, h), q1, q2, h)
-                assert trial_score(MergeArena(holed, h), g(q1), g(q2), h) == want
+                want = trial(h, a, q1, q2)
+                assert trial(h, holed, g(q1), g(q2)) == want
 
     def test_merge_cost_follows_the_states_not_the_ids(self):
         # two states, ids 0 and 2 000 000: an arena sized by next_id would
@@ -523,4 +523,4 @@ class TestSparseIds:
     def test_negative_ids_rejected(self):
         a = random_automaton(random.Random(5), max_states=4)
         with pytest.raises(ValueError, match="negative state id -2"):
-            MergeArena(relabel(a, lambda q: q - 2, a.next_id))
+            MergeArena(relabel(a, lambda q: q - 2, a.next_id), Edsm())

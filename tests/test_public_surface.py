@@ -10,10 +10,9 @@ PUBLIC = [
     "PredictionConfig", "PredictionError", "Sample", "SampleFormatError",
     "StateAggregate", "StateLabel", "SymbolInstance", "TargetKind", "Trace", "TraceLabel",
     "bin_cuts", "build_apta", "check_integrity", "compute", "discretize", "evaluate",
-    "global_target_mean", "hoeffding_bound", "hoeffding_compatible", "learn",
-    "load_model", "merge", "merge_aggregates", "parse_abbadingo", "parse_augmented",
-    "predict_value", "sample_words", "save_model", "shortest_accepted_length",
-    "write_dot", "write_sample",
+    "global_target_mean", "learn", "load_model", "merge", "merge_aggregates",
+    "parse_abbadingo", "parse_augmented", "predict_value", "sample_words", "save_model",
+    "shortest_accepted_length", "write_dot", "write_sample",
 ]
 
 
