@@ -94,25 +94,38 @@ def _children(arena: MergeArena, src: Iterable[StateId], red: Collection[StateId
     return {c for q in src for t in out[q].values() if (c := find(t)) not in red}
 
 
-def _carry_conflicts(conflicts: dict[StateId, set[StateId]], created) -> None:
-    """Hand the conflict partners of each pair a kept merge joined on to its fresh class.
+def _carry_conflicts(conflicts: dict[StateId, set[StateId]], created, parent) -> None:
+    """Hand the conflict partners of each class a kept merge retired on to its root.
 
-    ``conflicts`` is symmetric: ``q in conflicts[p]`` iff ``p in conflicts[q]``.
-    ``created`` lists each fresh class ``z`` with the two classes ``x``, ``y``
-    it joined, in creation order.  Two classes that a kept merge joins are
-    never partners, since the merge would have failed; so ``z`` takes the
-    union of their partner sets, and each partner swaps ``x`` and ``y`` for
-    ``z``.
+    ``conflicts`` is symmetric: ``q in conflicts[p]`` iff ``p in conflicts[q]``,
+    and it names only roots.  ``created`` lists each fresh class ``z`` with
+    the two classes ``x``, ``y`` it joined.  ``parent`` is the arena's list
+    as the merge's :meth:`~flexautomata.merging.MergeArena.pool` left it,
+    flat, so a retired class's parent is its final root.  Each class that
+    was a root before the merge and is retired by it hands its partner set
+    to its root, every partner written as its own root.  A partner that
+    survived swaps the retired class for that root in its own set; a
+    partner that the same merge retired into another class gets the root
+    when its own set is handed on.  So each entry held before the merge is
+    rewritten once.  Two classes that a kept merge joins are never partners,
+    since the merge would have failed, so no root becomes its own partner.
     """
-    for z, x, y in created:
-        partners = conflicts.pop(x, set()) | conflicts.pop(y, set())
-        if partners:
+    for _z, x, y in created:
+        for c in (x, y):
+            partners = conflicts.pop(c, None)
+            if partners is None:
+                continue
+            root = parent[c]
+            mine = conflicts.setdefault(root, set())
             for p in partners:
-                theirs = conflicts[p]
-                theirs.discard(x)
-                theirs.discard(y)
-                theirs.add(z)
-            conflicts[z] = partners
+                q = parent[p]
+                if q < 0:
+                    theirs = conflicts[p]
+                    theirs.discard(c)
+                    theirs.add(root)
+                    mine.add(p)
+                else:
+                    mine.add(q)
 
 
 def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automaton, LearnLog]:
@@ -128,7 +141,10 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     and never again once it is known to end in a label conflict, since a
     conflict outlives every later merge.  An iteration after a promotion
     tries only the pairs the promotion made, and its decision reads one best
-    score per blue state.
+    score per blue state.  A kept merge's own bookkeeping follows the
+    classes it retires: the arena re-points only the ids of the classes
+    left standing, and each conflict entry held by a retired class is
+    rewritten once.
     """
     a = build_apta(sample)
     log = LearnLog(initial_states=a.state_count)
@@ -193,7 +209,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
         value, r, b = top
         _outcome, frame = arena.run_merge(r, b)
         arena.pool(frame)
-        _carry_conflicts(conflicts, frame.created)
+        _carry_conflicts(conflicts, frame.created, arena.parent)
         red = tuple(sorted({arena.find(q) for q in red}))
         blue = tuple(sorted(_children(arena, red, set(red))))
         events.append(("MERGE", r, b, value))

@@ -22,7 +22,10 @@ EDSM, whose merges fold labels alone.
 A fold does only the work its result reads.  The arena keeps each class's
 parent, out-map, label and statistic in lists indexed by class id, takes
 every original state's statistic once, and lets a class whose second half
-adds no symbol share the first half's out-map instead of copying it.
+adds no symbol share the first half's out-map instead of copying it.  A
+kept merge, likewise, costs what it changes: each root made by a kept merge
+lists the ids below it, and pooling re-points only the ids of the classes
+the merge leaves standing, not every id in the arena.
 """
 
 from __future__ import annotations
@@ -98,17 +101,24 @@ _CONFLICT = MergeOutcome(result=None, label_conflict=True)
 class _TrialFrame:
     """Undo information for one merge, failed or not: the pairs it folded, in fold order."""
 
-    __slots__ = ("pairs", "next_id_before")
+    __slots__ = ("pairs", "next_id_before", "_created")
 
     def __init__(self, next_id_before: int):
         self.pairs: list[tuple[StateId, StateId]] = []
         self.next_id_before = next_id_before
+        self._created: list[tuple[StateId, StateId, StateId]] | None = None
 
     @property
     def created(self) -> list[tuple[StateId, StateId, StateId]]:
-        """Each fresh class ``z``, the i-th from ``next_id_before``, with the pair it joined."""
-        z = self.next_id_before
-        return [(z + i, x, y) for i, (x, y) in enumerate(self.pairs)]
+        """Each fresh class ``z``, the i-th from ``next_id_before``, with the pair it joined.
+
+        Built on the first read, once the merge has run, and kept: a kept
+        merge reads it in :meth:`MergeArena.pool` and again in the learner.
+        """
+        if self._created is None:
+            z = self.next_id_before
+            self._created = [(z + i, x, y) for i, (x, y) in enumerate(self.pairs)]
+        return self._created
 
 
 class MergeArena:
@@ -140,7 +150,9 @@ class MergeArena:
     labels alone, makes no record and leaves ``stats`` empty.  The fresh
     classes get their full aggregates, in the ``agg`` dict, only from
     :meth:`pool`, called once for a merge that is kept; it also drops the
-    dead halves and leaves every parent a root.
+    dead halves and leaves every parent a root.  For that, ``members`` maps
+    each root that a kept merge made to the ids below it; trials and
+    :meth:`rollback` never touch it.
     State ids must be non-negative, and the two label sets disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
@@ -173,6 +185,7 @@ class MergeArena:
             for q, g in a.states.items():
                 self.stats[q] = statistic(g)
         self.agg: dict[StateId, StateAggregate] = dict(a.states)
+        self.members: dict[StateId, list[StateId]] = {}
 
     def find(self, s: StateId) -> StateId:
         parent = self.parent
@@ -248,20 +261,34 @@ class MergeArena:
         Replays the frame's folds in creation order, so each class pools the
         aggregates its two parts had when they were folded; the parts'
         aggregates, out-maps and statistics go, since no joined class is read
-        again.  Then every class points straight at its root, so ``find``
-        stays one step long: a fresh class has a larger id than both classes
-        it joins, so one descending pass over the ids finds each parent flat.
+        again.  Each fold also joins its parts' member lists (an original
+        state has none), the longer taking the shorter, and adds the two parts
+        themselves.  Then each class the merge leaves standing points its
+        members straight at itself, so ``find`` stays one step long, and no
+        other id is visited.
         """
-        agg, out, stats, parent = self.agg, self.out, self.stats, self.parent
-        for z, x, y in frame.created:
+        agg, out, stats, parent, members = self.agg, self.out, self.stats, self.parent, self.members
+        created = frame.created
+        for z, x, y in created:
             agg[z] = merge_aggregates(agg.pop(x), agg.pop(y))
             out[x] = out[y] = None
             if stats:
                 stats[x] = stats[y] = None
-        for c in range(len(parent) - 1, -1, -1):
-            p = parent[c]
-            if p >= 0 and parent[p] >= 0:
-                parent[c] = parent[p]
+            joined = members.pop(x, None)
+            other = members.pop(y, None)
+            if joined is None or (other is not None and len(joined) < len(other)):
+                joined, other = other, joined
+            if joined is None:
+                joined = [x, y]
+            else:
+                if other is not None:
+                    joined += other
+                joined += (x, y)
+            members[z] = joined
+        for z, _x, _y in created:
+            if parent[z] < 0:
+                for c in members[z]:
+                    parent[c] = z
 
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""

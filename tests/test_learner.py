@@ -33,8 +33,10 @@ from flexautomata import (
     parse_abbadingo,
     save_model,
 )
+from flexautomata import learner
 from flexautomata.cli import run
-from flexautomata.merging import MergeArena
+from flexautomata.learner import _carry_conflicts
+from flexautomata.merging import MergeArena, _TrialFrame
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
@@ -495,3 +497,58 @@ class TestCost:
         learn(ref_sample, LearnerConfig(heuristic=heuristic))
         assert known
         assert retried == []
+
+
+class TestCarriedConflicts:
+    """The label conflicts a kept merge hands on to the classes that absorb their pairs."""
+
+    def test_partner_retired_into_another_class(self):
+        # Roots 0-5 before the merge.  It folds 0+1 into 6, 2+3 into 7, and
+        # 6+4 into 8: 0's partner 2 is retired too, into 7, not into 8.
+        frame = _TrialFrame(6)
+        frame.pairs += [(0, 1), (2, 3), (6, 4)]
+        parent = [8, 8, 7, 7, 8, -1, 8, -1, -1]  # as pool leaves it: flat
+        conflicts = {0: {2, 5}, 2: {0}, 5: {0, 3}, 3: {5}}
+        _carry_conflicts(conflicts, frame.created, parent)
+        assert conflicts == {8: {5, 7}, 7: {5, 8}, 5: {7, 8}}
+
+    def test_map_is_every_known_conflict_between_current_classes(self, monkeypatch, ref_sample):
+        # After each kept merge the carried map must be exactly the conflicting
+        # trial pairs seen so far, each side mapped to its current class:
+        # symmetric, and naming no class that a merge retired.
+        known: list[tuple] = []
+        arenas: list[MergeArena] = []
+        checked = {"merges": 0, "entries": 0, "retired partners": 0}
+        run_merge = MergeArena.run_merge
+
+        def recording(arena, q1, q2):
+            arenas[:] = [arena]
+            outcome, frame = run_merge(arena, q1, q2)
+            if outcome.label_conflict:
+                known.append((q1, q2))
+            return outcome, frame
+
+        def checking(conflicts, created, parent):
+            retired = {c for _z, x, y in created for c in (x, y)}
+            checked["retired partners"] += sum(
+                p in retired for c in retired for p in conflicts.get(c, ()))
+            _carry_conflicts(conflicts, created, parent)
+            find = arenas[0].find
+            want: dict = {}
+            for q1, q2 in known:
+                r1, r2 = find(q1), find(q2)
+                want.setdefault(r1, set()).add(r2)
+                want.setdefault(r2, set()).add(r1)
+            assert conflicts == want
+            assert all(parent[c] == -1 for c in conflicts)
+            checked["merges"] += 1
+            checked["entries"] += sum(map(len, conflicts.values()))
+
+        monkeypatch.setattr(MergeArena, "run_merge", recording)
+        monkeypatch.setattr(learner, "_carry_conflicts", checking)
+        samples = [ref_sample] + [small_sample(random.Random(seed)) for seed in range(40)]
+        for sample in samples:
+            for heuristic in (Edsm(), Alergia(0.05), Mse()):
+                known.clear()
+                learn(sample, LearnerConfig(heuristic=heuristic))
+        assert checked["merges"] and checked["entries"] and checked["retired partners"]

@@ -25,7 +25,7 @@ from flexautomata import (
     save_model,
 )
 from flexautomata.merging import MergeArena
-from gen import random_automaton
+from gen import TargetDfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
 from oracle_merge import integer_sums, reference_language, reference_merge, reference_score
 from test_heuristics import trial, trial_score
@@ -346,6 +346,37 @@ class TestTrialsLeaveNoTrace:
             assert arena.agg == {c: agg[c] for c in arena.agg}
             assert check_integrity(arena.extract()) == []
         assert arena.base is a and a == base
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()], ids=repr)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_many_kept_merges_point_every_id_at_its_root(self, seed, heuristic):
+        # ``pool`` re-points only the members of the classes a merge leaves
+        # standing.  A member list that missed an id would leave that id two
+        # steps from its root, which a handful of merges may never show.
+        rng = random.Random(seed)
+        sample = labeled_sample(rng, TargetDfa(rng, 6, 2), 80, 10, with_targets=True)
+        arena = MergeArena(build_apta(sample), heuristic)
+        kept = 0
+        while kept < 35:
+            live = [c for c in range(arena.next_id)
+                    if arena.parent[c] == -1 and arena.out[c] is not None]
+            if len(live) < 2:
+                break
+            outcome, frame = arena.run_merge(*rng.sample(live, 2))
+            if outcome.label_conflict:
+                arena.rollback(frame)
+                continue
+            before = list(arena.parent)
+            arena.pool(frame)
+            kept += 1
+            for c in range(arena.next_id):
+                root = c
+                while before[root] >= 0:
+                    root = before[root]
+                assert arena.parent[c] == (-1 if root == c else root)
+            self.assert_flat_and_pruned(arena)
+        assert kept >= 30
+        assert check_integrity(arena.extract()) == []
 
 
 class TestFrameContract:
