@@ -66,18 +66,22 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
     policy.
     """
     path, complete = walk(a, word)
-    return _resolve(a, word, path, complete, cfg.fallback)
+    return _resolve(a, path[-1], complete, cfg.fallback, word, path)
 
 
-def _resolve(a: Automaton, word: Word, path: list[StateId], complete: bool,
-             fallback: Fallback) -> float:
-    """The prediction for ``word`` from its walk, as :func:`predict_value` defines it."""
+def _resolve(a: Automaton, end: StateId, complete: bool, fallback: Fallback,
+             word: Word = (), path: Sequence[StateId] = ()) -> float:
+    """The prediction from a walk that stopped at ``end``, as :func:`predict_value` defines it.
+
+    ``word`` is read only for the error under ERROR, ``path``, the states
+    walked, only under LAST_STATE.
+    """
     count, total = a.target_totals
     if count == 0:
         raise PredictionError("model carries no target data")
-    end = a.states[path[-1]]
-    if complete and end.target_count > 0:
-        return end.target_sum / end.target_count
+    agg = a.states[end]
+    if complete and agg.target_count > 0:
+        return agg.target_sum / agg.target_count
     if fallback is Fallback.ERROR:
         raise PredictionError(f"word {word} leaves the model's domain")
     if fallback is Fallback.LAST_STATE:
@@ -315,17 +319,28 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     """Replay a sample through the machine and summarize the outcome.
 
     Accuracy covers labeled traces only.  The squared error covers traces
-    whose last symbol carries a target, predicted with the global-mean
-    fallback so every trace gets a number.
+    whose last symbol carries a target, predicted as :func:`predict_value`
+    does with the global-mean fallback, so every trace gets a number.  Each
+    trace's symbols are walked once, in place: one transition lookup per
+    symbol, with no word tuple and no path built.
     """
+    transitions, accepting, start = a.transitions, a.accepting, a.start
     accepted = 0
     pos_total = pos_acc = neg_total = neg_rej = 0
     sq_err = 0.0
     n_t = 0
     for trace in sample.traces:
-        word = trace.word
-        path, complete = walk(a, word)
-        ok = complete and path[-1] in a.accepting
+        symbols = trace.symbols
+        cur = start
+        for inst in symbols:
+            nxt = transitions.get((cur, inst.symbol))
+            if nxt is None:
+                complete = False
+                break
+            cur = nxt
+        else:
+            complete = True
+        ok = complete and cur in accepting
         accepted += ok
         if trace.label is TraceLabel.POSITIVE:
             pos_total += 1
@@ -333,9 +348,9 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
         elif trace.label is TraceLabel.NEGATIVE:
             neg_total += 1
             neg_rej += not ok
-        target = trace.symbols[-1].target if trace.symbols else None
+        target = symbols[-1].target if symbols else None
         if target is not None:
-            err = _resolve(a, word, path, complete, Fallback.GLOBAL_MEAN) - target
+            err = _resolve(a, cur, complete, Fallback.GLOBAL_MEAN) - target
             sq_err += err * err
             n_t += 1
     labeled = pos_total + neg_total

@@ -129,14 +129,28 @@ def _valid_data_first_line(tokens: list[str], labels: dict[str, TraceLabel]) -> 
 
 def _parse_sample(text: str, extended: bool) -> Sample:
     labels = _EXT_LABELS if extended else _PLAIN_LABELS
-    lines = text.splitlines()
-    rows = [(no, tokens) for no, ln in enumerate(lines, 1) if (tokens := ln.split())]
     declared_count = None
     declared_size = None
-    if rows:
-        no, tokens = rows[0]
-        if len(tokens) == 2 and not _valid_data_first_line(tokens, labels):
-            first = lines[no - 1].strip()
+    traces: list[Trace] = []
+    arity: int | None = None
+    max_sym = -1
+    # A token without a '/target' part always parses to the same immutable
+    # instance, so each distinct one is parsed once per call and then shared.
+    shared: dict[str, SymbolInstance] = {}
+    # The symbol and attributes of each distinct part before a '/target',
+    # parsed once per call.
+    heads: dict[str, tuple[Symbol, tuple[float, ...]]] = {}
+    # The (symbol, attributes) first made on the current line: only these
+    # still need the per-sample checks below, since every earlier one passed.
+    fresh: list[tuple[Symbol, tuple[float, ...]]] = []
+    for no, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        # With no trace and no header yet, this is the first non-blank line.
+        if (len(tokens) == 2 and not traces and declared_size is None
+                and not _valid_data_first_line(tokens, labels)):
+            first = line.strip()
             try:
                 declared_count, declared_size = int(tokens[0]), int(tokens[1])
             except ValueError:
@@ -147,18 +161,7 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                 raise SampleFormatError(
                     f"alphabet size {declared_size} exceeds the bound {MAX_ALPHABET_SIZE}", no
                 )
-            del rows[0]
-
-    traces: list[Trace] = []
-    arity: int | None = None
-    max_sym = -1
-    # A token without a '/target' part always parses to the same immutable
-    # instance, so each distinct one is parsed once per call and then shared.
-    shared: dict[str, SymbolInstance] = {}
-    # The symbol and attributes of each distinct part before a '/target',
-    # checked once per call.
-    heads: dict[str, tuple[Symbol, tuple[float, ...]]] = {}
-    for no, tokens in rows:
+            continue
         if len(tokens) < 2:
             raise SampleFormatError("expected 'label length sym...'", no)
         if tokens[0] not in labels:
@@ -189,26 +192,30 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                     parts = heads.get(head)
                     if parts is None:
                         parts = heads[head] = _symbol_part(head, token, True, no)
+                        fresh.append(parts)
                     inst = SymbolInstance(parts[0], parts[1], target)
                 else:
-                    inst = shared[token] = SymbolInstance(*_symbol_part(token, token, extended, no))
+                    parts = _symbol_part(token, token, extended, no)
+                    fresh.append(parts)
+                    inst = shared[token] = SymbolInstance(*parts)
             symbols.append(inst)
-        for inst in symbols:
-            if inst.attributes:
-                if arity is None:
-                    arity = len(inst.attributes)
-                elif len(inst.attributes) != arity:
-                    raise SampleFormatError(
-                        f"attribute arity {len(inst.attributes)} != {arity} seen earlier", no
-                    )
-            # Every symbol up to max_sym has passed this check already.
-            if inst.symbol > max_sym:
-                if declared_size is not None and inst.symbol >= declared_size:
-                    raise SampleFormatError(
-                        f"symbol {inst.symbol} outside declared alphabet of size {declared_size}",
-                        no,
-                    )
-                max_sym = inst.symbol
+        if fresh:
+            for sym, attrs in fresh:
+                if attrs:
+                    if arity is None:
+                        arity = len(attrs)
+                    elif len(attrs) != arity:
+                        raise SampleFormatError(
+                            f"attribute arity {len(attrs)} != {arity} seen earlier", no
+                        )
+                # Every symbol up to max_sym has passed this check already.
+                if sym > max_sym:
+                    if declared_size is not None and sym >= declared_size:
+                        raise SampleFormatError(
+                            f"symbol {sym} outside declared alphabet of size {declared_size}", no
+                        )
+                    max_sym = sym
+            fresh.clear()
         traces.append(Trace(label, tuple(symbols)))
 
     if declared_count is not None and declared_count != len(traces):
@@ -223,9 +230,11 @@ def _parse_sample(text: str, extended: bool) -> Sample:
 def parse_abbadingo(text: str) -> Sample:
     """Parse the classic trace format (labels 0/1, bare integer symbols).
 
-    One pass, linear in the text.  Equal symbol tokens share one immutable
-    :class:`SymbolInstance`, parsed once per call; the per-trace checks run
-    on every symbol.
+    One pass, linear in the text: one split per line and one dict lookup
+    per token seen before.  Equal symbol tokens share one immutable
+    :class:`SymbolInstance`, parsed and checked against the sample once per
+    call.  Lines are split as they are reached, so the parse holds the
+    text's lines and the sample, not every line's tokens.
     """
     return _parse_sample(text, extended=False)
 
@@ -239,8 +248,9 @@ def parse_augmented(text: str) -> Sample:
     :class:`SymbolInstance` parsed once per call.  A ``sym/target`` or
     ``sym:attrs/target`` token is one ``rpartition``, one lookup of its part
     before the ``/`` in a per-call table of parts already checked, one
-    ``float`` with its finiteness check, and one record.  The per-trace
-    checks, attribute arity and alphabet size, run on every symbol.
+    ``float`` with its finiteness check, and one record.  The checks that
+    span the sample, attribute arity and alphabet size, run once per
+    distinct bare token or part before a ``/``, when it is first made.
     """
     return _parse_sample(text, extended=True)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from flexautomata import (
     BinMethod,
     DiscretizationSpec,
+    EvalReport,
     Fallback,
     GenerationError,
     PredictionConfig,
@@ -157,28 +158,45 @@ class _CountingStates(Mapping):
 class TestTargetTotals:
     @given(
         st.integers(0, 10_000_000),
-        st.lists(st.lists(st.integers(0, 2), max_size=6), min_size=1, max_size=12),
-        st.lists(st.floats(-3.0, 3.0) | st.none(), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(
+                st.sampled_from(TraceLabel),
+                st.lists(st.integers(0, 2), max_size=6),
+                st.floats(-3.0, 3.0) | st.none(),
+                st.floats(-3.0, 3.0) | st.none(),
+            ),
+            min_size=1, max_size=12,
+        ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_cached_totals_match_a_pass_per_call(self, seed, words, targets):
+    def test_cached_totals_match_a_pass_per_call(self, seed, drawn):
         # symbol 2 is outside the 2-symbol alphabet: a missing transition
         a = random_automaton(random.Random(seed), max_states=12)
-        for word in words:
+        for _, word, _, _ in drawn:
             for fb in Fallback:
                 want = _outcome(_reference_predict, a, tuple(word), fb)
                 assert _outcome(predict_value, a, tuple(word), PredictionConfig(fb)) == want
+        # Each trace's last symbol carries ``target``; the first symbol of a
+        # longer one carries ``inner``, which is not scored.
         traces = tuple(
-            Trace(TraceLabel.UNLABELED,
-                  tuple(SymbolInstance(s) for s in w[:-1])
-                  + tuple(SymbolInstance(s, (), t) for s in w[-1:]))
-            for w, t in zip(words, targets)
+            Trace(label, tuple(SymbolInstance(s, (), inner if i == 0 else None)
+                               for i, s in enumerate(w[:-1]))
+                  + tuple(SymbolInstance(s, (), target) for s in w[-1:]))
+            for label, w, target, inner in drawn
         )
         sample = Sample(traces, a.alphabet)
         accepted, sq_err, n_t = 0, 0.0, 0
+        pos_total = pos_accepted = neg_total = neg_rejected = 0
         for trace in traces:
             path, complete = _reference_walk(a, trace.word)
-            accepted += complete and path[-1] in a.accepting
+            ok = complete and path[-1] in a.accepting
+            accepted += ok
+            if trace.label is TraceLabel.POSITIVE:
+                pos_total += 1
+                pos_accepted += ok
+            elif trace.label is TraceLabel.NEGATIVE:
+                neg_total += 1
+                neg_rejected += not ok
             target = trace.symbols[-1].target if trace.symbols else None
             if target is not None:
                 got = _outcome(_reference_predict, a, trace.word, Fallback.GLOBAL_MEAN)
@@ -188,10 +206,22 @@ class TestTargetTotals:
                 err = got - target
                 sq_err += err * err
                 n_t += 1
+        labeled = pos_total + neg_total
+        want = EvalReport(
+            traces=len(traces),
+            accepted=accepted,
+            rejected=len(traces) - accepted,
+            pos_total=pos_total,
+            pos_accepted=pos_accepted,
+            neg_total=neg_total,
+            neg_rejected=neg_rejected,
+            accuracy=(pos_accepted + neg_rejected) / labeled if labeled else None,
+            mse=sq_err / n_t if n_t else None,
+            mse_count=n_t,
+        )
         report = evaluate(a, sample)
-        assert report.accepted == accepted
-        assert report.mse == (sq_err / n_t if n_t else None)
-        assert report.mse_count == n_t
+        assert report == want
+        assert repr(report) == repr(want)  # every float to the bit
 
     def test_replaced_states_get_fresh_totals(self):
         a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/4.0 0/6.0\n"))

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -111,6 +112,25 @@ class TestAbbadingoParsing:
         assert first[0] is first[2]
         assert first[1] is second[0]
         assert [s.symbol for s in first + second] == [0, 1, 0, 1, 2]
+
+    def test_parse_peak_stays_below_twice_the_sample(self):
+        # Each line is split when the parse reaches it, so a parse holds the
+        # text's lines and the sample it builds, not every line's tokens.
+        rng = random.Random(0)
+        lines = ["20000 4"]
+        for _ in range(20_000):
+            word = [str(rng.randrange(4)) for _ in range(rng.randint(0, 20))]
+            lines.append(" ".join([str(rng.randint(0, 1)), str(len(word)), *word]))
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample = parse_abbadingo(text)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sample.traces) == 20_000
+        assert peak - base < 2 * (size - base)
 
     def test_negative_length_names_its_line(self):
         for parser in (parse_abbadingo, parse_augmented):
