@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -237,9 +238,12 @@ def _cmd_discretize(args) -> int:
         if not ln:
             continue
         try:
-            series.append(float(ln))
+            value = float(ln)
         except ValueError:
             raise _DataError(f"{args.input}: line {i}: not a number: {ln!r}") from None
+        if not math.isfinite(value):
+            raise _DataError(f"{args.input}: line {i}: not a finite number: {ln!r}")
+        series.append(value)
     spec = DiscretizationSpec(
         bins=args.bins,
         method=BinMethod(args.method),

@@ -9,7 +9,8 @@ Three stock heuristics are provided:
 * :class:`Alergia` runs a Hoeffding compatibility test on the outgoing
   frequency of every symbol (plus the implicit "end here" event) of every
   merged pair, and fails the merge when any test rejects; the score is the
-  number of compatible pairs.
+  number of compatible pairs.  A pair whose bound is 1 or more passes
+  without a count being read, since no two frequencies differ by more.
 * :class:`Mse` scores the (negated) growth in squared target error caused by
   pooling, plus a configurable reward per merged pair; it fails distinctly
   when the trial touched no target data at all, since the score would be
@@ -94,12 +95,20 @@ class Alergia:
 
         True iff the stop frequency or some symbol's frequency differs beyond
         the bound; vacuously False when either state was never visited.
+
+        Also False, before any count is read, when the bound is at least 1.
+        Each compared count is at most its state's visit count, as in every
+        aggregate ``build_apta`` makes, ``check_integrity`` accepts and
+        pooling keeps, so each frequency is a float in [0, 1] and no
+        difference of two exceeds 1.0.
         """
         n1, out1, end1 = f1
         n2, out2, end2 = f2
         if n1 == 0 or n2 == 0:
             return False
         bound = self._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+        if bound >= 1.0:
+            return False
         if abs(end1 / n1 - end2 / n2) > bound:
             return True
         for sym, c1 in out1.items():

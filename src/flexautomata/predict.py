@@ -234,14 +234,22 @@ def bin_cuts(series: Sequence[float], spec: DiscretizationSpec) -> list[float]:
     Uniform binning splits [min, max] into ``bins`` equal widths.  Quantile
     binning puts the cuts at the i/bins quantiles (linear interpolation);
     duplicate cuts from heavy ties are collapsed with a warning, shrinking
-    the alphabet.
+    the alphabet.  Every cut of a finite series is finite: where a sum or
+    product inside either formula overflows near the float limits, the
+    same formula runs on the series scaled down by a power of two, and its
+    cuts are scaled back.
     """
-    if spec.bins == 1:
+    bins = spec.bins
+    if bins == 1:
         return []
-    lo, hi = min(series), max(series)
+    cuts = _cuts(series, bins, spec.method)
+    if not all(map(math.isfinite, cuts)):
+        # 2**k > 2 * bins keeps every product and sum of either formula in range.
+        k = bins.bit_length() + 1
+        scaled = _cuts([math.ldexp(v, -k) for v in series], bins, spec.method)
+        cuts = [math.ldexp(c, k) for c in scaled]
     if spec.method is BinMethod.UNIFORM:
-        return [lo + (hi - lo) * i / spec.bins for i in range(1, spec.bins)]
-    cuts = statistics.quantiles(series, n=spec.bins, method="inclusive")
+        return cuts
     unique = sorted(set(cuts))
     if len(unique) < len(cuts):
         warnings.warn(
@@ -250,6 +258,13 @@ def bin_cuts(series: Sequence[float], spec: DiscretizationSpec) -> list[float]:
             stacklevel=2,
         )
     return unique
+
+
+def _cuts(series: Sequence[float], bins: int, method: BinMethod) -> list[float]:
+    if method is BinMethod.UNIFORM:
+        lo, hi = min(series), max(series)
+        return [lo + (hi - lo) * i / bins for i in range(1, bins)]
+    return statistics.quantiles(series, n=bins, method="inclusive")
 
 
 def _bin_names(cuts: list[float], lo: float, hi: float) -> tuple[str, ...]:
@@ -268,7 +283,9 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
     Each of the ``len(series) - window`` sliding windows with a successor
     value becomes one unlabeled trace; its last symbol carries the successor
     (NEXT_VALUE) or the step toward it (NEXT_DELTA) as target.  Values
-    sitting exactly on a cut go to the lower bin.
+    sitting exactly on a cut go to the lower bin.  A step that overflows to
+    an infinite target raises :class:`ValueError` naming its two positions,
+    since no trace file could carry it.
     """
     series = [float(v) for v in series]
     if any(not math.isfinite(v) for v in series):
@@ -290,6 +307,11 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
     for i in range(len(series) - w):
         if spec.target is TargetKind.NEXT_DELTA:
             target = series[i + w] - series[i + w - 1]
+            if not math.isfinite(target):
+                raise ValueError(
+                    f"step from series[{i + w - 1}] to series[{i + w}] overflows: "
+                    f"{series[i + w]!r} - {series[i + w - 1]!r} is {target!r}"
+                )
         else:
             target = series[i + w]
         last = SymbolInstance(symbols[i + w - 1], (), target)

@@ -390,11 +390,22 @@ class TestDiscretize:
         assert code == 0
         assert len(parse_augmented(capsys.readouterr().out).traces) == 2
 
-    def test_non_numeric_line_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["banana", "nan", "inf", "-inf"])
+    def test_non_numeric_line_exits_2(self, tmp_path, capsys, value):
         p = tmp_path / "series.csv"
-        p.write_text("1.0\nbanana\n")
+        p.write_text(f"1.0\n{value}\n3.0\n")
         assert run(["discretize", "--input", str(p), "--bins", "1", "--window", "1"]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_overflowing_step_exits_2(self, tmp_path, capsys):
+        # the step from 1e308 to -1e308 would be written as a target of -inf,
+        # which learn could not read back
+        p = tmp_path / "series.csv"
+        p.write_text("1\n2\n1e308\n-1e308\n5\n")
+        assert run(["discretize", "--input", str(p), "--bins", "1", "--window", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "series[2] to series[3] overflows" in err
 
     def test_too_short_series_exits_2(self, tmp_path, capsys):
         p = tmp_path / "series.csv"

@@ -2,9 +2,10 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexautomata import (
@@ -92,18 +93,33 @@ class TestHoeffding:
         assert not rejects(0, 0, 0, 0, 0.05)
 
     @given(
-        st.integers(0, 50), st.integers(1, 50),
-        st.integers(0, 50), st.integers(1, 50),
+        st.lists(st.integers(0, 3), max_size=40),
+        st.lists(st.integers(0, 3), max_size=40),
         st.floats(0.001, 0.999),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_compatibility_matches_direct_evaluation(self, f1, n1, f2, n2, alpha):
-        f1, f2 = min(f1, n1), min(f2, n2)
-        gap = abs(f1 / n1 - f2 / n2)
-        direct = math.sqrt(0.5 * math.log(2.0 / alpha)) * (
-            1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2)
-        )
-        assert rejects(f1, n1, f2, n2, alpha) == (gap > direct)
+    # A single visit against 20 makes a bound of about 0.95 at alpha 0.6,
+    # below 1, and the end frequencies 1 and 0 differ by more.
+    @example([3], [0] * 20, 0.6)
+    @settings(max_examples=300, deadline=None)
+    def test_compatibility_matches_direct_evaluation(self, visits1, visits2, alpha):
+        # Each visit either ends (3) or leaves on symbol 0, 1 or 2, so a
+        # state's end count and per-symbol counts sum to its visit count.
+        def frequencies(visits):
+            out = Counter(visits)
+            return (len(visits), out, out.pop(3, 0))
+
+        (n1, out1, end1), (n2, out2, end2) = f1, f2 = frequencies(visits1), frequencies(visits2)
+        if n1 == 0 or n2 == 0:
+            direct = False
+        else:
+            bound = math.sqrt(0.5 * math.log(2.0 / alpha)) * (
+                1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2)
+            )
+            gaps = [abs(end1 / n1 - end2 / n2)] + [
+                abs(out1.get(sym, 0) / n1 - out2.get(sym, 0) / n2) for sym in (0, 1, 2)
+            ]
+            direct = max(gaps) > bound
+        assert Alergia(alpha)._rejects(f1, f2) == direct
 
     def test_larger_samples_tighten_the_bound(self):
         assert bound(100, 100, 0.05) < bound(10, 10, 0.05)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import statistics
 import warnings
 from collections import Counter
 from collections.abc import Mapping
@@ -36,6 +37,7 @@ from flexautomata import (
     predict_value,
     sample_words,
     shortest_accepted_length,
+    write_sample,
 )
 from flexautomata.automaton import Outcome
 from gen import complete_sample, even_ones_dfa, random_automaton
@@ -356,6 +358,35 @@ class TestBinCuts:
         cuts = bin_cuts([5.0, 5.0, 5.0], DiscretizationSpec(bins=3))
         assert cuts == pytest.approx([5.0, 5.0])
 
+    def test_cuts_near_the_float_limits_stay_finite(self):
+        # hi - lo overflows in the uniform formula, and data * 3 in the quantile one
+        assert bin_cuts([-1e308, 0.0, 1e308, 0.5], DiscretizationSpec(bins=4)) == [
+            -5e307, 0.0, 5e307]
+        spec = DiscretizationSpec(bins=3, method=BinMethod.QUANTILE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # two distinct cuts collapse nothing
+            cuts = bin_cuts([1.7e308, 1.6e308, 1.75e308, 1.79e308], spec)
+        assert cuts == pytest.approx([1.7e308, 1.75e308], rel=1e-15)
+
+    @pytest.mark.parametrize("method", list(BinMethod))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8),
+           st.integers(2, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_cuts_of_a_finite_series_are_finite(self, method, series, bins):
+        lo, hi = min(series), max(series)
+        if method is BinMethod.UNIFORM:
+            plain = [lo + (hi - lo) * i / bins for i in range(1, bins)]
+        else:
+            plain = sorted(set(statistics.quantiles(series, n=bins, method="inclusive")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cuts = bin_cuts(series, DiscretizationSpec(bins=bins, method=method))
+        assert all(map(math.isfinite, cuts))
+        assert cuts == sorted(cuts)
+        # Where the plain formula stays in range, its cuts are kept to the bit.
+        if all(map(math.isfinite, plain)):
+            assert cuts == plain
+
 
 class TestDiscretize:
     def test_ramp_with_two_bins(self):
@@ -412,6 +443,22 @@ class TestDiscretize:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             discretize([1.0, float("nan"), 2.0], DiscretizationSpec(bins=2, window=1))
+
+    def test_overflowing_step_rejected(self):
+        # 1e308 to -1e308 is a step of -inf, which no trace file can carry
+        series = [1.0, 2.0, 1e308, -1e308, 5.0]
+        with pytest.raises(ValueError, match=r"series\[2\] to series\[3\] overflows"):
+            discretize(series, DiscretizationSpec(bins=1, window=1))
+        spec = DiscretizationSpec(bins=1, window=1, target=TargetKind.NEXT_VALUE)
+        assert len(discretize(series, spec).traces) == 4
+        # A step inside the first window is no target, so it may overflow.
+        sample = discretize([1e308, -1e308, 0.0, 1.0], DiscretizationSpec(bins=1, window=2))
+        assert [t.symbols[-1].target for t in sample.traces] == [1e308, 1.0]
+
+    def test_series_near_the_float_limits_reads_back(self):
+        sample = discretize([-1e308, 0.0, 1e308, 0.5], DiscretizationSpec(bins=4, window=1))
+        assert not any("inf" in name for name in sample.alphabet)
+        assert parse_augmented(write_sample(sample)).traces == sample.traces
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
