@@ -148,10 +148,14 @@ class Automaton:
     ``next_id`` is the lowest id never handed out, so merged states can take
     fresh ids without colliding with anything that ever existed in this run.
 
-    :attr:`target_totals` is computed on first use and then kept, which is
-    sound only because an automaton and its ``states`` are never edited after
+    :attr:`target_totals`, and the successor table every walk steps
+    through (state -> ``{symbol: target}``, one entry per transition), are
+    computed on first use and then kept.  That is sound only because an
+    automaton, its ``states`` and its ``transitions`` are never edited after
     construction; :func:`dataclasses.replace` makes a new object with its own
-    totals.
+    totals and table.  A step of a query then looks up the state's row and
+    the symbol in it, both keyed by ints, instead of building and hashing a
+    ``(state, symbol)`` key.
     """
 
     alphabet: tuple[str, ...]
@@ -171,10 +175,14 @@ class Automaton:
         return StateLabel.UNLABELED
 
     def out_edges(self, q: StateId) -> Iterator[tuple[Symbol, StateId]]:
-        """Outgoing edges of ``q`` in ascending symbol order."""
-        for sym in range(len(self.alphabet)):
-            dst = self.transitions.get((q, sym))
-            if dst is not None:
+        """Outgoing edges of ``q`` on alphabet symbols, in ascending symbol order.
+
+        Reads only ``q``'s own entries in the successor table, so it costs the
+        state's out-degree, not the alphabet size.
+        """
+        size = len(self.alphabet)
+        for sym, dst in sorted(self._successors.get(q, {}).items()):
+            if 0 <= sym < size:
                 yield sym, dst
 
     @property
@@ -194,6 +202,25 @@ class Automaton:
             count += s.target_count
             total += s.target_sum
         return count, total
+
+    @cached_property
+    def _successors(self) -> dict[StateId, dict[Symbol, StateId]]:
+        """State -> ``{symbol: target}``, from one pass over ``transitions``.
+
+        Every state a walk can stand on has a row: each source, each target
+        and the start state, whether or not it is in ``states``.  So a step
+        ``table[q].get(sym)`` equals ``transitions.get((q, sym))`` on any
+        automaton, including one that fails :func:`check_integrity`.
+        """
+        table: dict[StateId, dict[Symbol, StateId]] = {self.start: {}}
+        for (src, sym), dst in self.transitions.items():
+            row = table.get(src)
+            if row is None:
+                row = table[src] = {}
+            row[sym] = dst
+            if dst not in table:
+                table[dst] = {}
+        return table
 
 
 @_record
@@ -217,17 +244,26 @@ class ComputationResult:
         return self.outcome is Outcome.ACCEPT
 
 
+# Bound once, so that compute reads no member off an enum class (slow on CPython 3.11).
+_ACCEPT, _REJECT_BY_LABEL, _REJECT_NO_TRANSITION = (
+    Outcome.ACCEPT, Outcome.REJECT_BY_LABEL, Outcome.REJECT_NO_TRANSITION)
+_ACCEPTING, _REJECTING, _UNLABELED = (
+    StateLabel.ACCEPTING, StateLabel.REJECTING, StateLabel.UNLABELED)
+
+
 def walk(a: Automaton, word: Word) -> tuple[list[StateId], bool]:
     """Follow ``word`` from the start state as far as the transitions allow.
 
     Returns the states visited and whether the whole word was consumed.  A
     symbol outside the alphabet is a missing transition like any other.
+    Each step reads the model's successor table: the state's row, then the
+    symbol in it.
     """
-    transitions = a.transitions
+    table = a._successors
     cur = a.start
     path = [cur]
     for sym in word:
-        cur = transitions.get((cur, sym))
+        cur = table[cur].get(sym)
         if cur is None:
             return path, False
         path.append(cur)
@@ -242,6 +278,9 @@ def compute(a: Automaton, word: Word) -> ComputationResult:
     transition is a normal rejection, not an error.  Only the symbol that
     stopped the walk is range-checked: in an automaton that passes
     :func:`check_integrity` no transition uses a symbol outside the alphabet.
+    The walk is :func:`walk`'s; the end label is read from ``accepting`` and
+    ``rejecting`` as :meth:`Automaton.label` reads it, and the only object
+    built besides the path is the result record.
     """
     path, complete = walk(a, word)
     if not complete:
@@ -249,10 +288,12 @@ def compute(a: Automaton, word: Word) -> ComputationResult:
         sym, size = word[i], len(a.alphabet)
         if not 0 <= sym < size:
             raise ValueError(f"symbol {sym} at position {i} outside alphabet of size {size}")
-        return ComputationResult(tuple(path), Outcome.REJECT_NO_TRANSITION, missing_at=i)
-    end = a.label(path[-1])
-    outcome = Outcome.ACCEPT if end is StateLabel.ACCEPTING else Outcome.REJECT_BY_LABEL
-    return ComputationResult(tuple(path), outcome, end_label=end)
+        return ComputationResult(tuple(path), _REJECT_NO_TRANSITION, i)
+    end = path[-1]
+    if end in a.accepting:
+        return ComputationResult(tuple(path), _ACCEPT, None, _ACCEPTING)
+    label = _REJECTING if end in a.rejecting else _UNLABELED
+    return ComputationResult(tuple(path), _REJECT_BY_LABEL, None, label)
 
 
 # The slack of the squared-error check in check_integrity.  The exact sums

@@ -4,12 +4,18 @@ Prediction walks a word through the automaton and reports the mean target of
 the end state.  Words that fall off the transition structure are handled by
 a configurable fallback: the global target mean, the mean at the deepest
 state actually reached, or a hard error.  The global mean comes from
-:attr:`Automaton.target_totals`, pooled once per model and kept because
-models are immutable, so a query costs its word length, not the model size.
+:attr:`Automaton.target_totals`, and each step from the model's successor
+table (state -> ``{symbol: target}``, built in one pass over its
+transitions); both are made once per model and kept because models are
+immutable.  So a query costs one table step per symbol, not the model
+size, and builds nothing but its answer, save the path that the LAST_STATE
+fallback reads.
 
 Sampling draws words from the machine by a weighted random walk over the
 recorded transition counts (with an extra stop option at accepting states),
-so frequent patterns in the training data are frequent in the output.
+so frequent patterns in the training data are frequent in the output.  A
+state's options come from its own row of the successor table, so they cost
+its out-degree, not the alphabet size.
 
 Discretization turns a real-valued series into trace data: the value range
 is split into bins, each sliding window becomes one unlabeled trace of bin
@@ -41,6 +47,11 @@ class Fallback(enum.Enum):
     ERROR = "error"
 
 
+# Bound once: reading a member off its enum class costs about ten times a
+# global read on CPython 3.11, which a query would pay on every call.
+_GLOBAL_MEAN, _LAST_STATE, _ERROR = Fallback.GLOBAL_MEAN, Fallback.LAST_STATE, Fallback.ERROR
+
+
 @dataclass(frozen=True)
 class PredictionConfig:
     fallback: Fallback = Fallback.GLOBAL_MEAN
@@ -64,9 +75,27 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
     :func:`~flexautomata.automaton.compute`: a query degrades to its
     fallback.  A model with no target data at all is an error under every
     policy.
+
+    Only LAST_STATE reads the states walked, so only it builds the path;
+    under the other policies the walk keeps just its current state.  Every
+    answer but the in-domain mean comes from :func:`_resolve`.
     """
-    path, complete = walk(a, word)
-    return _resolve(a, path[-1], complete, cfg.fallback, word, path)
+    fallback = cfg.fallback
+    if fallback is _LAST_STATE:
+        path, complete = walk(a, word)
+        return _resolve(a, path[-1], complete, fallback, word, path)
+    table = a._successors
+    cur = a.start
+    for sym in word:
+        nxt = table[cur].get(sym)
+        if nxt is None:
+            return _resolve(a, cur, False, fallback, word)
+        cur = nxt
+    if a.target_totals[0]:  # a model with no target data at all is _resolve's error
+        agg = a.states[cur]
+        if agg.target_count > 0:
+            return agg.target_sum / agg.target_count
+    return _resolve(a, cur, True, fallback, word)
 
 
 def _resolve(a: Automaton, end: StateId, complete: bool, fallback: Fallback,
@@ -82,9 +111,9 @@ def _resolve(a: Automaton, end: StateId, complete: bool, fallback: Fallback,
     agg = a.states[end]
     if complete and agg.target_count > 0:
         return agg.target_sum / agg.target_count
-    if fallback is Fallback.ERROR:
+    if fallback is _ERROR:
         raise PredictionError(f"word {word} leaves the model's domain")
-    if fallback is Fallback.LAST_STATE:
+    if fallback is _LAST_STATE:
         for q in reversed(path):
             agg = a.states[q]
             if agg.target_count > 0:
@@ -237,8 +266,12 @@ def bin_cuts(series: Sequence[float], spec: DiscretizationSpec) -> list[float]:
     the alphabet.  Every cut of a finite series is finite: where a sum or
     product inside either formula overflows near the float limits, the
     same formula runs on the series scaled down by a power of two, and its
-    cuts are scaled back.
+    cuts are scaled back.  A one-value series is a constant one: ``bins - 1``
+    cuts at its value, which quantile binning collapses to one.  An empty
+    series raises :class:`ValueError`.
     """
+    if not series:
+        raise ValueError("cannot bin an empty series")
     bins = spec.bins
     if bins == 1:
         return []
@@ -264,6 +297,8 @@ def _cuts(series: Sequence[float], bins: int, method: BinMethod) -> list[float]:
     if method is BinMethod.UNIFORM:
         lo, hi = min(series), max(series)
         return [lo + (hi - lo) * i / bins for i in range(1, bins)]
+    if len(series) == 1:  # statistics.quantiles refuses one value before CPython 3.13
+        return [series[0]] * (bins - 1)
     return statistics.quantiles(series, n=bins, method="inclusive")
 
 
@@ -343,10 +378,11 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     Accuracy covers labeled traces only.  The squared error covers traces
     whose last symbol carries a target, predicted as :func:`predict_value`
     does with the global-mean fallback, so every trace gets a number.  Each
-    trace's symbols are walked once, in place: one transition lookup per
-    symbol, with no word tuple and no path built.
+    trace's symbols are walked once, in place: one successor-table step
+    per symbol, with no word tuple and no path built.
     """
-    transitions, accepting, start = a.transitions, a.accepting, a.start
+    table, accepting, start = a._successors, a.accepting, a.start
+    positive, negative = TraceLabel.POSITIVE, TraceLabel.NEGATIVE  # bound once, as above
     accepted = 0
     pos_total = pos_acc = neg_total = neg_rej = 0
     sq_err = 0.0
@@ -355,7 +391,7 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
         symbols = trace.symbols
         cur = start
         for inst in symbols:
-            nxt = transitions.get((cur, inst.symbol))
+            nxt = table[cur].get(inst.symbol)
             if nxt is None:
                 complete = False
                 break
@@ -364,15 +400,15 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
             complete = True
         ok = complete and cur in accepting
         accepted += ok
-        if trace.label is TraceLabel.POSITIVE:
+        if trace.label is positive:
             pos_total += 1
             pos_acc += ok
-        elif trace.label is TraceLabel.NEGATIVE:
+        elif trace.label is negative:
             neg_total += 1
             neg_rej += not ok
         target = symbols[-1].target if symbols else None
         if target is not None:
-            err = _resolve(a, cur, complete, Fallback.GLOBAL_MEAN) - target
+            err = _resolve(a, cur, complete, _GLOBAL_MEAN) - target
             sq_err += err * err
             n_t += 1
     labeled = pos_total + neg_total

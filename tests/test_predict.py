@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     BinMethod,
+    ComputationResult,
     DiscretizationSpec,
     EvalReport,
     Fallback,
@@ -27,6 +28,7 @@ from flexautomata import (
     TraceLabel,
     bin_cuts,
     build_apta,
+    check_integrity,
     compute,
     discretize,
     evaluate,
@@ -39,8 +41,9 @@ from flexautomata import (
     shortest_accepted_length,
     write_sample,
 )
-from flexautomata.automaton import Outcome
+from flexautomata.automaton import Outcome, walk
 from gen import complete_sample, even_ones_dfa, random_automaton
+import oracle_automaton
 import oracle_predict
 
 
@@ -130,31 +133,66 @@ def _reference_predict(a, word, fallback):
     return mean
 
 
+def _reference_evaluate(a, sample):
+    """evaluate as a walk and a prediction per trace, each through the references above."""
+    accepted, sq_err, n_t = 0, 0.0, 0
+    pos_total = pos_accepted = neg_total = neg_rejected = 0
+    for trace in sample.traces:
+        path, complete = _reference_walk(a, trace.word)
+        ok = complete and path[-1] in a.accepting
+        accepted += ok
+        if trace.label is TraceLabel.POSITIVE:
+            pos_total += 1
+            pos_accepted += ok
+        elif trace.label is TraceLabel.NEGATIVE:
+            neg_total += 1
+            neg_rejected += not ok
+        target = trace.symbols[-1].target if trace.symbols else None
+        if target is not None:
+            err = _reference_predict(a, trace.word, Fallback.GLOBAL_MEAN) - target
+            sq_err += err * err
+            n_t += 1
+    labeled = pos_total + neg_total
+    return EvalReport(
+        traces=len(sample.traces),
+        accepted=accepted,
+        rejected=len(sample.traces) - accepted,
+        pos_total=pos_total,
+        pos_accepted=pos_accepted,
+        neg_total=neg_total,
+        neg_rejected=neg_rejected,
+        accuracy=(pos_accepted + neg_rejected) / labeled if labeled else None,
+        mse=sq_err / n_t if n_t else None,
+        mse_count=n_t,
+    )
+
+
 def _outcome(fn, *args):
+    """The call's result, or the type and message of the exception it raised."""
     try:
         return fn(*args)
-    except PredictionError as exc:
-        return str(exc)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
-class _CountingStates(Mapping):
-    """A state table that counts full passes over it and reads of each state."""
+class _Counting(Mapping):
+    """A mapping that counts full passes over it and reads of each key, hit or miss."""
 
-    def __init__(self, states):
-        self._states = dict(states)
+    def __init__(self, items):
+        self._items = dict(items)
         self.passes = 0
         self.reads = Counter()
 
-    def __getitem__(self, q):
-        self.reads[q] += 1
-        return self._states[q]
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return self._items[key]
 
     def __iter__(self):
         self.passes += 1
-        return iter(self._states)
+        return iter(self._items)
 
     def __len__(self):
-        return len(self._states)
+        return len(self._items)
 
 
 class TestTargetTotals:
@@ -187,41 +225,8 @@ class TestTargetTotals:
             for label, w, target, inner in drawn
         )
         sample = Sample(traces, a.alphabet)
-        accepted, sq_err, n_t = 0, 0.0, 0
-        pos_total = pos_accepted = neg_total = neg_rejected = 0
-        for trace in traces:
-            path, complete = _reference_walk(a, trace.word)
-            ok = complete and path[-1] in a.accepting
-            accepted += ok
-            if trace.label is TraceLabel.POSITIVE:
-                pos_total += 1
-                pos_accepted += ok
-            elif trace.label is TraceLabel.NEGATIVE:
-                neg_total += 1
-                neg_rejected += not ok
-            target = trace.symbols[-1].target if trace.symbols else None
-            if target is not None:
-                got = _outcome(_reference_predict, a, trace.word, Fallback.GLOBAL_MEAN)
-                if isinstance(got, str):
-                    assert _outcome(evaluate, a, sample) == got
-                    return
-                err = got - target
-                sq_err += err * err
-                n_t += 1
-        labeled = pos_total + neg_total
-        want = EvalReport(
-            traces=len(traces),
-            accepted=accepted,
-            rejected=len(traces) - accepted,
-            pos_total=pos_total,
-            pos_accepted=pos_accepted,
-            neg_total=neg_total,
-            neg_rejected=neg_rejected,
-            accuracy=(pos_accepted + neg_rejected) / labeled if labeled else None,
-            mse=sq_err / n_t if n_t else None,
-            mse_count=n_t,
-        )
-        report = evaluate(a, sample)
+        want = _outcome(_reference_evaluate, a, sample)
+        report = _outcome(evaluate, a, sample)
         assert report == want
         assert repr(report) == repr(want)  # every float to the bit
 
@@ -239,7 +244,7 @@ class TestTargetTotals:
 
     def test_state_passes_do_not_grow_with_queries(self):
         base = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/4.0 0/6.0\n"))
-        states = _CountingStates(base.states)
+        states = _Counting(base.states)
         a = dataclasses.replace(base, states=states)
         sample = parse_augmented("? 1 1/1.0\n? 2 0 0/1.0\n")
         predict_value(a, (1,))
@@ -251,6 +256,143 @@ class TestTargetTotals:
         for _ in range(25):
             evaluate(a, sample)
         assert states.passes == first
+
+
+@st.composite
+def _walkable_automata(draw):
+    """Automata from ``random_automaton``, some of them broken in ways a walk still takes.
+
+    A break moves the start, or a transition's target, to a state outside
+    ``states``; gives that state transitions of its own; or adds a
+    transition on a symbol outside the alphabet.  Each fails
+    ``check_integrity``, and each step must still be
+    ``transitions.get((state, symbol))``.  The transitions come in a
+    shuffled order, so no row of the successor table is built in symbol
+    order.  Some carry no target data, which every prediction must report
+    before it reads a state.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = random_automaton(rng, 8, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        a = dataclasses.replace(a, states={
+            q: dataclasses.replace(agg, target_count=0, target_sum=0.0, target_sumsq=0.0)
+            for q, agg in a.states.items()})
+    size, ghost = len(a.alphabet), a.next_id + 2
+    start, transitions = a.start, dict(a.transitions)
+    anywhere = st.sampled_from([*a.states, ghost])
+    broken = False
+    for kind in draw(st.lists(st.sampled_from(["start", "target", "ghost", "symbol"]),
+                              max_size=3)):
+        if kind == "start":
+            start = ghost
+        elif kind == "target":
+            if not transitions:
+                continue
+            transitions[draw(st.sampled_from(sorted(transitions)))] = ghost
+        elif kind == "ghost":
+            transitions[(ghost, draw(st.integers(0, size - 1)))] = draw(anywhere)
+        else:
+            transitions[(draw(anywhere), draw(st.sampled_from([-1, size, size + 3])))] = (
+                draw(anywhere))
+        broken = True
+    items = list(transitions.items())
+    rng.shuffle(items)
+    b = dataclasses.replace(a, start=start, transitions=dict(items))
+    assert bool(check_integrity(b)) == broken
+    return b
+
+
+class TestSuccessorTable:
+    """Every walk through the successor table against a scan of ``transitions``."""
+
+    @given(
+        _walkable_automata(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(TraceLabel),
+                st.lists(st.integers(-1, 6), max_size=6),
+                st.floats(-3.0, 3.0) | st.none(),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_paths_match_the_references(self, a, drawn):
+        size = len(a.alphabet)
+        for _, word, _ in drawn:
+            word = tuple(word)
+            path, complete = _reference_walk(a, word)
+            assert walk(a, word) == (path, complete)
+            got = _outcome(compute, a, word)
+            if all(0 <= sym < size for sym in word[:len(path) - 1]):
+                assert got == _outcome(oracle_automaton.compute, a, word)
+            elif isinstance(got, ComputationResult):
+                # The oracle refuses a symbol outside the alphabet before it
+                # looks for a transition; the walk follows one where it exists.
+                assert got.path == tuple(path)
+                assert got.accepted == (complete and path[-1] in a.accepting)
+            else:
+                assert not complete and not 0 <= word[len(path) - 1] < size
+            for fb in Fallback:
+                want = _outcome(_reference_predict, a, word, fb)
+                assert _outcome(predict_value, a, word, PredictionConfig(fb)) == want
+        ends = {src for src, _ in a.transitions} | set(a.transitions.values())
+        for q in sorted(ends | set(a.states) | {a.start}):
+            want = sorted((sym, dst) for (src, sym), dst in a.transitions.items()
+                          if src == q and 0 <= sym < size)
+            assert list(a.out_edges(q)) == want
+        traces = tuple(
+            Trace(label, tuple(SymbolInstance(s, (), None) for s in w[:-1])
+                  + tuple(SymbolInstance(s, (), target) for s in w[-1:]))
+            for label, w, target in drawn
+        )
+        sample = Sample(traces, a.alphabet)
+        assert _outcome(evaluate, a, sample) == _outcome(_reference_evaluate, a, sample)
+
+    def test_replaced_transitions_get_a_fresh_table(self):
+        # states: 0 root, 1 after "0" (targets 2, 4), 2 after "0 1" (target 6)
+        a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/4.0 1/6.0\n"))
+        sample = parse_augmented("? 1 1/6.0\n")
+        assert predict_value(a, (0, 1)) == 6.0
+        assert evaluate(a, sample).mse == 4.0  # (1,) leaves the model: global mean 4
+        b = dataclasses.replace(a, transitions={(0, 1): 2, (2, 0): 1})
+        assert walk(b, (1, 0)) == ([0, 2, 1], True)
+        assert compute(b, (0,)).outcome is Outcome.REJECT_NO_TRANSITION
+        assert predict_value(b, (1,)) == 6.0
+        assert list(b.out_edges(0)) == [(1, 2)]
+        assert evaluate(b, sample).mse == 0.0
+        assert walk(a, (1,)) == ([0], False)
+        assert list(a.out_edges(0)) == [(0, 1)]
+
+
+class TestWideAlphabet:
+    """Generation over a 65 536-symbol alphabet costs out-degree, not alphabet size."""
+
+    WIDE = (5, 30_000, 65_535)  # where the narrow model's symbols 0, 1, 2 go
+
+    def test_each_transition_is_read_once(self):
+        narrow = random_automaton(random.Random(6), 20, len(self.WIDE))  # 20 states
+        wide = dataclasses.replace(
+            narrow,
+            alphabet=tuple(str(i) for i in range(65_536)),
+            states={q: dataclasses.replace(
+                agg, out_counts={self.WIDE[s]: c for s, c in agg.out_counts.items()})
+                for q, agg in narrow.states.items()},
+            transitions={(q, self.WIDE[s]): dst for (q, s), dst in narrow.transitions.items()},
+        )
+        assert check_integrity(wide) == []
+        counted = _Counting(wide.transitions)
+        wide = dataclasses.replace(wide, transitions=counted)
+        assert shortest_accepted_length(wide) == shortest_accepted_length(narrow) == 2
+        assert set(counted.reads) == set(counted._items)  # no key outside it is tried
+        assert set(counted.reads.values()) == {1}
+        assert counted.passes == 1
+        words = sample_words(wide, 50, seed=1, max_len=12)
+        # An order-keeping relabelling of the symbols draws the same words.
+        assert words == [tuple(self.WIDE[s] for s in w) for w in sample_words(narrow, 50, 1, 12)]
+        assert sum(map(len, words)) > 50
+        assert counted.passes == 1
+        assert set(counted.reads.values()) == {1}
 
 
 class TestSampleWords:
@@ -309,7 +451,7 @@ class TestSampleWords:
         assert self._words(sample_words, a, n, seed, max_len) == want
 
     def test_each_state_is_read_once_per_call(self, model):
-        states = _CountingStates(model.states)
+        states = _Counting(model.states)
         a = dataclasses.replace(model, states=states)
         words = sample_words(a, 200, seed=5, max_len=12)
         assert words == oracle_predict.sample_words(model, 200, 5, 12)
@@ -357,6 +499,32 @@ class TestBinCuts:
     def test_constant_series_uniform(self):
         cuts = bin_cuts([5.0, 5.0, 5.0], DiscretizationSpec(bins=3))
         assert cuts == pytest.approx([5.0, 5.0])
+
+    @pytest.mark.parametrize("method", list(BinMethod))
+    @pytest.mark.parametrize("bins", [2, 3, 5])
+    def test_one_value_is_a_constant_series(self, method, bins):
+        # statistics.quantiles refuses a single value before CPython 3.13 and
+        # repeats it from 3.13 on; either way the answer is the constant one's.
+        spec = DiscretizationSpec(bins, method)
+        answers = []
+        for series in ([2.5], [2.5, 2.5, 2.5]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                answers.append((bin_cuts(series, spec), [str(w.message) for w in caught]))
+        assert answers[0] == answers[1]
+        if method is BinMethod.UNIFORM or bins == 2:
+            assert answers[0] == ([2.5] * (bins - 1), [])
+        else:
+            assert answers[0] == ([2.5], [
+                f"quantile cuts collapsed from {bins - 1} to 1; alphabet shrinks to 2 bins"])
+
+    @pytest.mark.parametrize("method", list(BinMethod))
+    @pytest.mark.parametrize("bins", [1, 2, 4])
+    def test_empty_series_is_refused(self, method, bins):
+        with pytest.raises(ValueError) as err:
+            bin_cuts([], DiscretizationSpec(bins, method))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "cannot bin an empty series"
 
     def test_cuts_near_the_float_limits_stay_finite(self):
         # hi - lo overflows in the uniform formula, and data * 3 in the quantile one
