@@ -45,6 +45,14 @@ class Outcome(enum.Enum):
     REJECT_NO_TRANSITION = "reject_no_transition"
 
 
+# Bound once: reading a member off its enum class costs about ten times a
+# global read on CPython 3.11, which every computation would pay.
+_ACCEPTING, _REJECTING, _UNLABELED = (
+    StateLabel.ACCEPTING, StateLabel.REJECTING, StateLabel.UNLABELED)
+_ACCEPT, _REJECT_BY_LABEL, _REJECT_NO_TRANSITION = (
+    Outcome.ACCEPT, Outcome.REJECT_BY_LABEL, Outcome.REJECT_NO_TRANSITION)
+
+
 class _Factory:
     """The default that stands for a field's default factory in a record's ``__init__``."""
 
@@ -148,7 +156,7 @@ class Automaton:
     ``next_id`` is the lowest id never handed out, so merged states can take
     fresh ids without colliding with anything that ever existed in this run.
 
-    :attr:`target_totals`, and the successor table every walk steps
+    :attr:`target_totals`, and the successor table that queries step
     through (state -> ``{symbol: target}``, one entry per transition), are
     computed on first use and then kept.  That is sound only because an
     automaton, its ``states`` and its ``transitions`` are never edited after
@@ -169,10 +177,10 @@ class Automaton:
 
     def label(self, q: StateId) -> StateLabel:
         if q in self.accepting:
-            return StateLabel.ACCEPTING
+            return _ACCEPTING
         if q in self.rejecting:
-            return StateLabel.REJECTING
-        return StateLabel.UNLABELED
+            return _REJECTING
+        return _UNLABELED
 
     def out_edges(self, q: StateId) -> Iterator[tuple[Symbol, StateId]]:
         """Outgoing edges of ``q`` on alphabet symbols, in ascending symbol order.
@@ -241,14 +249,7 @@ class ComputationResult:
 
     @property
     def accepted(self) -> bool:
-        return self.outcome is Outcome.ACCEPT
-
-
-# Bound once, so that compute reads no member off an enum class (slow on CPython 3.11).
-_ACCEPT, _REJECT_BY_LABEL, _REJECT_NO_TRANSITION = (
-    Outcome.ACCEPT, Outcome.REJECT_BY_LABEL, Outcome.REJECT_NO_TRANSITION)
-_ACCEPTING, _REJECTING, _UNLABELED = (
-    StateLabel.ACCEPTING, StateLabel.REJECTING, StateLabel.UNLABELED)
+        return self.outcome is _ACCEPT
 
 
 def walk(a: Automaton, word: Word) -> tuple[list[StateId], bool]:
@@ -278,9 +279,8 @@ def compute(a: Automaton, word: Word) -> ComputationResult:
     transition is a normal rejection, not an error.  Only the symbol that
     stopped the walk is range-checked: in an automaton that passes
     :func:`check_integrity` no transition uses a symbol outside the alphabet.
-    The walk is :func:`walk`'s; the end label is read from ``accepting`` and
-    ``rejecting`` as :meth:`Automaton.label` reads it, and the only object
-    built besides the path is the result record.
+    The walk is :func:`walk`'s, the end label :meth:`Automaton.label`'s, and
+    the only object built besides the path is the result record.
     """
     path, complete = walk(a, word)
     if not complete:
@@ -289,11 +289,9 @@ def compute(a: Automaton, word: Word) -> ComputationResult:
         if not 0 <= sym < size:
             raise ValueError(f"symbol {sym} at position {i} outside alphabet of size {size}")
         return ComputationResult(tuple(path), _REJECT_NO_TRANSITION, i)
-    end = path[-1]
-    if end in a.accepting:
-        return ComputationResult(tuple(path), _ACCEPT, None, _ACCEPTING)
-    label = _REJECTING if end in a.rejecting else _UNLABELED
-    return ComputationResult(tuple(path), _REJECT_BY_LABEL, None, label)
+    end = a.label(path[-1])
+    return ComputationResult(tuple(path), _ACCEPT if end is _ACCEPTING else _REJECT_BY_LABEL,
+                             None, end)
 
 
 # The slack of the squared-error check in check_integrity.  The exact sums

@@ -48,8 +48,9 @@ class Fallback(enum.Enum):
 
 
 # Bound once: reading a member off its enum class costs about ten times a
-# global read on CPython 3.11, which a query would pay on every call.
+# global read on CPython 3.11, which every query and evaluated trace would pay.
 _GLOBAL_MEAN, _LAST_STATE, _ERROR = Fallback.GLOBAL_MEAN, Fallback.LAST_STATE, Fallback.ERROR
+_POSITIVE, _NEGATIVE = TraceLabel.POSITIVE, TraceLabel.NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
 
     Only LAST_STATE reads the states walked, so only it builds the path;
     under the other policies the walk keeps just its current state.  Every
-    answer but the in-domain mean comes from :func:`_resolve`.
+    answer comes from :func:`_resolve`.
     """
     fallback = cfg.fallback
     if fallback is _LAST_STATE:
@@ -91,10 +92,6 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
         if nxt is None:
             return _resolve(a, cur, False, fallback, word)
         cur = nxt
-    if a.target_totals[0]:  # a model with no target data at all is _resolve's error
-        agg = a.states[cur]
-        if agg.target_count > 0:
-            return agg.target_sum / agg.target_count
     return _resolve(a, cur, True, fallback, word)
 
 
@@ -378,11 +375,14 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     Accuracy covers labeled traces only.  The squared error covers traces
     whose last symbol carries a target, predicted as :func:`predict_value`
     does with the global-mean fallback, so every trace gets a number.  Each
-    trace's symbols are walked once, in place: one successor-table step
-    per symbol, with no word tuple and no path built.
+    trace's symbols are walked once, in place: one transition lookup per
+    symbol, with no word tuple and no path built.  The walk reads
+    ``transitions`` itself, not the successor table the queries step
+    through: an evaluation makes one pass over its sample, usually on a
+    freshly loaded model, and on a model with more transitions than the
+    sample has symbols the table's build would cost more than it saves.
     """
-    table, accepting, start = a._successors, a.accepting, a.start
-    positive, negative = TraceLabel.POSITIVE, TraceLabel.NEGATIVE  # bound once, as above
+    transitions, accepting, start = a.transitions, a.accepting, a.start
     accepted = 0
     pos_total = pos_acc = neg_total = neg_rej = 0
     sq_err = 0.0
@@ -391,7 +391,7 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
         symbols = trace.symbols
         cur = start
         for inst in symbols:
-            nxt = table[cur].get(inst.symbol)
+            nxt = transitions.get((cur, inst.symbol))
             if nxt is None:
                 complete = False
                 break
@@ -400,10 +400,10 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
             complete = True
         ok = complete and cur in accepting
         accepted += ok
-        if trace.label is positive:
+        if trace.label is _POSITIVE:
             pos_total += 1
             pos_acc += ok
-        elif trace.label is negative:
+        elif trace.label is _NEGATIVE:
             neg_total += 1
             neg_rej += not ok
         target = symbols[-1].target if symbols else None
