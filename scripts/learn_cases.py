@@ -15,10 +15,11 @@ The cases:
   machine, seeds 1-6, learned with ALERGIA at alpha 0.05.
 
 Each case runs twice.  The first run is timed with ``time.process_time``
-around ``learn`` alone.  The second counts ``MergeArena.run_merge`` calls,
+around ``learn`` alone.  The second counts ``MergeArena.run_merge`` calls
+and the pairs they fold (the length of each returned frame's pair list),
 and must learn the same bytes as the first.  One row per case gives the
-CPU seconds, the ``run_merge`` calls, the kept merges and the SHA-256 of
-every model and log in order.  Two checkouts learn the same machines iff
+CPU seconds, the ``run_merge`` calls, the folded pairs, the kept merges and
+the SHA-256 of every model and log in order.  Two checkouts learn the same machines iff
 their hashes agree, so running this from each, alternately, gives paired
 CPU figures.  ``--small`` shrinks every case, for a quick check.
 """
@@ -94,36 +95,39 @@ def run_case(cfg: LearnerConfig, samples) -> tuple[float, int, str]:
     return cpu, merges, digest.hexdigest()
 
 
-def count_run_merges(cfg: LearnerConfig, samples) -> tuple[int, str]:
-    calls = 0
+def count_run_merges(cfg: LearnerConfig, samples) -> tuple[int, int, str]:
+    """``run_merge`` calls, the pairs they folded, and the digest of every model and log."""
+    calls = pairs = 0
     run_merge = MergeArena.run_merge
 
     def counting(arena, q1, q2):
-        nonlocal calls
+        nonlocal calls, pairs
+        outcome, frame = run_merge(arena, q1, q2)
         calls += 1
-        return run_merge(arena, q1, q2)
+        pairs += len(frame.pairs)
+        return outcome, frame
 
     MergeArena.run_merge = counting
     try:
         _cpu, _merges, digest = run_case(cfg, samples)
     finally:
         MergeArena.run_merge = run_merge
-    return calls, digest
+    return calls, pairs, digest
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Time library learn on the ROADMAP cases.")
     parser.add_argument("--small", action="store_true", help="shrink every case")
     args = parser.parse_args()
-    print(f"{'case':<8} {'cpu_s':>7} {'run_merge':>9} {'merges':>6} sha256")
+    print(f"{'case':<8} {'cpu_s':>7} {'run_merge':>9} {'pairs':>9} {'merges':>6} sha256")
     for name, heuristic, samples in CASES:
         cfg = LearnerConfig(heuristic=heuristic)
         cpu, merges, digest = run_case(cfg, list(samples(args.small)))
-        calls, again = count_run_merges(cfg, list(samples(args.small)))
+        calls, pairs, again = count_run_merges(cfg, list(samples(args.small)))
         if again != digest:
             print(f"{name}: a second run learned different bytes", file=sys.stderr)
             return 1
-        print(f"{name:<8} {cpu:>7.3f} {calls:>9} {merges:>6} {digest}")
+        print(f"{name:<8} {cpu:>7.3f} {calls:>9} {pairs:>9} {merges:>6} {digest}")
     return 0
 
 

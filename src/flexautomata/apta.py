@@ -21,6 +21,10 @@ from .sample_io import Sample, TraceLabel
 # range keeps every partial sum finite, in any summation order.
 _MAX_POOLED_MAGNITUDE = 1e300
 
+# Bound once: reading a member off its enum class costs about ten times a
+# global read on CPython 3.11, which every trace would pay.
+_POSITIVE, _NEGATIVE = TraceLabel.POSITIVE, TraceLabel.NEGATIVE
+
 
 class _Node:
     __slots__ = ("children", "total", "end_pos", "end_neg", "tcount", "tsum", "tsumsq", "attrs")
@@ -73,9 +77,9 @@ def build_apta(sample: Sample) -> Automaton:
                 magnitude += abs(v)
         if not magnitude < _MAX_POOLED_MAGNITUDE:
             raise SampleFormatError(f"trace {n}: target or attribute values too large to pool")
-        if trace.label is TraceLabel.POSITIVE:
+        if trace.label is _POSITIVE:
             node.end_pos += 1
-        elif trace.label is TraceLabel.NEGATIVE:
+        elif trace.label is _NEGATIVE:
             node.end_neg += 1
         if node.end_pos and node.end_neg:
             raise InconsistentSampleError(

@@ -10,7 +10,8 @@ Three stock heuristics are provided:
   frequency of every symbol (plus the implicit "end here" event) of every
   merged pair, and fails the merge when any test rejects; the score is the
   number of compatible pairs.  A pair whose bound is 1 or more passes
-  without a count being read, since no two frequencies differ by more.
+  without a count being read, since no two frequencies differ by more.  The
+  first rejecting pair is refused, so the trial pools no more frequencies.
 * :class:`Mse` scores the (negated) growth in squared target error caused by
   pooling, plus a configurable reward per merged pair; it fails distinctly
   when the trial touched no target data at all, since the score would be
@@ -21,11 +22,15 @@ A heuristic owns its evidence through four members (see
 trial merge must pool from a state's aggregate, once per original state of
 an arena; ``evidence`` makes an empty evidence record for each trial;
 ``fold`` pools one merged pair's statistics and writes that pair's evidence
-into the record; and ``score`` reads the outcome, record included as
-``outcome.evidence``.  The record is the heuristic's own small mutable
-dataclass, such as :class:`AlergiaEvidence`; the merge engine only passes
-it along.  A statistic also carries what every fold of it would otherwise
-re-derive: ALERGIA's holds the end count, MSE's the squared error, each
+into the record, or refuses the pair by returning None; and ``score`` reads
+the outcome, record included as ``outcome.evidence``.  A refusal fails the
+trial, so the fold must note it in the record for ``score`` to read, and no
+fold follows it: the arena stops the trial, or, when a label conflict could
+still follow, walks on for labels and transitions alone, so that a later
+conflict still decides the failure reason.  The record is the heuristic's
+own small mutable dataclass, such as :class:`AlergiaEvidence`; the merge
+engine only passes it along.  A statistic also carries what every fold of
+it would otherwise re-derive: ALERGIA's holds the end count, MSE's the squared error, each
 computed by the same expression on the same operands as a fold would use,
 so every test and every float sum comes out the same.  EDSM reads labels
 alone, so its ``statistic``, ``evidence`` and ``fold`` are None and its
@@ -124,10 +129,15 @@ class Alergia:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""
         return (agg.total_count, agg.out_counts, agg.end_count)
 
-    def fold(self, ev: AlergiaEvidence, fx: Frequencies, fy: Frequencies) -> Frequencies:
-        """Pool one pair's frequencies, testing it unless an earlier pair failed."""
-        if not ev.reject and self._rejects(fx, fy):
+    def fold(self, ev: AlergiaEvidence, fx: Frequencies, fy: Frequencies) -> Frequencies | None:
+        """Pool one pair's frequencies, or refuse the pair, marking ``ev``, if the test rejects it.
+
+        A refused pair fails the trial, so no fold of it follows and no
+        pair after it is tested.
+        """
+        if self._rejects(fx, fy):
             ev.reject = True
+            return None
         (n1, out1, end1), (n2, out2, end2) = fx, fy
         # Count maps are never written once made, so an empty side shares the other's map.
         out = out1 or out2

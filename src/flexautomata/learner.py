@@ -26,7 +26,11 @@ classes it is known to conflict with, hands them on to the class that
 absorbs it in a kept merge, and never tries such a pair: the trial would
 fail.  Only the arena's own verdict, ``MergeOutcome.label_conflict``,
 counts; a heuristic's other failures (ALERGIA's frequency test, MSE's
-missing targets) can change as classes grow, so they are never kept.
+missing targets) can change as classes grow, so they are never kept.  A
+trial whose heuristic refuses a pair (ALERGIA's first rejecting one) folds
+nothing after it, but the arena walks on for labels whenever it holds both
+kinds, so every verdict, a conflict included, is the one a trial folding
+every pair would give, and the memo holds the same conflicts.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take

@@ -81,6 +81,11 @@ class MergeOutcome:
     ``evidence`` is the record the arena's heuristic made with its
     ``evidence`` factory and wrote through its ``fold``, one call per merged
     pair.  It is None on failure, and for a heuristic that folds nothing.
+
+    An outcome whose ``fold`` refused a pair is refused: its heuristic
+    scores it as failed, from what the refusal wrote in the record.  Its
+    ``merged_pairs`` may list only the pairs folded before the refused one
+    (see :meth:`MergeArena.run_merge`), and it is never pooled.
     """
 
     result: Automaton | None
@@ -145,7 +150,8 @@ class MergeArena:
     labels and transitions: ``heuristic.statistic`` takes it from a state's
     aggregate, once per original state when the arena is built, and
     ``heuristic.fold`` pools one pair of them while writing that pair's
-    evidence into the merge's record, made by ``heuristic.evidence``.  With
+    evidence into the merge's record, made by ``heuristic.evidence``, or
+    refuses the pair by returning None, which fails the merge.  With
     a heuristic whose ``fold`` is None, such as :class:`Edsm`, a merge pools
     labels alone, makes no record and leaves ``stats`` empty.  The fresh
     classes get their full aggregates, in the ``agg`` dict, only from
@@ -163,6 +169,8 @@ class MergeArena:
         if min(a.states, default=0) < 0:
             raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
+        # Labels only join, so a label conflict needs both kinds in the base.
+        self.both_labels = bool(a.accepting) and bool(a.rejecting)
         n = self.next_id = a.next_id
         statistic = heuristic.statistic
         self.fold = heuristic.fold
@@ -199,6 +207,16 @@ class MergeArena:
         Returns the outcome (without extraction) plus the undo frame.  On
         label conflict the arena keeps the classes created before it, as a
         trial that succeeded does: :meth:`rollback` undoes either one.
+
+        A pair that the heuristic's ``fold`` refuses fails the merge, and no
+        pair is folded after it.  If the arena lacks accepting or rejecting
+        states (``both_labels`` False), no label conflict can follow, so the
+        merge stops there: the outcome and the frame list only the pairs
+        folded before the refused one.  Otherwise the walk goes on, merging
+        labels and transitions alone, so that a later label conflict is
+        still reported.  Either way the refused outcome is rolled back,
+        never pooled: the statistics of the classes after the refusal are
+        missing.
         """
         frame = _TrialFrame(self.next_id)
         pairs = frame.pairs
@@ -223,7 +241,13 @@ class MergeArena:
                     return _CONFLICT, frame
                 label_matches += 1
             if fold is not None:
-                stats.append(fold(evidence, stats[x], stats[y]))
+                st = fold(evidence, stats[x], stats[y])
+                if st is None:  # refused: the trial fails, and folds nothing more
+                    if not self.both_labels:
+                        break  # no label conflict can follow
+                    fold = None
+                else:
+                    stats.append(st)
             ox = oz = out[x]
             oy = out[y]
             if oy:

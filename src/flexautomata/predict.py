@@ -240,6 +240,10 @@ class TargetKind(enum.Enum):
     NEXT_VALUE = "value"
 
 
+# Bound once, as the fallbacks above are: ``discretize`` reads them per window.
+_NEXT_DELTA, _UNLABELED = TargetKind.NEXT_DELTA, TraceLabel.UNLABELED
+
+
 @dataclass(frozen=True)
 class DiscretizationSpec:
     bins: int
@@ -337,7 +341,7 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
     traces = []
     w = spec.window
     for i in range(len(series) - w):
-        if spec.target is TargetKind.NEXT_DELTA:
+        if spec.target is _NEXT_DELTA:
             target = series[i + w] - series[i + w - 1]
             if not math.isfinite(target):
                 raise ValueError(
@@ -347,7 +351,7 @@ def discretize(series: Sequence[float], spec: DiscretizationSpec) -> Sample:
         else:
             target = series[i + w]
         last = SymbolInstance(symbols[i + w - 1], (), target)
-        traces.append(Trace(TraceLabel.UNLABELED, (*bare[i:i + w - 1], last)))
+        traces.append(Trace(_UNLABELED, (*bare[i:i + w - 1], last)))
     return Sample(tuple(traces), names, 0)
 
 

@@ -1,5 +1,6 @@
 """Merge scoring: label agreement, frequency compatibility, squared error."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -17,10 +18,13 @@ from flexautomata import (
     EvidenceScore,
     Mse,
     build_apta,
+    merge,
+    merge_aggregates,
     parse_abbadingo,
     parse_augmented,
 )
 from flexautomata.merging import MergeArena
+from gen import random_automaton
 
 
 def trial_score(arena, q1, q2, h):
@@ -210,6 +214,78 @@ class TestAlergia:
         strict = trial(Alergia(alpha=0.999), a, 0, child)
         assert not loose.failed
         assert strict.failed
+
+
+def refused_before_a_conflict(positive: str, negative: str):
+    """A sample whose prefix tree's merge of states 1 and 2 is refused one pair before a conflict.
+
+    Merging the states after symbols 0 and 1 folds them (1, 2), whose
+    frequencies agree; then their children (3, 4), 80 visits each, the first
+    always leaving on symbol 0 and the second half the time on symbol 1,
+    which the Hoeffding test rejects; then the grandchildren (5, 6), where
+    the traces labeled ``positive`` and ``negative`` end.
+    """
+    text = (f"{positive} 3 0 0 0\n" * 80 + f"{negative} 3 1 0 0\n" * 40
+            + f"{negative} 3 1 0 1\n" * 40)
+    return parse_augmented(text)
+
+
+class TestRefusal:
+    """ALERGIA's fold refuses the first pair its test rejects, and the trial folds no more."""
+
+    def test_a_conflict_after_the_refused_pair_still_wins(self):
+        a = build_apta(refused_before_a_conflict("1", "0"))
+        arena = MergeArena(a, Alergia(0.05))
+        outcome, frame = arena.run_merge(1, 2)
+        # the walk goes on past the refused pair (3, 4), for labels alone
+        assert outcome.label_conflict and frame.pairs == [(1, 2), (3, 4)]
+        arena.rollback(frame)
+        assert Alergia(0.05).score(outcome).reason == FAIL_LABEL_CONFLICT
+
+    @pytest.mark.parametrize("positive, negative", [("?", "?"), ("1", "?"), ("0", "0")])
+    def test_without_both_labels_the_trial_stops_at_the_refused_pair(self, positive, negative):
+        a = build_apta(refused_before_a_conflict(positive, negative))
+        arena = MergeArena(a, Alergia(0.05))
+        outcome, frame = arena.run_merge(1, 2)
+        assert not arena.both_labels and not outcome.label_conflict
+        assert frame.pairs == [(1, 2)] and outcome.merged_pairs == ((1, 2),)
+        assert outcome.evidence.reject
+        arena.rollback(frame)
+        assert Alergia(0.05).score(outcome).reason == FAIL_DISTRIBUTION
+
+    @given(
+        st.integers(0, 10_000_000),
+        st.sampled_from(["accepting", "rejecting", "both"]),
+        st.sampled_from([0.05, 0.6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_refused_trial_lists_the_pairs_before_the_first_rejected_one(
+            self, seed, dropped, alpha):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        for labels in ("accepting", "rejecting") if dropped == "both" else (dropped,):
+            a = dataclasses.replace(a, **{labels: frozenset()})
+        h = Alergia(alpha)
+        arena = MergeArena(a, h)
+        ids = sorted(a.states)
+        pairs = [(r, b) for r in ids for b in ids if r != b]
+        for r, b in rng.sample(pairs, min(len(pairs), 6)):
+            full = merge(a, r, b).merged_pairs  # no conflict: a lacks a label
+            aggs = dict(a.states)
+            refused_at = None
+            for i, (x, y) in enumerate(full):
+                gx, gy = aggs[x], aggs[y]
+                aggs[a.next_id + i] = merge_aggregates(gx, gy)
+                if h._rejects((gx.total_count, gx.out_counts, gx.end_count),
+                              (gy.total_count, gy.out_counts, gy.end_count)):
+                    refused_at = i
+                    break
+            outcome, frame = arena.run_merge(r, b)
+            arena.rollback(frame)
+            assert not outcome.label_conflict
+            assert outcome.evidence.reject is (refused_at is not None)
+            assert frame.pairs == list(full[:refused_at])
+            assert outcome.merged_pairs == full[:refused_at]
 
 
 class TestMse:

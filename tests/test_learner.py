@@ -40,7 +40,7 @@ from flexautomata.merging import MergeArena, _TrialFrame
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
-from test_heuristics import trial_score
+from test_heuristics import refused_before_a_conflict, trial_score
 
 
 def consistent(model, sample) -> bool:
@@ -552,3 +552,99 @@ class TestCarriedConflicts:
                 known.clear()
                 learn(sample, LearnerConfig(heuristic=heuristic))
         assert checked["merges"] and checked["entries"] and checked["retired partners"]
+
+    def test_a_conflict_after_a_refused_pair_is_kept(self, monkeypatch):
+        # ALERGIA refuses the merge of prefix-tree states 1 and 2 at its second
+        # pair and their labels conflict at the third.  The trial still ends
+        # in a label conflict, so the learner keeps the pair as known to
+        # conflict, and learns what the naive loop learns.
+        sample = refused_before_a_conflict("1", "0")
+        conflicting: list[tuple] = []
+        held: list[dict] = []
+        run_merge = MergeArena.run_merge
+
+        def recording(arena, q1, q2):
+            outcome, frame = run_merge(arena, q1, q2)
+            if outcome.label_conflict:
+                conflicting.append((q1, q2))
+            return outcome, frame
+
+        def holding(conflicts, created, parent):
+            held.append({c: set(p) for c, p in conflicts.items()})
+            _carry_conflicts(conflicts, created, parent)
+
+        monkeypatch.setattr(MergeArena, "run_merge", recording)
+        monkeypatch.setattr(learner, "_carry_conflicts", holding)
+        _, log = assert_learns_like_the_oracle(sample, Alergia(0.05), 0.0)
+        assert log.lines()[:2] == ["PROMOTE 1", "PROMOTE 2"]
+        assert conflicting[0] == (1, 2)
+        assert held and held[0][1] >= {2} and held[0][2] >= {1}
+
+
+def blue_trees(arena, red) -> dict:
+    """Each blue class mapped to its tree: the classes reached from it through ``out`` and ``find``.
+
+    Asserts the tree shape: no tree reaches a red class, and no class is
+    reached twice, whether within one blue's tree or from two blues.
+    """
+    find, out = arena.find, arena.out
+    blue = {c for q in red for t in out[q].values() if (c := find(t)) not in red}
+    reached: set = set()
+    trees = {}
+    for b in sorted(blue):
+        tree, stack = set(), [b]
+        while stack:
+            c = stack.pop()
+            assert c not in red, f"blue {b}'s tree reaches red class {c}"
+            assert c not in reached, f"class {c} is reached twice"
+            reached.add(c)
+            tree.add(c)
+            stack.extend(find(t) for t in out[c].values())
+        trees[b] = tree
+    return trees
+
+
+class TestStructuralInvariants:
+    """Two facts about red-blue merging, checked at every step of ``learn``.
+
+    Tree shape: each blue class, with the classes reached from it, forms a
+    tree of non-red classes, and no class is in two blues' trees.  Fresh
+    second class: in every merge ``run_merge(r, b)``, trial or kept, each
+    folded pair's second class is a class of b's tree before the merge, and
+    none is folded twice, so a merge folds at most one pair per class of
+    b's tree.
+    """
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(0.05), Mse(), MinVisits()], ids=repr)
+    def test_blue_trees_and_fresh_second_classes(self, monkeypatch, ref_sample, heuristic):
+        step: dict = {}
+        checked = Counter()
+        children, run_merge = learner._children, MergeArena.run_merge
+
+        def stepping_children(arena, src, red):
+            # ``red`` is the red set after each promotion or kept merge
+            step["red"], step["trees"] = set(red), blue_trees(arena, red)
+            checked["frontiers"] += 1
+            return children(arena, src, red)
+
+        def stepping_run_merge(arena, r, b):
+            assert r in step["red"]
+            tree = step["trees"][b]
+            outcome, frame = run_merge(arena, r, b)
+            folded = set()
+            for x, y in frame.pairs:
+                assert y in tree and y not in folded
+                folded.update((x, y))
+            checked["merges"] += 1
+            checked["pairs"] += len(frame.pairs)
+            return outcome, frame
+
+        monkeypatch.setattr(learner, "_children", stepping_children)
+        monkeypatch.setattr(MergeArena, "run_merge", stepping_run_merge)
+        rng = random.Random(5)
+        samples = [ref_sample, refused_before_a_conflict("1", "0"), step_series(2, 120, 2.0),
+                   labeled_sample(rng, TargetDfa(rng, 8, 2), 150, 10, with_targets=True)]
+        samples += [small_sample(random.Random(seed)) for seed in range(30)]
+        for sample in samples:
+            learn(sample, LearnerConfig(heuristic=heuristic))
+        assert checked["merges"] > checked["frontiers"] > 30 and checked["pairs"]

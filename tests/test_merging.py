@@ -4,7 +4,7 @@ import copy
 import dataclasses
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -327,7 +327,8 @@ class TestTrialsLeaveNoTrace:
                 self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
             outcome, frame = arena.run_merge(*rng.sample(live, 2))
-            if outcome.label_conflict:
+            # a merge that ALERGIA's fold refused is rolled back, as a conflict is
+            if outcome.label_conflict or getattr(outcome.evidence, "reject", False):
                 arena.rollback(frame)
                 self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
@@ -386,14 +387,21 @@ class TestFrameContract:
     view that a kept merge reads is derived from the pairs, and the order is
     that of a fold whose work queue is a ``deque`` drained from the left,
     seeded with the requested pair and fed each fold's target pairs in
-    ascending symbol order.
+    ascending symbol order.  A pair whose statistics the heuristic's fold
+    refuses ends the fold there when the arena's automaton lacks accepting
+    or rejecting states; otherwise the fold goes on without statistics, and
+    a later label conflict still ends it.
     """
 
     @staticmethod
-    def deque_fold(arena, q1, q2):
-        """Whether merging q1 and q2 succeeds, and the pairs folded until it ends or conflicts."""
+    def deque_fold(arena, heuristic, q1, q2):
+        """How merging q1 and q2 ends ("ok", "refused" or "conflict"), and the pairs folded until then."""
         parent, label = list(arena.parent), list(arena.label)
         out = [None if m is None else dict(m) for m in arena.out]
+        stats, fold = list(arena.stats), heuristic.fold
+        evidence = heuristic.evidence() if fold is not None else None
+        both_labels = bool(arena.base.accepting) and bool(arena.base.rejecting)
+        refused = False
 
         def find(s):
             while parent[s] >= 0:
@@ -408,7 +416,14 @@ class TestFrameContract:
             if x == y:
                 continue
             if None not in (label[x], label[y]) and label[x] != label[y]:
-                return False, pairs
+                return "conflict", pairs
+            if fold is not None:
+                pooled = fold(evidence, stats[x], stats[y])
+                if pooled is None:
+                    if not both_labels:
+                        return "refused", pairs
+                    refused, fold = True, None
+                stats.append(pooled)
             merged = dict(out[x])
             for sym in sorted(out[y]):
                 if sym in out[x]:
@@ -421,11 +436,11 @@ class TestFrameContract:
             out.append(merged)
             label.append(label[y] if label[x] is None else label[x])
             pairs.append((x, y))
-        return True, pairs
+        return "refused" if refused else "ok", pairs
 
     @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()])
     def test_frame_pairs_fresh_ids_and_order(self, heuristic):
-        passed = conflicted = 0
+        ends = Counter()
         for seed in range(60):
             rng = random.Random(seed)
             a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
@@ -436,18 +451,21 @@ class TestFrameContract:
                 if len(live) < 2:
                     break
                 q1, q2 = rng.sample(live, 2)
-                ok, want = self.deque_fold(arena, q1, q2)
+                end, want = self.deque_fold(arena, heuristic, q1, q2)
                 start = arena.next_id
                 outcome, frame = arena.run_merge(q1, q2)
                 assert frame.next_id_before == start
-                assert outcome.label_conflict is not ok
+                assert outcome.label_conflict is (end == "conflict")
                 assert frame.pairs == want
-                if not ok:
-                    conflicted += 1
+                ends[end, arena.both_labels] += 1
+                if end == "conflict":
                     arena.rollback(frame)
                     continue
-                passed += 1
                 assert list(outcome.merged_pairs) == want
+                if end == "refused":  # fails its score, and is never pooled
+                    assert heuristic.score(outcome).failed
+                    arena.rollback(frame)
+                    continue
                 assert frame.created == [
                     (frame.next_id_before + i, x, y)
                     for i, (x, y) in enumerate(outcome.merged_pairs)
@@ -460,7 +478,9 @@ class TestFrameContract:
                     arena.pool(frame)
                 else:
                     arena.rollback(frame)
-        assert passed and conflicted
+        assert ends["ok", True] and ends["ok", False] and ends["conflict", True]
+        if isinstance(heuristic, Alergia):
+            assert ends["refused", True] and ends["refused", False]
 
 
 def relabel(a, f, next_id):
