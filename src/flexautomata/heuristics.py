@@ -17,24 +17,26 @@ Three stock heuristics are provided:
   when the trial touched no target data at all, since the score would be
   meaningless.
 
-A heuristic owns its evidence through four members (see
+A heuristic owns its evidence through its members (see
 :class:`~flexautomata.merging.MergeArena`): ``statistic`` reads what a
 trial merge must pool from a state's aggregate, once per original state of
-an arena; ``evidence`` makes an empty evidence record for each trial;
-``fold`` pools one merged pair's statistics and writes that pair's evidence
-into the record, or refuses the pair by returning None; and ``score`` reads
-the outcome, record included as ``outcome.evidence``.  A refusal fails the
-trial, so the fold must note it in the record for ``score`` to read, and no
-fold follows it: the arena stops the trial, or, when a label conflict could
-still follow, walks on for labels and transitions alone, so that a later
-conflict still decides the failure reason.  The record is the heuristic's
-own small mutable dataclass, such as :class:`AlergiaEvidence`; the merge
-engine only passes it along.  A statistic also carries what every fold of
-it would otherwise re-derive: ALERGIA's holds the end count, MSE's the squared error, each
-computed by the same expression on the same operands as a fold would use,
-so every test and every float sum comes out the same.  EDSM reads labels
-alone, so its ``statistic``, ``evidence`` and ``fold`` are None and its
-outcomes carry no record.  This module reads
+an arena; ``fold`` pools one merged pair's statistics, or refuses the pair
+by returning None; and ``score`` reads the outcome.  A refusal fails the
+trial, and no fold follows it: the arena stops the trial, or, when a label
+conflict could still follow, walks on for labels and transitions alone, so
+that a later conflict still decides the failure reason.  The outcome says
+which failure it was, ``label_conflict`` or ``refused``.  A heuristic that
+sums evidence over the pairs also has an ``evidence`` factory, which makes
+an empty record for each trial; ``fold`` writes each pair's evidence into
+it, and ``score`` reads it as ``outcome.evidence``.  The record is the
+heuristic's own small mutable dataclass, such as :class:`MseEvidence`; the
+merge engine only passes it along.  ALERGIA has no factory, since its
+refusal is its whole verdict, and its fold is passed None.  A statistic
+also carries what every fold of it would otherwise re-derive: ALERGIA's
+holds the end count, MSE's the squared error, each computed by the same
+expression on the same operands as a fold would use, so every test and
+every float sum comes out the same.  EDSM reads labels alone, so its
+``statistic``, ``evidence`` and ``fold`` are None.  This module reads
 :class:`~flexautomata.merging.MergeOutcome` in annotations only, so it does
 not import the merge engine at run time.
 """
@@ -73,20 +75,11 @@ class Edsm:
         return EvidenceScore(float(outcome.label_matches))
 
 
-@dataclass(slots=True)
-class AlergiaEvidence:
-    """Whether some merged pair failed the frequency test."""
-
-    reject: bool = False
-
-
 @dataclass(frozen=True)
 class Alergia:
     """Frequency-compatibility evidence with rejection level ``alpha``."""
 
     alpha: float = 0.05
-
-    evidence = AlergiaEvidence
 
     def __post_init__(self):
         alpha = self.alpha
@@ -129,14 +122,13 @@ class Alergia:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""
         return (agg.total_count, agg.out_counts, agg.end_count)
 
-    def fold(self, ev: AlergiaEvidence, fx: Frequencies, fy: Frequencies) -> Frequencies | None:
-        """Pool one pair's frequencies, or refuse the pair, marking ``ev``, if the test rejects it.
+    def fold(self, ev: None, fx: Frequencies, fy: Frequencies) -> Frequencies | None:
+        """Pool one pair's frequencies, or refuse the pair if the test rejects it.
 
-        A refused pair fails the trial, so no fold of it follows and no
-        pair after it is tested.
+        ALERGIA keeps no record, so ``ev`` is None.  A refused pair fails the
+        trial, so no fold of it follows and no pair after it is tested.
         """
         if self._rejects(fx, fy):
-            ev.reject = True
             return None
         (n1, out1, end1), (n2, out2, end2) = fx, fy
         # Count maps are never written once made, so an empty side shares the other's map.
@@ -150,7 +142,7 @@ class Alergia:
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
             return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
-        if outcome.evidence.reject:
+        if outcome.refused:
             return EvidenceScore.fail(FAIL_DISTRIBUTION)
         return EvidenceScore(float(len(outcome.merged_pairs)))
 

@@ -24,13 +24,13 @@ together, then closing any coarser P' under the merge of classes R ⊇ r and
 B ⊇ b puts them together too.  So the learner keeps, for each class, the
 classes it is known to conflict with, hands them on to the class that
 absorbs it in a kept merge, and never tries such a pair: the trial would
-fail.  Only the arena's own verdict, ``MergeOutcome.label_conflict``,
-counts; a heuristic's other failures (ALERGIA's frequency test, MSE's
-missing targets) can change as classes grow, so they are never kept.  A
-trial whose heuristic refuses a pair (ALERGIA's first rejecting one) folds
-nothing after it, but the arena walks on for labels whenever it holds both
-kinds, so every verdict, a conflict included, is the one a trial folding
-every pair would give, and the memo holds the same conflicts.
+fail.  Only a label conflict, ``MergeOutcome.label_conflict``, counts.
+The other failures can change as classes grow, so they are never kept:
+a pair that the heuristic's fold refused (``MergeOutcome.refused``, from
+ALERGIA's frequency test) and MSE's missing targets.  A refused trial
+folds nothing after the refused pair, but the arena walks on for labels
+whenever it holds both kinds, and a later conflict wins over the refusal,
+so the memo holds exactly the conflicts a trial folding every pair finds.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take

@@ -11,13 +11,15 @@ and a rejecting state together.  The input automaton is never modified.
 
 Every merge runs through one fold path, in :class:`MergeArena`: a merge
 folds labels and transitions, plus only the per-class statistic that the
-arena's heuristic reads, and can be rolled back.  The full aggregates of
-the merged classes are pooled afterwards, by :meth:`MergeArena.pool`, for a
-merge that is kept.  The learner builds one arena per run: it scores many
-candidate merges this way without copying the machine, commits each kept
-one in place and extracts once.  The module-level :func:`merge` is the pure
-public form of a kept merge: one run, pool and extract, in an arena under
-EDSM, whose merges fold labels alone.
+arena's heuristic reads, and can be rolled back.  The heuristic may also
+refuse a pair, which fails the merge as a label conflict does.  The full
+aggregates of the merged classes are pooled afterwards, by
+:meth:`MergeArena.pool`, for a merge that is kept.  The learner builds
+one arena per run: it scores many candidate merges this way without
+copying the machine, commits each kept one in place and extracts once.
+The module-level :func:`merge` is the pure public form of a kept merge:
+one run, pool and extract, in an arena under EDSM, whose merges fold
+labels alone.
 
 A fold does only the work its result reads.  The arena keeps each class's
 parent, out-map, label and statistic in lists indexed by class id, takes
@@ -71,21 +73,17 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
 class MergeOutcome:
     """What one merge did.
 
-    On failure (``label_conflict`` True) the remaining fields carry no
-    information.  On success ``result`` is the new automaton (None for
-    trial runs, which skip extraction), ``merged_pairs`` lists every pair
-    folded together in determinization order, and ``label_matches`` counts
-    the pairs whose states agreed on a label (both accepting or both
-    rejecting).
+    A merge fails on a label conflict (``label_conflict`` True) or when the
+    heuristic's ``fold`` refused one of its pairs (``refused`` True); a
+    failed outcome carries no other information.  On success ``result`` is
+    the new automaton (None for trial runs, which skip extraction),
+    ``merged_pairs`` lists every pair folded together in determinization
+    order, and ``label_matches`` counts the pairs whose states agreed on a
+    label (both accepting or both rejecting).
 
     ``evidence`` is the record the arena's heuristic made with its
     ``evidence`` factory and wrote through its ``fold``, one call per merged
-    pair.  It is None on failure, and for a heuristic that folds nothing.
-
-    An outcome whose ``fold`` refused a pair is refused: its heuristic
-    scores it as failed, from what the refusal wrote in the record.  Its
-    ``merged_pairs`` may list only the pairs folded before the refused one
-    (see :meth:`MergeArena.run_merge`), and it is never pooled.
+    pair.  It is None on failure, and for a heuristic without a factory.
     """
 
     result: Automaton | None
@@ -93,37 +91,31 @@ class MergeOutcome:
     label_matches: int = 0
     label_conflict: bool = False
     evidence: object = None
+    refused: bool = False
 
     @property
     def failed(self) -> bool:
-        return self.label_conflict
+        return self.label_conflict or self.refused
 
 
-# Every failed merge reports exactly this, so a conflict builds no outcome.
+# Every failed merge reports exactly one of these, so a failure builds no outcome.
 _CONFLICT = MergeOutcome(result=None, label_conflict=True)
+_REFUSED = MergeOutcome(result=None, refused=True)
 
 
 class _TrialFrame:
     """Undo information for one merge, failed or not: the pairs it folded, in fold order."""
 
-    __slots__ = ("pairs", "next_id_before", "_created")
+    __slots__ = ("pairs", "next_id_before")
 
     def __init__(self, next_id_before: int):
         self.pairs: list[tuple[StateId, StateId]] = []
         self.next_id_before = next_id_before
-        self._created: list[tuple[StateId, StateId, StateId]] | None = None
 
     @property
     def created(self) -> list[tuple[StateId, StateId, StateId]]:
-        """Each fresh class ``z``, the i-th from ``next_id_before``, with the pair it joined.
-
-        Built on the first read, once the merge has run, and kept: a kept
-        merge reads it in :meth:`MergeArena.pool` and again in the learner.
-        """
-        if self._created is None:
-            z = self.next_id_before
-            self._created = [(z + i, x, y) for i, (x, y) in enumerate(self.pairs)]
-        return self._created
+        """Each fresh class ``z``, the i-th from ``next_id_before``, with the pair it joined."""
+        return [(z, x, y) for z, (x, y) in enumerate(self.pairs, self.next_id_before)]
 
 
 class MergeArena:
@@ -134,7 +126,8 @@ class MergeArena:
     ``parent``, ``out``, ``label`` and ``stats`` are lists indexed by that id,
     with one entry per id below ``next_id``: the class's parent (-1 for a
     root), its symbol → target map, its label (True accepting, False
-    rejecting, None unlabeled) and its statistic.  An out-map or statistic of
+    rejecting, None unlabeled) and its statistic; a refused merge may leave
+    ``stats`` short until it is rolled back.  An out-map or statistic of
     None marks an id with no live class: a hole in the automaton's ids, or a
     class that a kept merge joined to another.  Memory follows ``next_id``,
     so :func:`merge` renumbers a model's sparse ids first.  A fresh class
@@ -149,16 +142,17 @@ class MergeArena:
     Every arena takes a heuristic, which decides what a merge pools besides
     labels and transitions: ``heuristic.statistic`` takes it from a state's
     aggregate, once per original state when the arena is built, and
-    ``heuristic.fold`` pools one pair of them while writing that pair's
-    evidence into the merge's record, made by ``heuristic.evidence``, or
-    refuses the pair by returning None, which fails the merge.  With
-    a heuristic whose ``fold`` is None, such as :class:`Edsm`, a merge pools
-    labels alone, makes no record and leaves ``stats`` empty.  The fresh
-    classes get their full aggregates, in the ``agg`` dict, only from
-    :meth:`pool`, called once for a merge that is kept; it also drops the
-    dead halves and leaves every parent a root.  For that, ``members`` maps
-    each root that a kept merge made to the ids below it; trials and
-    :meth:`rollback` never touch it.
+    ``heuristic.fold`` pools one pair of them, or refuses the pair by
+    returning None, which fails the merge.  A merge makes a record of its
+    evidence only when the heuristic has an ``evidence`` factory, as
+    :class:`Mse` does; each fold then writes its pair's evidence into it.
+    With a heuristic whose ``fold`` is None, such as :class:`Edsm`, a merge
+    pools labels alone and leaves ``stats`` empty.  The fresh classes get
+    their full aggregates, in the ``agg`` dict, only from :meth:`pool`,
+    called once for a merge that is kept; it also drops the dead halves and
+    leaves every parent a root.  For that, ``members`` maps each root that
+    a kept merge made to the ids below it; trials and :meth:`rollback`
+    never touch it.
     State ids must be non-negative, and the two label sets disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
@@ -174,7 +168,7 @@ class MergeArena:
         n = self.next_id = a.next_id
         statistic = heuristic.statistic
         self.fold = heuristic.fold
-        self.evidence = heuristic.evidence
+        self.evidence = getattr(heuristic, "evidence", None)
         self.parent: list[StateId] = [-1] * n
         out: list[dict[Symbol, StateId] | None] = [None] * n
         for q in a.states:
@@ -204,24 +198,24 @@ class MergeArena:
     def run_merge(self, q1: StateId, q2: StateId) -> tuple[MergeOutcome, _TrialFrame]:
         """Merge the classes of q1 and q2, cascading until deterministic.
 
-        Returns the outcome (without extraction) plus the undo frame.  On
-        label conflict the arena keeps the classes created before it, as a
-        trial that succeeded does: :meth:`rollback` undoes either one.
+        Returns the outcome (without extraction) plus the undo frame.  A
+        merge that fails keeps the classes it created, as one that succeeded
+        does, and ``next_id`` counts them: :meth:`rollback` undoes either.
 
         A pair that the heuristic's ``fold`` refuses fails the merge, and no
         pair is folded after it.  If the arena lacks accepting or rejecting
         states (``both_labels`` False), no label conflict can follow, so the
-        merge stops there: the outcome and the frame list only the pairs
-        folded before the refused one.  Otherwise the walk goes on, merging
-        labels and transitions alone, so that a later label conflict is
-        still reported.  Either way the refused outcome is rolled back,
-        never pooled: the statistics of the classes after the refusal are
-        missing.
+        merge stops there, and the frame lists only the pairs folded before
+        the refused one.  Otherwise the walk goes on, merging labels and
+        transitions alone, so that a later label conflict still wins.  A
+        merge refused with no conflict returns the one refused outcome, and
+        is rolled back, never pooled: the statistics of the classes after
+        the refusal are missing.
         """
         frame = _TrialFrame(self.next_id)
         pairs = frame.pairs
         parent, out, label, stats, fold = self.parent, self.out, self.label, self.stats, self.fold
-        evidence = self.evidence() if fold is not None else None
+        evidence = self.evidence() if self.evidence is not None else None
         label_matches = 0
         z = self.next_id
         queue = [(q1, q2)]
@@ -238,14 +232,15 @@ class MergeArena:
                 lz = ly
             elif ly is not None:
                 if lz is not ly:
+                    self.next_id = z
                     return _CONFLICT, frame
                 label_matches += 1
             if fold is not None:
                 st = fold(evidence, stats[x], stats[y])
                 if st is None:  # refused: the trial fails, and folds nothing more
+                    fold = None
                     if not self.both_labels:
                         break  # no label conflict can follow
-                    fold = None
                 else:
                     stats.append(st)
             ox = oz = out[x]
@@ -266,6 +261,8 @@ class MergeArena:
             pairs.append((x, y))
             z += 1
         self.next_id = z
+        if fold is not self.fold:  # a pair was refused
+            return _REFUSED, frame
         return MergeOutcome(None, tuple(pairs), label_matches, False, evidence), frame
 
     def rollback(self, frame: _TrialFrame) -> None:
@@ -282,18 +279,18 @@ class MergeArena:
     def pool(self, frame: _TrialFrame) -> None:
         """Keep a trial merge: pool its aggregates, drop its dead halves, flatten parents.
 
-        Replays the frame's folds in creation order, so each class pools the
-        aggregates its two parts had when they were folded; the parts'
-        aggregates, out-maps and statistics go, since no joined class is read
-        again.  Each fold also joins its parts' member lists (an original
-        state has none), the longer taking the shorter, and adds the two parts
-        themselves.  Then each class the merge leaves standing points its
-        members straight at itself, so ``find`` stays one step long, and no
-        other id is visited.
+        Replays the frame's pairs in fold order, the i-th making the class
+        ``next_id_before + i``, so each class pools the aggregates its two
+        parts had when they were folded; the parts' aggregates, out-maps and
+        statistics go, since no joined class is read again.  Each fold also
+        joins its parts' member lists (an original state has none), the
+        longer taking the shorter, and adds the two parts themselves.  Then
+        each class the merge leaves standing points its members straight at
+        itself, so ``find`` stays one step long, and no other id is visited.
         """
         agg, out, stats, parent, members = self.agg, self.out, self.stats, self.parent, self.members
-        created = frame.created
-        for z, x, y in created:
+        first = frame.next_id_before
+        for z, (x, y) in enumerate(frame.pairs, first):
             agg[z] = merge_aggregates(agg.pop(x), agg.pop(y))
             out[x] = out[y] = None
             if stats:
@@ -309,7 +306,7 @@ class MergeArena:
                     joined += other
                 joined += (x, y)
             members[z] = joined
-        for z, _x, _y in created:
+        for z in range(first, self.next_id):
             if parent[z] < 0:
                 for c in members[z]:
                     parent[c] = z

@@ -338,7 +338,7 @@ _FIELD_VALUES = {
     Trace: st.tuples(st.sampled_from(TraceLabel), st.lists(_symbols, max_size=4).map(tuple)),
     MergeOutcome: st.tuples(
         st.none(), st.lists(st.tuples(st.integers(), st.integers()), max_size=3).map(tuple),
-        st.integers(), st.booleans(), st.none() | st.integers()),
+        st.integers(), st.booleans(), st.none() | st.integers(), st.booleans()),
     EvidenceScore: st.tuples(st.none() | _reals, st.text(max_size=3)),
     ComputationResult: st.tuples(
         st.lists(st.integers(0, 9), min_size=1, max_size=4).map(tuple), st.sampled_from(Outcome),

@@ -239,6 +239,7 @@ class TestRefusal:
         outcome, frame = arena.run_merge(1, 2)
         # the walk goes on past the refused pair (3, 4), for labels alone
         assert outcome.label_conflict and frame.pairs == [(1, 2), (3, 4)]
+        assert not outcome.refused
         arena.rollback(frame)
         assert Alergia(0.05).score(outcome).reason == FAIL_LABEL_CONFLICT
 
@@ -248,8 +249,8 @@ class TestRefusal:
         arena = MergeArena(a, Alergia(0.05))
         outcome, frame = arena.run_merge(1, 2)
         assert not arena.both_labels and not outcome.label_conflict
-        assert frame.pairs == [(1, 2)] and outcome.merged_pairs == ((1, 2),)
-        assert outcome.evidence.reject
+        assert outcome.refused and outcome.failed
+        assert frame.pairs == [(1, 2)]
         arena.rollback(frame)
         assert Alergia(0.05).score(outcome).reason == FAIL_DISTRIBUTION
 
@@ -283,9 +284,10 @@ class TestRefusal:
             outcome, frame = arena.run_merge(r, b)
             arena.rollback(frame)
             assert not outcome.label_conflict
-            assert outcome.evidence.reject is (refused_at is not None)
+            assert outcome.refused is outcome.failed is (refused_at is not None)
             assert frame.pairs == list(full[:refused_at])
-            assert outcome.merged_pairs == full[:refused_at]
+            if refused_at is None:
+                assert outcome.merged_pairs == full
 
 
 class TestMse:

@@ -430,6 +430,79 @@ class TestHeuristicProtocol:
         assert check_integrity(model) == []
 
 
+@dataclass(frozen=True)
+class VisitCap:
+    """A heuristic known to the tests alone that refuses, and keeps no record.
+
+    Its fold refuses a pair whose pooled class is visited more than ``cap``
+    times; its score is the merged pair count.
+    """
+
+    cap: int = 6
+    evidence = None
+
+    @staticmethod
+    def statistic(agg):
+        return agg.total_count
+
+    def fold(self, ev, nx, ny):
+        n = nx + ny
+        return n if n <= self.cap else None
+
+    def score(self, outcome):
+        if outcome.label_conflict:
+            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+        if outcome.refused:
+            return EvidenceScore.fail("over_cap")
+        return EvidenceScore(float(len(outcome.merged_pairs)))
+
+
+def reference_visit_cap(a, merged_pairs, heuristic):
+    """VisitCap's score from every pair of the full merge: a conflict first, then the cap."""
+    if merged_pairs is None:
+        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+    aggs = dict(a.states)
+    for i, (x, y) in enumerate(merged_pairs):
+        pooled = aggs[a.next_id + i] = merge_aggregates(aggs[x], aggs[y])
+        if pooled.total_count > heuristic.cap:
+            return EvidenceScore.fail("over_cap")
+    return EvidenceScore(float(len(merged_pairs)))
+
+
+def unlabeled(sample: Sample) -> Sample:
+    """``sample`` with every trace's label dropped, as ``?`` lines read."""
+    traces = tuple(Trace(TraceLabel.UNLABELED, t.symbols) for t in sample.traces)
+    return Sample(traces, sample.alphabet)
+
+
+class TestRefusingHeuristic:
+    """A heuristic whose fold refuses, with no record to note it in, learns like the naive loop."""
+
+    @pytest.mark.parametrize("label", [lambda s: s, unlabeled], ids=["labeled", "unlabeled"])
+    def test_learn_runs_it_like_the_naive_loop(self, label, monkeypatch):
+        ends = Counter()
+        run_merge = MergeArena.run_merge
+
+        def counting(arena, q1, q2):
+            outcome, frame = run_merge(arena, q1, q2)
+            assert outcome.evidence is None
+            ends[outcome.label_conflict, outcome.refused, arena.both_labels] += 1
+            return outcome, frame
+
+        monkeypatch.setattr(MergeArena, "run_merge", counting)
+        for seed in range(40):
+            sample = label(small_sample(random.Random(seed)))
+            for heuristic in (VisitCap(), VisitCap(cap=3)):
+                model, _ = assert_learns_like_the_oracle(sample, heuristic, 0.0,
+                                                         score=reference_visit_cap)
+                assert consistent(model, sample)
+        # some trials pass and some are refused; on labeled samples, some do
+        # either in an arena with both labels, and some conflict
+        assert ends[False, False, False] and ends[False, True, False]
+        if label is not unlabeled:
+            assert ends[False, False, True] and ends[False, True, True] and ends[True, False, True]
+
+
 class CountedScore:
     """An evidence score that counts each read of ``value`` and ``failed``."""
 

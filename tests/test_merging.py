@@ -327,8 +327,8 @@ class TestTrialsLeaveNoTrace:
                 self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
             outcome, frame = arena.run_merge(*rng.sample(live, 2))
-            # a merge that ALERGIA's fold refused is rolled back, as a conflict is
-            if outcome.label_conflict or getattr(outcome.evidence, "reject", False):
+            # a merge that failed, by a label conflict or a refused pair, is rolled back
+            if outcome.failed:
                 arena.rollback(frame)
                 self.assert_one_entry_per_id(arena)
                 assert self.snapshot(arena) == before
@@ -390,7 +390,9 @@ class TestFrameContract:
     ascending symbol order.  A pair whose statistics the heuristic's fold
     refuses ends the fold there when the arena's automaton lacks accepting
     or rejecting states; otherwise the fold goes on without statistics, and
-    a later label conflict still ends it.
+    a later label conflict still ends it.  Whatever the end, the arena has
+    appended one id per folded pair, and a record is made only by a
+    heuristic with an ``evidence`` factory.
     """
 
     @staticmethod
@@ -399,7 +401,8 @@ class TestFrameContract:
         parent, label = list(arena.parent), list(arena.label)
         out = [None if m is None else dict(m) for m in arena.out]
         stats, fold = list(arena.stats), heuristic.fold
-        evidence = heuristic.evidence() if fold is not None else None
+        make = getattr(heuristic, "evidence", None)
+        evidence = make() if make is not None else None
         both_labels = bool(arena.base.accepting) and bool(arena.base.rejecting)
         refused = False
 
@@ -456,22 +459,22 @@ class TestFrameContract:
                 outcome, frame = arena.run_merge(q1, q2)
                 assert frame.next_id_before == start
                 assert outcome.label_conflict is (end == "conflict")
+                assert outcome.refused is (end == "refused")
+                assert outcome.failed is (end != "ok")
                 assert frame.pairs == want
+                # the arena appended one id per pair, from next_id_before up
+                assert arena.next_id == len(arena.parent) == start + len(want)
                 ends[end, arena.both_labels] += 1
-                if end == "conflict":
-                    arena.rollback(frame)
-                    continue
-                assert list(outcome.merged_pairs) == want
-                if end == "refused":  # fails its score, and is never pooled
+                if end != "ok":  # fails its score, and is never pooled
                     assert heuristic.score(outcome).failed
                     arena.rollback(frame)
                     continue
+                assert list(outcome.merged_pairs) == want
+                assert (outcome.evidence is None) is (getattr(heuristic, "evidence", None) is None)
                 assert frame.created == [
                     (frame.next_id_before + i, x, y)
                     for i, (x, y) in enumerate(outcome.merged_pairs)
                 ]
-                # the arena appended one id per pair, from next_id_before up
-                assert arena.next_id == len(arena.parent) == start + len(want)
                 for z, x, y in frame.created:
                     assert arena.parent[x] == arena.parent[y] == z
                 if rng.random() < 0.3:
