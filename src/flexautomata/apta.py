@@ -5,9 +5,14 @@ accepting iff some positive trace ends there and rejecting iff some negative
 trace ends there; a word occurring with both labels is a hard error.  All
 occurrence aggregates are filled in the same single pass over the traces,
 with symbol attributes and targets credited to the state the symbol leads
-to.  Ids are assigned breadth-first, children visited in ascending symbol
-order, so the root is always state 0.  Every trace that leaves a state along
-a symbol visits that child, so each out count is the child's total.
+to, each sum taken in trace order.  Ids are assigned breadth-first, children
+visited in ascending symbol order, so the root is always state 0.  Every
+trace that leaves a state along a symbol visits that child, so each out
+count is the child's total.
+
+A build costs one pass over the symbols plus one aggregate per prefix.  The
+pass keeps the tree in flat lists indexed by the order its nodes are made,
+so it builds no object per prefix; the aggregates are made once, in id order.
 """
 
 from __future__ import annotations
@@ -26,85 +31,103 @@ _MAX_POOLED_MAGNITUDE = 1e300
 _POSITIVE, _NEGATIVE = TraceLabel.POSITIVE, TraceLabel.NEGATIVE
 
 
-class _Node:
-    __slots__ = ("children", "total", "end_pos", "end_neg", "tcount", "tsum", "tsumsq", "attrs")
-
-    def __init__(self, arity: int):
-        self.children: dict[Symbol, _Node] = {}
-        self.total = 0
-        self.end_pos = 0
-        self.end_neg = 0
-        self.tcount = 0
-        self.tsum = 0.0
-        self.tsumsq = 0.0
-        self.attrs = [0.0] * arity
-
-
 def build_apta(sample: Sample) -> Automaton:
     """Construct the prefix tree acceptor for ``sample``.
 
     Duplicate traces are allowed and add up in the aggregates.  Empty traces
     end at the root, so the root can itself be accepting or rejecting.
     Raises :class:`InconsistentSampleError` when one word is both positive
-    and negative, and :class:`SampleFormatError` when targets or attributes
-    are so large that pooling them could overflow.
+    and negative, :class:`SampleFormatError` when targets or attributes are
+    so large that pooling them could overflow, and ValueError for a symbol
+    outside the alphabet.
+
+    Cost: one pass over the symbols, then one aggregate per prefix.  The pass
+    keeps each node's fields in flat lists indexed by the order the nodes
+    are made, so a new prefix appends to each list instead of building an
+    object, and a symbol already seen at its node costs one dict lookup and
+    its counter updates.  Only a new child is checked against the alphabet,
+    since every existing one passed that check, and a sample without
+    attributes skips their loop.
     """
     arity = sample.attribute_arity
-    root = _Node(arity)
+    size = len(sample.alphabet)
+    # Per node, by creation order: child per symbol, visits, labeled ends,
+    # target count, sum and sum of squares, and attribute sums (at arity > 0).
+    children: list[dict[Symbol, int]] = [{}]
+    total = [0]
+    end_pos = [0]
+    end_neg = [0]
+    tcount = [0]
+    tsum = [0.0]
+    tsumsq = [0.0]
+    attrs = [[0.0] * arity]
     magnitude = 0.0  # sum of squared targets and of absolute attribute values
     for n, trace in enumerate(sample.traces, 1):
-        node = root
-        node.total += 1
+        node = 0
+        total[0] += 1
         for inst in trace.symbols:
-            if inst.symbol >= len(sample.alphabet):
-                raise ValueError(
-                    f"symbol {inst.symbol} outside alphabet of size {len(sample.alphabet)}"
-                )
-            child = node.children.get(inst.symbol)
-            if child is None:
-                child = _Node(arity)
-                node.children[inst.symbol] = child
-            node = child
-            node.total += 1
-            if inst.target is not None:
-                node.tcount += 1
-                node.tsum += inst.target
-                square = inst.target * inst.target
-                node.tsumsq += square
+            sym = inst.symbol
+            kids = children[node]
+            node = kids.get(sym)
+            if node is None:
+                if sym >= size:
+                    raise ValueError(f"symbol {sym} outside alphabet of size {size}")
+                node = kids[sym] = len(total)
+                children.append({})
+                total.append(1)
+                end_pos.append(0)
+                end_neg.append(0)
+                tcount.append(0)
+                tsum.append(0.0)
+                tsumsq.append(0.0)
+                if arity:
+                    attrs.append([0.0] * arity)
+            else:
+                total[node] += 1
+            target = inst.target
+            if target is not None:
+                tcount[node] += 1
+                tsum[node] += target
+                square = target * target
+                tsumsq[node] += square
                 magnitude += square
-            for i, v in enumerate(inst.attributes):
-                node.attrs[i] += v
-                magnitude += abs(v)
+            if arity:
+                sums = attrs[node]
+                for i, v in enumerate(inst.attributes):
+                    sums[i] += v
+                    magnitude += abs(v)
         if not magnitude < _MAX_POOLED_MAGNITUDE:
             raise SampleFormatError(f"trace {n}: target or attribute values too large to pool")
         if trace.label is _POSITIVE:
-            node.end_pos += 1
+            end_pos[node] += 1
         elif trace.label is _NEGATIVE:
-            node.end_neg += 1
-        if node.end_pos and node.end_neg:
+            end_neg[node] += 1
+        if end_pos[node] and end_neg[node]:
             raise InconsistentSampleError(
                 f"word {trace.word} occurs with both labels"
             )
 
     states: dict[StateId, StateAggregate] = {}
-    accepting: set[StateId] = set()
-    rejecting: set[StateId] = set()
+    accepting: list[StateId] = []
+    rejecting: list[StateId] = []
     transitions: dict[tuple[StateId, Symbol], StateId] = {}
-    queue = [(0, root)]  # iterated while it grows: breadth-first
-    next_id = 1
-    for q, node in queue:
-        children = node.children
-        out = {sym: children[sym].total for sym in sorted(children)}
-        states[q] = StateAggregate(node.total, node.end_pos, node.end_neg, out,
-                                   node.tcount, node.tsum, node.tsumsq, tuple(node.attrs))
-        if node.end_pos:
-            accepting.add(q)
-        if node.end_neg:
-            rejecting.add(q)
-        for sym in out:
-            transitions[(q, sym)] = next_id
-            queue.append((next_id, children[sym]))
-            next_id += 1
+    order = [0]  # nodes by state id, appended while iterated: breadth-first
+    for q, node in enumerate(order):
+        kids = children[node]
+        out = {}
+        if kids:
+            for sym in sorted(kids) if len(kids) > 1 else kids:
+                child = kids[sym]
+                out[sym] = total[child]
+                transitions[(q, sym)] = len(order)
+                order.append(child)
+        pos, neg = end_pos[node], end_neg[node]
+        states[q] = StateAggregate(total[node], pos, neg, out, tcount[node], tsum[node],
+                                   tsumsq[node], tuple(attrs[node]) if arity else ())
+        if pos:
+            accepting.append(q)
+        if neg:
+            rejecting.append(q)
     return Automaton(
         alphabet=sample.alphabet,
         states=states,
@@ -112,6 +135,6 @@ def build_apta(sample: Sample) -> Automaton:
         rejecting=frozenset(rejecting),
         transitions=transitions,
         start=0,
-        next_id=next_id,
+        next_id=len(order),
         attribute_arity=arity,
     )

@@ -12,6 +12,8 @@ Three stock heuristics are provided:
   number of compatible pairs.  A pair whose bound is 1 or more passes
   without a count being read, since no two frequencies differ by more.  The
   first rejecting pair is refused, so the trial pools no more frequencies.
+  Its ``fold`` tests a pair and pools the pair's frequencies in one body,
+  unpacking them once; ``_rejects`` asks the test alone, through ``fold``.
 * :class:`Mse` scores the (negated) growth in squared target error caused by
   pooling, plus a configurable reward per merged pair; it fails distinctly
   when the trial touched no target data at all, since the score would be
@@ -89,48 +91,41 @@ class Alergia:
         object.__setattr__(self, "_bound_scale", math.sqrt(0.5 * math.log(2.0 / alpha)))
 
     def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
-        """The Hoeffding test of one merged pair, given its frequencies.
-
-        True iff the stop frequency or some symbol's frequency differs beyond
-        the bound; vacuously False when either state was never visited.
-
-        Also False, before any count is read, when the bound is at least 1.
-        Each compared count is at most its state's visit count, as in every
-        aggregate ``build_apta`` makes, ``check_integrity`` accepts and
-        pooling keeps, so each frequency is a float in [0, 1] and no
-        difference of two exceeds 1.0.
-        """
-        n1, out1, end1 = f1
-        n2, out2, end2 = f2
-        if n1 == 0 or n2 == 0:
-            return False
-        bound = self._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
-        if bound >= 1.0:
-            return False
-        if abs(end1 / n1 - end2 / n2) > bound:
-            return True
-        for sym, c1 in out1.items():
-            if abs(c1 / n1 - out2.get(sym, 0) / n2) > bound:
-                return True
-        # A symbol only out2 has differs by c2 / n2, the float abs(0 / n1 - c2 / n2).
-        for sym, c2 in out2.items():
-            if sym not in out1 and c2 / n2 > bound:
-                return True
-        return False
+        """The Hoeffding test of one merged pair: True iff :meth:`fold` refuses it."""
+        return self.fold(None, f1, f2) is None
 
     def statistic(self, agg: StateAggregate) -> Frequencies:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""
         return (agg.total_count, agg.out_counts, agg.end_count)
 
     def fold(self, ev: None, fx: Frequencies, fy: Frequencies) -> Frequencies | None:
-        """Pool one pair's frequencies, or refuse the pair if the test rejects it.
+        """Test one pair's frequencies and pool them, or refuse the pair if the test rejects it.
+
+        The Hoeffding test rejects iff the stop frequency or some symbol's
+        frequency differs beyond the bound; it passes vacuously when either
+        state was never visited.  It also passes, before any count is read,
+        when the bound is at least 1.  Each compared count is at most its
+        state's visit count, as in every aggregate ``build_apta`` makes,
+        ``check_integrity`` accepts and pooling keeps, so each frequency is a
+        float in [0, 1] and no difference of two exceeds 1.0.
 
         ALERGIA keeps no record, so ``ev`` is None.  A refused pair fails the
         trial, so no fold of it follows and no pair after it is tested.
         """
-        if self._rejects(fx, fy):
-            return None
-        (n1, out1, end1), (n2, out2, end2) = fx, fy
+        n1, out1, end1 = fx
+        n2, out2, end2 = fy
+        if n1 and n2:
+            bound = self._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            if bound < 1.0:
+                if abs(end1 / n1 - end2 / n2) > bound:
+                    return None
+                for sym, c1 in out1.items():
+                    if abs(c1 / n1 - out2.get(sym, 0) / n2) > bound:
+                        return None
+                # A symbol only out2 has differs by c2 / n2, the float abs(0 / n1 - c2 / n2).
+                for sym, c2 in out2.items():
+                    if sym not in out1 and c2 / n2 > bound:
+                        return None
         # Count maps are never written once made, so an empty side shares the other's map.
         out = out1 or out2
         if out1 and out2:

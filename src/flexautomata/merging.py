@@ -13,8 +13,8 @@ Every merge runs through one fold path, in :class:`MergeArena`: a merge
 folds labels and transitions, plus only the per-class statistic that the
 arena's heuristic reads, and can be rolled back.  The heuristic may also
 refuse a pair, which fails the merge as a label conflict does.  The full
-aggregates of the merged classes are pooled afterwards, by
-:meth:`MergeArena.pool`, for a merge that is kept.  The learner builds
+aggregates are pooled afterwards, by :meth:`MergeArena.pool`, for a merge
+that is kept, and only for the classes it leaves standing.  The learner builds
 one arena per run: it scores many candidate merges this way without
 copying the machine, commits each kept one in place and extracts once.
 The module-level :func:`merge` is the pure public form of a kept merge:
@@ -27,7 +27,11 @@ every original state's statistic once, and lets a class whose second half
 adds no symbol share the first half's out-map instead of copying it.  A
 kept merge, likewise, costs what it changes: each root made by a kept merge
 lists the ids below it, and pooling re-points only the ids of the classes
-the merge leaves standing, not every id in the arena.
+the merge leaves standing, not every id in the arena.  It builds one
+aggregate per such class, none for a class the same merge joins again:
+integer counts are summed over the pre-merge classes it absorbed, and the
+float sums follow the fold tree, so each equals :func:`merge_aggregates`
+applied pair by pair.
 """
 
 from __future__ import annotations
@@ -44,16 +48,7 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
     The all-zero aggregate is the identity.  Mixing two non-empty attribute
     vectors of different lengths is an error.
     """
-    if x.attribute_sums and y.attribute_sums and len(x.attribute_sums) != len(y.attribute_sums):
-        raise ValueError(
-            f"attribute arity mismatch: {len(x.attribute_sums)} vs {len(y.attribute_sums)}"
-        )
-    if not x.attribute_sums:
-        attrs = y.attribute_sums
-    elif not y.attribute_sums:
-        attrs = x.attribute_sums
-    else:
-        attrs = tuple(u + v for u, v in zip(x.attribute_sums, y.attribute_sums))
+    attrs = _pooled_attributes(x.attribute_sums, y.attribute_sums)
     out = dict(x.out_counts)
     for sym, c in y.out_counts.items():
         out[sym] = out.get(sym, 0) + c
@@ -67,6 +62,17 @@ def merge_aggregates(x: StateAggregate, y: StateAggregate) -> StateAggregate:
         x.target_sumsq + y.target_sumsq,
         attrs,
     )
+
+
+def _pooled_attributes(ax: tuple[float, ...], ay: tuple[float, ...]) -> tuple[float, ...]:
+    """Two attribute-sum vectors added up; the empty one is the identity."""
+    if not ax:
+        return ay
+    if not ay:
+        return ax
+    if len(ax) != len(ay):
+        raise ValueError(f"attribute arity mismatch: {len(ax)} vs {len(ay)}")
+    return tuple(u + v for u, v in zip(ax, ay))
 
 
 @_record
@@ -147,12 +153,12 @@ class MergeArena:
     evidence only when the heuristic has an ``evidence`` factory, as
     :class:`Mse` does; each fold then writes its pair's evidence into it.
     With a heuristic whose ``fold`` is None, such as :class:`Edsm`, a merge
-    pools labels alone and leaves ``stats`` empty.  The fresh classes get
-    their full aggregates, in the ``agg`` dict, only from :meth:`pool`,
-    called once for a merge that is kept; it also drops the dead halves and
-    leaves every parent a root.  For that, ``members`` maps each root that
-    a kept merge made to the ids below it; trials and :meth:`rollback`
-    never touch it.
+    pools labels alone and leaves ``stats`` empty.  The classes a kept merge
+    leaves standing get their full aggregates, one each, in the ``agg``
+    dict, only from :meth:`pool`, called once for a merge that is kept; it
+    also drops the dead halves and leaves every parent a root.  For that,
+    ``members`` maps each root that a kept merge made to the ids below it;
+    trials and :meth:`rollback` never touch it.
     State ids must be non-negative, and the two label sets disjoint, as
     :func:`~flexautomata.automaton.check_integrity` requires of the latter.
     """
@@ -280,18 +286,46 @@ class MergeArena:
         """Keep a trial merge: pool its aggregates, drop its dead halves, flatten parents.
 
         Replays the frame's pairs in fold order, the i-th making the class
-        ``next_id_before + i``, so each class pools the aggregates its two
-        parts had when they were folded; the parts' aggregates, out-maps and
-        statistics go, since no joined class is read again.  Each fold also
-        joins its parts' member lists (an original state has none), the
-        longer taking the shorter, and adds the two parts themselves.  Then
-        each class the merge leaves standing points its members straight at
+        ``next_id_before + i``; the parts' out-maps and statistics go, since
+        no joined class is read again.  Only the classes the merge leaves
+        standing get an aggregate, one each.  Its counts are sums of
+        integers, so they are taken once, over the aggregates of the
+        pre-merge classes it absorbed, in fold order.  Its float sums are
+        carried along the fold tree instead, each fold adding its first
+        part's to its second's, so every class pools exactly the sums that
+        :func:`merge_aggregates` gives, and mixing non-empty attribute
+        vectors of two lengths raises its ValueError.  Each fold also joins
+        its parts' member lists (an original state has none), the longer
+        taking the shorter, and adds the two parts themselves.  Then each
+        class the merge leaves standing points its members straight at
         itself, so ``find`` stays one step long, and no other id is visited.
         """
         agg, out, stats, parent, members = self.agg, self.out, self.stats, self.parent, self.members
         first = frame.next_id_before
+        # Each class made so far and not yet joined: the pre-merge aggregates
+        # below it, in fold order, and its target sum, sum of squares and
+        # attribute sums.
+        made: dict[StateId, tuple[list[StateAggregate], float, float, tuple[float, ...]]] = {}
         for z, (x, y) in enumerate(frame.pairs, first):
-            agg[z] = merge_aggregates(agg.pop(x), agg.pop(y))
+            if x < first:
+                g = agg.pop(x)
+                leaves, tsum, tsumsq, attrs = [g], g.target_sum, g.target_sumsq, g.attribute_sums
+            else:
+                leaves, tsum, tsumsq, attrs = made.pop(x)
+            if y < first:
+                g = agg.pop(y)
+                leaves.append(g)
+                tsum += g.target_sum
+                tsumsq += g.target_sumsq
+                ay = g.attribute_sums
+            else:
+                more, ty, tsqy, ay = made.pop(y)
+                leaves += more
+                tsum += ty
+                tsumsq += tsqy
+            if ay:
+                attrs = _pooled_attributes(attrs, ay)
+            made[z] = leaves, tsum, tsumsq, attrs
             out[x] = out[y] = None
             if stats:
                 stats[x] = stats[y] = None
@@ -306,10 +340,20 @@ class MergeArena:
                     joined += other
                 joined += (x, y)
             members[z] = joined
-        for z in range(first, self.next_id):
-            if parent[z] < 0:
-                for c in members[z]:
-                    parent[c] = z
+        # Every class left in ``made`` is one the merge leaves standing.
+        for z, (leaves, tsum, tsumsq, attrs) in made.items():
+            total = end_pos = end_neg = tcount = 0
+            counts: dict[Symbol, int] = {}
+            for g in leaves:
+                total += g.total_count
+                end_pos += g.end_pos_count
+                end_neg += g.end_neg_count
+                tcount += g.target_count
+                for sym, c in g.out_counts.items():
+                    counts[sym] = counts.get(sym, 0) + c
+            agg[z] = StateAggregate(total, end_pos, end_neg, counts, tcount, tsum, tsumsq, attrs)
+            for c in members[z]:
+                parent[c] = z
 
     def extract(self) -> Automaton:
         """The automaton of the current classes; every fresh one must be pooled."""
@@ -353,8 +397,11 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     a new automaton whose state count dropped by exactly the number of merged
     pairs, with the merged classes' aggregates pooled; its fresh ids start at
     ``a.next_id``.  Fails (rather than raising) iff determinization runs into
-    a pair with conflicting labels.  Unknown or identical state ids, or a
-    state id not below ``a.next_id``, are caller errors and raise ValueError.
+    a pair with conflicting labels.  Unknown or identical state ids, a state
+    id not below ``a.next_id``, and a start state, labeled state or
+    transition endpoint outside the state set are caller errors and raise
+    ValueError, the last three worded as
+    :func:`~flexautomata.automaton.check_integrity` words them.
 
     The arena runs over a copy with the states renumbered 0..n-1 in ascending
     order, so the cost follows the state count, not the size of the ids.
@@ -366,6 +413,19 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     ids = sorted(a.states)
     if ids[-1] >= a.next_id:
         raise ValueError(f"state {ids[-1]} not below next_id {a.next_id}")
+    states = a.states
+    if a.start not in states:
+        raise ValueError(f"start state {a.start} not in state set")
+    for kind, labeled in (("accepting", a.accepting), ("rejecting", a.rejecting)):
+        if not labeled <= states.keys():
+            raise ValueError(f"{kind} state {min(labeled - states.keys())} not in state set")
+    dangling = [(src, sym, dst) for (src, sym), dst in a.transitions.items()
+                if src not in states or dst not in states]
+    if dangling:
+        src, _, dst = min(dangling)
+        if src not in states:
+            raise ValueError(f"transition source {src} not in state set")
+        raise ValueError(f"transition target {dst} not in state set")
     dense = {q: i for i, q in enumerate(ids)}
     arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
     outcome, frame = arena.run_merge(dense[q1], dense[q2])

@@ -309,20 +309,18 @@ def positive_lines(words: Sequence[Sequence[Symbol]], size: int) -> Iterator[str
 # DOT rendering
 
 
-def _dot_quote(*lines: str) -> str:
-    """A DOT string showing ``lines`` one under another: each escaped, then joined by ``\\n``."""
-    return '"' + "\\n".join(
-        line.replace("\\", "\\\\").replace('"', '\\"') for line in lines) + '"'
-
-
 def write_dot(a: Automaton) -> str:
     """Render an automaton as a Graphviz digraph.
 
     Accepting states are double circles, rejecting states boxes.  Node labels
     carry occurrence counts in square brackets, and the state's mean target
     when it observed targets.  Edges are labeled with the symbol name and the
-    occurrence count of the transition.
+    occurrence count of the transition.  Label lines are joined by DOT's
+    ``\\n``.  Only a symbol name can hold a character that needs escaping,
+    so each name is escaped once; ids, counts and means are written as they
+    are.
     """
+    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in a.alphabet]
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     lines.append(f"  __start -> s{a.start};")
     for q in sorted(a.states):
@@ -333,14 +331,12 @@ def write_dot(a: Automaton) -> str:
             shape = "box"
         else:
             shape = "circle"
-        parts = [str(q), f"[{agg.total_count}]"]
-        if agg.target_count > 0:
-            parts.append(f"{agg.target_sum / agg.target_count:.4g}")
-        lines.append(f"  s{q} [shape={shape}, label={_dot_quote(*parts)}];")
+        mean = f"\\n{agg.target_sum / agg.target_count:.4g}" if agg.target_count > 0 else ""
+        lines.append(f'  s{q} [shape={shape}, label="{q}\\n[{agg.total_count}]{mean}"];')
     for (src, sym), dst in sorted(a.transitions.items()):
-        name = a.alphabet[sym] if 0 <= sym < len(a.alphabet) else str(sym)
-        text = f"{name} [{a.states[src].out_counts.get(sym, 0)}]"
-        lines.append(f"  s{src} -> s{dst} [label={_dot_quote(text)}];")
+        name = names[sym] if 0 <= sym < len(names) else str(sym)
+        count = a.states[src].out_counts.get(sym, 0)
+        lines.append(f'  s{src} -> s{dst} [label="{name} [{count}]"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

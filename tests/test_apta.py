@@ -18,9 +18,11 @@ from flexautomata import (
     compute,
     parse_abbadingo,
     parse_augmented,
+    save_model,
 )
 from flexautomata.automaton import Outcome
 from gen import TargetDfa, labeled_sample
+from oracle_apta import reference_apta
 from oracle_automaton import language_upto, structural_tree_check
 
 
@@ -222,3 +224,69 @@ class TestAgainstRandomSamples:
                 for sym in word
             )))
         assert_out_counts_recount(Sample(tuple(traces), tuple(map(str, range(dfa.n_syms))), 2))
+
+
+# Values whose float sums depend on the order they are added in: 1e16 + 0.1
+# rounds the 0.1 away, -1e16 + 1e16 does not.
+ORDER_SENSITIVE = (1e16, -1e16, 0.1, 1.0)
+
+
+@st.composite
+def samples(draw):
+    """Samples with ``1``/``0``/``?`` labels, repeated and empty words, and order-sensitive sums.
+
+    Words come from a small pool, so repeats are common, and a word may be
+    drawn with both labels, making some samples contradictory.  Each symbol
+    may carry a target and, at arity 2, two attributes.
+    """
+    size = draw(st.integers(1, 3))
+    arity = draw(st.sampled_from((0, 2)))
+    pool = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=5).map(tuple),
+                         min_size=1, max_size=6))
+    value = st.sampled_from(ORDER_SENSITIVE)
+    traces = []
+    for _ in range(draw(st.integers(0, 25))):
+        word = draw(st.sampled_from(pool))
+        label = draw(st.sampled_from(
+            (TraceLabel.POSITIVE, TraceLabel.NEGATIVE, TraceLabel.UNLABELED, TraceLabel.UNLABELED)))
+        symbols = []
+        for sym in word:
+            target = draw(st.none() | value)
+            attrs = tuple(draw(value) for _ in range(arity)) if draw(st.booleans()) else ()
+            symbols.append(SymbolInstance(sym, attrs, target))
+        traces.append(Trace(label, tuple(symbols)))
+    return Sample(tuple(traces), tuple(f"s{i}" for i in range(size)), arity)
+
+
+def built(build, sample):
+    """What ``build`` makes of ``sample``: the automaton, or the error's type and message."""
+    try:
+        return build(sample)
+    except (InconsistentSampleError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestAgainstReference:
+    @given(samples())
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_and_bytes_as_the_naive_builder(self, sample):
+        got, want = built(build_apta, sample), built(reference_apta, sample)
+        assert got == want
+        if not isinstance(want, tuple):
+            assert save_model(got) == save_model(want)
+
+    def test_both_labels_message(self):
+        sample = parse_abbadingo("1 2 0 1\n1 1 1\n0 2 0 1\n")
+        with pytest.raises(InconsistentSampleError) as err:
+            build_apta(sample)
+        assert str(err.value) == "word (0, 1) occurs with both labels"
+        assert built(reference_apta, sample) == (InconsistentSampleError, str(err.value))
+
+    def test_symbol_outside_the_alphabet_message(self):
+        # the first such symbol is named, even below an existing prefix
+        trace = Trace(TraceLabel.POSITIVE, (SymbolInstance(0), SymbolInstance(4), SymbolInstance(2)))
+        sample = Sample((trace,), ("a", "b"))
+        with pytest.raises(ValueError) as err:
+            build_apta(sample)
+        assert str(err.value) == "symbol 4 outside alphabet of size 2"
+        assert built(reference_apta, sample) == (ValueError, str(err.value))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flexautomata import (
     Alergia,
+    Automaton,
     Edsm,
     Mse,
     StateAggregate,
@@ -155,6 +156,35 @@ class TestCallerErrors:
         with pytest.raises(ValueError) as err:
             merge(stale, min(model.states), top)
         assert str(err.value) == f"state {top} not below next_id {top}"
+
+    @staticmethod
+    def two_states(**changes):
+        """A 2-state automaton, 0 -a-> 1, with ``changes`` replacing its fields."""
+        a = Automaton(
+            alphabet=("a",),
+            states={0: StateAggregate(1, out_counts={0: 1}), 1: StateAggregate(1)},
+            accepting=frozenset(),
+            rejecting=frozenset(),
+            transitions={(0, 0): 1},
+            start=0,
+            next_id=2,
+        )
+        return dataclasses.replace(a, **changes)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"start": 7}, "start state 7 not in state set"),
+        ({"accepting": frozenset({1, 9})}, "accepting state 9 not in state set"),
+        ({"rejecting": frozenset({8})}, "rejecting state 8 not in state set"),
+        ({"transitions": {(0, 0): 5}}, "transition target 5 not in state set"),
+        ({"transitions": {(0, 0): 1, (4, 0): 1}}, "transition source 4 not in state set"),
+    ], ids=["start", "accepting", "rejecting", "target", "source"])
+    def test_dangling_state_ids_are_refused(self, changes, message):
+        # each is a caller error, worded as check_integrity words it
+        a = self.two_states(**changes)
+        assert message in check_integrity(a)
+        with pytest.raises(ValueError) as err:
+            merge(a, 0, 1)
+        assert str(err.value) == message
 
 
 class TestPurity:
@@ -347,6 +377,74 @@ class TestTrialsLeaveNoTrace:
             assert arena.agg == {c: agg[c] for c in arena.agg}
             assert check_integrity(arena.extract()) == []
         assert arena.base is a and a == base
+
+    @staticmethod
+    def with_order_sensitive_sums(rng, a):
+        """``a`` with arity-2 attributes, and target and attribute sums of order-sensitive values.
+
+        Adding 1e16, -1e16 and 0.1 in different orders gives different
+        floats, so a pool that summed them in any order but the fold tree's
+        would show.
+        """
+        values = (1e16, -1e16, 0.1, 1.0)
+        states = {}
+        for q, g in a.states.items():
+            tsum = tsumsq = 0.0
+            for _ in range(g.target_count):
+                v = rng.choice(values)
+                tsum += v
+                tsumsq += v * v
+            attrs = (rng.choice(values), rng.choice(values)) if rng.random() < 0.8 else ()
+            states[q] = dataclasses.replace(
+                g, target_sum=tsum, target_sumsq=tsumsq, attribute_sums=attrs)
+        return dataclasses.replace(a, states=states, attribute_arity=2)
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()], ids=repr)
+    def test_kept_merges_pool_floats_along_the_fold_tree(self, heuristic):
+        # every class a kept merge leaves standing holds, to the last bit and
+        # in its out counts' key order, what merge_aggregates gives replayed
+        # over the merge's fold tree
+        kept = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            a = self.with_order_sensitive_sums(
+                rng, random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3))))
+            arena = MergeArena(a, heuristic)
+            for _ in range(10):
+                live = [c for c in range(arena.next_id)
+                        if arena.parent[c] == -1 and arena.out[c] is not None]
+                if len(live) < 2:
+                    break
+                outcome, frame = arena.run_merge(*rng.sample(live, 2))
+                if outcome.failed:
+                    arena.rollback(frame)
+                    continue
+                agg = dict(arena.agg)
+                for z, x, y in frame.created:
+                    agg[z] = merge_aggregates(agg[x], agg[y])
+                arena.pool(frame)
+                kept += 1
+                assert {c: repr(g) for c, g in arena.agg.items()} == {
+                    c: repr(agg[c]) for c in arena.agg}
+            assert check_integrity(arena.extract()) == []
+        assert kept >= 300
+
+    def test_kept_merge_of_two_attribute_arities_is_refused(self):
+        one = StateAggregate(1, attribute_sums=(1.0,))
+        two = StateAggregate(1, attribute_sums=(1.0, 2.0))
+        with pytest.raises(ValueError) as want:
+            merge_aggregates(one, two)
+        a = Automaton(alphabet=("a",), states={0: one, 1: two}, accepting=frozenset(),
+                      rejecting=frozenset(), transitions={}, start=0, next_id=2)
+        arena = MergeArena(a, Edsm())
+        outcome, frame = arena.run_merge(0, 1)
+        assert not outcome.failed
+        with pytest.raises(ValueError) as got:
+            arena.pool(frame)
+        assert str(got.value) == str(want.value) == "attribute arity mismatch: 1 vs 2"
+        with pytest.raises(ValueError) as got:
+            merge(a, 0, 1)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()], ids=repr)
     @pytest.mark.parametrize("seed", range(4))

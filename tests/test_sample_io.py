@@ -300,6 +300,32 @@ class TestDotOutput:
             "e6203287cfc2950e0313d5c31d6a574d9d51f6d54691bb339c959ea79063e36f",
         ]
 
+    def test_names_that_need_escaping_are_pinned(self):
+        # a quote, a backslash, and an escaped quote in symbol names; the
+        # last symbol is outside a two-name alphabet and shows as its number
+        a = build_apta(parse_augmented("1 2 0/1.5 1\n0 1 2/0.25\n? 3 0 0 2\n"))
+        a = dataclasses.replace(a, alphabet=('a"b', "c\\d", 'e\\"f'))
+        assert write_dot(a) == r"""digraph automaton {
+  rankdir=LR;
+  __start [shape=point, label=""];
+  __start -> s0;
+  s0 [shape=circle, label="0\n[3]"];
+  s1 [shape=circle, label="1\n[2]\n1.5"];
+  s2 [shape=box, label="2\n[1]\n0.25"];
+  s3 [shape=circle, label="3\n[1]"];
+  s4 [shape=doublecircle, label="4\n[1]"];
+  s5 [shape=circle, label="5\n[1]"];
+  s0 -> s1 [label="a\"b [2]"];
+  s0 -> s2 [label="e\\\"f [1]"];
+  s1 -> s3 [label="a\"b [1]"];
+  s1 -> s4 [label="c\\d [1]"];
+  s3 -> s5 [label="e\\\"f [1]"];
+}
+"""
+        check_dot(write_dot(a))
+        short = dataclasses.replace(a, alphabet=a.alphabet[:2])
+        assert '  s0 -> s2 [label="2 [1]"];' in write_dot(short).splitlines()
+
     def test_means_shown_when_targets_present(self):
         sample = parse_augmented("? 1 0/2.0\n? 1 0/4.0\n")
         dot = write_dot(build_apta(sample))
