@@ -39,7 +39,10 @@ def build_apta(sample: Sample) -> Automaton:
     Raises :class:`InconsistentSampleError` when one word is both positive
     and negative, :class:`SampleFormatError` when targets or attributes are
     so large that pooling them could overflow, and ValueError for a symbol
-    outside the alphabet.
+    outside the alphabet.  At ``sample.attribute_arity`` above 0, a symbol
+    may carry no attributes or exactly that many; any other count is a
+    ValueError naming the trace and the symbol's position in it.  At arity
+    0, attributes are ignored.
 
     Cost: one pass over the symbols, then one aggregate per prefix.  The pass
     keeps each node's fields in flat lists indexed by the order the nodes
@@ -92,8 +95,15 @@ def build_apta(sample: Sample) -> Automaton:
                 tsumsq[node] += square
                 magnitude += square
             if arity:
+                attributes = inst.attributes
+                if attributes and len(attributes) != arity:
+                    # An equal symbol earlier in the trace would have raised already.
+                    raise ValueError(
+                        f"trace {n}: symbol at position {trace.symbols.index(inst) + 1} "
+                        f"has {len(attributes)} attributes, expected {arity}"
+                    )
                 sums = attrs[node]
-                for i, v in enumerate(inst.attributes):
+                for i, v in enumerate(attributes):
                     sums[i] += v
                     magnitude += abs(v)
         if not magnitude < _MAX_POOLED_MAGNITUDE:

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .automaton import StateAggregate, Symbol, _record, squared_error
+from .automaton import StateAggregate, Symbol, _record
 
 if TYPE_CHECKING:
     from .merging import MergeOutcome
@@ -73,7 +73,7 @@ class Edsm:
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
-            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+            return _LABEL_CONFLICT
         return EvidenceScore(float(outcome.label_matches))
 
 
@@ -136,9 +136,9 @@ class Alergia:
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
-            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+            return _LABEL_CONFLICT
         if outcome.refused:
-            return EvidenceScore.fail(FAIL_DISTRIBUTION)
+            return _DISTRIBUTION_REJECT
         return EvidenceScore(float(len(outcome.merged_pairs)))
 
 
@@ -172,21 +172,35 @@ class Mse:
         return (agg.target_count, agg.target_sum, agg.target_sumsq, agg.sse())
 
     def fold(self, ev: MseEvidence, tx: TargetStats, ty: TargetStats) -> TargetStats:
-        """Pool one pair's target statistics, carrying the pooled squared error."""
-        count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
-        sse = squared_error(count, total, sumsq)
-        # Pooling a partition cannot reduce squared error; clamp roundoff.
-        ev.sse_delta += max(sse - tx[3] - ty[3], 0.0)
+        """Pool one pair's target statistics, carrying the pooled squared error.
+
+        Each statistic is unpacked once, and the pooled squared error is
+        :func:`~flexautomata.automaton.squared_error`'s own expression,
+        written inline, so it is the same float.  Pooling a partition cannot
+        reduce squared error, so the growth is clamped at 0 to absorb
+        roundoff, by the test that ``max(d, 0.0)`` makes: a nan or a -0.0
+        growth passes through as it is.
+        """
+        cx, sx, qx, ex = tx
+        cy, sy, qy, ey = ty
+        count = cx + cy
+        total = sx + sy
+        sumsq = qx + qy
         if count:
+            sse = sumsq - total * total / count
             ev.targets_touched = True
+        else:
+            sse = 0.0
+        d = sse - ex - ey
+        ev.sse_delta += 0.0 if d < 0.0 else d
         return (count, total, sumsq, sse)
 
     def score(self, outcome: MergeOutcome) -> EvidenceScore:
         if outcome.label_conflict:
-            return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+            return _LABEL_CONFLICT
         ev = outcome.evidence
         if not ev.targets_touched:
-            return EvidenceScore.fail(FAIL_NO_TARGETS)
+            return _NO_TARGETS
         return EvidenceScore(-ev.sse_delta + self.penalty * len(outcome.merged_pairs))
 
 
@@ -195,7 +209,11 @@ HeuristicId = Edsm | Alergia | Mse
 
 @_record
 class EvidenceScore:
-    """A merge score: a real value, or a failure with a reason."""
+    """A merge score: a real value, or a failure with a reason.
+
+    The stock heuristics return one shared score per failure reason, so a
+    failed trial builds none.
+    """
 
     value: float | None
     reason: str = ""
@@ -207,6 +225,12 @@ class EvidenceScore:
     @classmethod
     def fail(cls, reason: str) -> "EvidenceScore":
         return cls(None, reason)
+
+
+# Every failed score is one of these, so a failed trial builds no score.
+_LABEL_CONFLICT = EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+_DISTRIBUTION_REJECT = EvidenceScore.fail(FAIL_DISTRIBUTION)
+_NO_TARGETS = EvidenceScore.fail(FAIL_NO_TARGETS)
 
 
 def score_outcome(outcome: MergeOutcome, heuristic: HeuristicId) -> EvidenceScore:

@@ -145,7 +145,12 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     and never again once it is known to end in a label conflict, since a
     conflict outlives every later merge.  An iteration after a promotion
     tries only the pairs the promotion made, and its decision reads one best
-    score per blue state.  A kept merge's own bookkeeping follows the
+    score per blue state.  A trial costs its folds and little else: the
+    arena's lists are sized once for the run, so each fold writes its class
+    in place and the rollback resets only the parents the trial set; the
+    loop binds the trial, rollback and score calls once per run; and a
+    failed trial's score is one record shared by every failure of its kind,
+    so it builds none.  A kept merge's own bookkeeping follows the
     classes it retires: the arena re-points only the ids of the classes
     left standing, and each conflict entry held by a retired class is
     rewritten once.
@@ -164,6 +169,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
     conflicts: dict[StateId, set[StateId]] = {}
     new_red: tuple[StateId, ...] = ()
     events = log.events
+    run_merge, rollback, score = arena.run_merge, arena.rollback, score_outcome
 
     while blue:
         # Every pair is scored before anything is decided: the first blue with
@@ -179,17 +185,16 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             for r in untried:
                 if known is not None and r in known:
                     continue
-                outcome, frame = arena.run_merge(r, b)
-                arena.rollback(frame)
-                s = score_outcome(outcome, heuristic)
-                if s.failed:
+                outcome, frame = run_merge(r, b)
+                rollback(frame)
+                value = score(outcome, heuristic).value
+                if value is None:
                     if outcome.label_conflict:
                         if known is None:
                             known = conflicts[b] = set()
                         known.add(r)
                         conflicts.setdefault(r, set()).add(b)
                     continue
-                value = s.value
                 if value < min_evidence:
                     continue
                 if taker is None or value > taker[0] or (value == taker[0] and r < taker[1]):
@@ -211,7 +216,7 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
             continue
         assert top is not None  # no promotion means every blue has a taker
         value, r, b = top
-        _outcome, frame = arena.run_merge(r, b)
+        _outcome, frame = run_merge(r, b)
         arena.pool(frame)
         _carry_conflicts(conflicts, frame.created, arena.parent)
         red = tuple(sorted({arena.find(q) for q in red}))

@@ -24,14 +24,16 @@ labels alone.
 A fold does only the work its result reads.  The arena keeps each class's
 parent, out-map, label and statistic in lists indexed by class id, takes
 every original state's statistic once, and lets a class whose second half
-adds no symbol share the first half's out-map instead of copying it.  A
-kept merge, likewise, costs what it changes: each root made by a kept merge
-lists the ids below it, and pooling re-points only the ids of the classes
-the merge leaves standing, not every id in the arena.  It builds one
-aggregate per such class, none for a class the same merge joins again:
-integer counts are summed over the pre-merge classes it absorbed, and the
-float sums follow the fold tree, so each equals :func:`merge_aggregates`
-applied pair by pair.
+adds no symbol share the first half's out-map instead of copying it.  The
+lists are sized once, when the arena is built, for every id a run can
+mint, so a fold writes its fresh class in place and undoing a trial resets
+only the parents the trial set.  A kept merge, likewise, costs what it
+changes: each root made by a kept merge lists the ids below it, and
+pooling re-points only the ids of the classes the merge leaves standing,
+not every id in the arena.  It builds one aggregate per such class, none
+for a class the same merge joins again: integer counts are summed over the
+pre-merge classes it absorbed, and the float sums follow the fold tree, so
+each equals :func:`merge_aggregates` applied pair by pair.
 """
 
 from __future__ import annotations
@@ -129,21 +131,27 @@ class MergeArena:
 
     Every class of merged original states is named by a public id: either the
     original state id, or the fresh id minted when the class was formed.
-    ``parent``, ``out``, ``label`` and ``stats`` are lists indexed by that id,
-    with one entry per id below ``next_id``: the class's parent (-1 for a
-    root), its symbol → target map, its label (True accepting, False
-    rejecting, None unlabeled) and its statistic; a refused merge may leave
-    ``stats`` short until it is rolled back.  An out-map or statistic of
-    None marks an id with no live class: a hole in the automaton's ids, or a
-    class that a kept merge joined to another.  Memory follows ``next_id``,
-    so :func:`merge` renumbers a model's sparse ids first.  A fresh class
-    appends one entry to each list and points the two classes it joins at
-    itself; the frame records the pair once, its fresh id being the frame's
-    ``next_id_before`` plus the pair's index.  :meth:`rollback` makes each
-    recorded class a root again and truncates the lists to ``next_id_before``.
-    No out-map is written after it is made, so a fresh class whose second
-    half adds no symbol holds its first half's map rather than a copy.
-    Transition targets may go stale as classes merge; ``find`` resolves them.
+    ``parent``, ``out``, ``label`` and ``stats`` are lists indexed by that id:
+    the class's parent (-1 for a root), its symbol → target map, its label
+    (True accepting, False rejecting, None unlabeled) and its statistic.
+    They are sized once, when the arena is built, at twice the base's
+    ``next_id``, and never resized.  No run mints more ids than that: each
+    fold joins two roots into one, and the arena starts with at most
+    ``next_id`` roots.  The entries below ``next_id`` are the classes; those
+    at or above it are scratch that nothing reads, left by trials that were
+    rolled back, and every parent there is -1.  A refused merge leaves the
+    statistics of the classes after the refusal unwritten.  An out-map or
+    statistic of None marks an id with no live class: a hole in the
+    automaton's ids, or a class that a kept merge joined to another.  Memory
+    follows ``next_id``, so :func:`merge` renumbers a model's sparse ids
+    first.  A fresh class ``z`` writes its entries at index ``z`` and points
+    the two classes it joins at itself; the frame records the pair once, its
+    fresh id being the frame's ``next_id_before`` plus the pair's index.
+    :meth:`rollback` makes each recorded class a root again and resets
+    ``next_id``.  No out-map is written after it is made, so a fresh class
+    whose second half adds no symbol holds its first half's map rather than
+    a copy.  Transition targets may go stale as classes merge; ``find``
+    resolves them.
 
     Every arena takes a heuristic, which decides what a merge pools besides
     labels and transitions: ``heuristic.statistic`` takes it from a state's
@@ -159,8 +167,9 @@ class MergeArena:
     also drops the dead halves and leaves every parent a root.  For that,
     ``members`` maps each root that a kept merge made to the ids below it;
     trials and :meth:`rollback` never touch it.
-    State ids must be non-negative, and the two label sets disjoint, as
-    :func:`~flexautomata.automaton.check_integrity` requires of the latter.
+    State ids must be non-negative, the two label sets disjoint, as
+    :func:`~flexautomata.automaton.check_integrity` requires, and every
+    transition endpoint a state; the arena raises ValueError otherwise.
     """
 
     def __init__(self, a: Automaton, heuristic: HeuristicId):
@@ -171,15 +180,24 @@ class MergeArena:
         self.base = a
         # Labels only join, so a label conflict needs both kinds in the base.
         self.both_labels = bool(a.accepting) and bool(a.rejecting)
-        n = self.next_id = a.next_id
+        self.next_id = a.next_id
+        # Each fold joins two roots, and the arena starts with at most
+        # next_id of them, so no run mints more than next_id fresh ids.
+        n = 2 * a.next_id
         statistic = heuristic.statistic
         self.fold = heuristic.fold
         self.evidence = getattr(heuristic, "evidence", None)
         self.parent: list[StateId] = [-1] * n
+        states = a.states
         out: list[dict[Symbol, StateId] | None] = [None] * n
-        for q in a.states:
+        for q in states:
             out[q] = {}
         for (src, sym), dst in a.transitions.items():
+            # A target above the states would read a scratch entry, not fail.
+            if src not in states:
+                raise ValueError(f"transition source {src} not in state set")
+            if dst not in states:
+                raise ValueError(f"transition target {dst} not in state set")
             out[src][sym] = dst
         label: list[bool | None] = [None] * n
         for q in a.accepting:
@@ -207,6 +225,8 @@ class MergeArena:
         Returns the outcome (without extraction) plus the undo frame.  A
         merge that fails keeps the classes it created, as one that succeeded
         does, and ``next_id`` counts them: :meth:`rollback` undoes either.
+        Each fold writes its fresh class into the lists at its id, which the
+        arena sized for it, so a merge allocates no list entry.
 
         A pair that the heuristic's ``fold`` refuses fails the merge, and no
         pair is folded after it.  If the arena lacks accepting or rejecting
@@ -248,7 +268,7 @@ class MergeArena:
                     if not self.both_labels:
                         break  # no label conflict can follow
                 else:
-                    stats.append(st)
+                    stats[z] = st
             ox = oz = out[x]
             oy = out[y]
             if oy:
@@ -259,9 +279,8 @@ class MergeArena:
                         if oz is ox:
                             oz = dict(ox)
                         oz[sym] = oy[sym]
-            out.append(oz)
-            label.append(lz)
-            parent.append(-1)
+            out[z] = oz
+            label[z] = lz
             parent[x] = z
             parent[y] = z
             pairs.append((x, y))
@@ -272,15 +291,19 @@ class MergeArena:
         return MergeOutcome(None, tuple(pairs), label_matches, False, evidence), frame
 
     def rollback(self, frame: _TrialFrame) -> None:
-        """Undo a trial merge: make each folded pair roots again, cut every list back.
+        """Undo a trial merge: make each folded pair roots again, reset ``next_id``.
 
-        A merge given its aggregates by :meth:`pool` is kept, never rolled back.
+        It costs one write per class the trial joined, plus one.  The trial's
+        fresh ids become scratch: their entries stay until a later fold
+        overwrites them, and their parents are -1 again, since a fresh class
+        the trial joined is in its pairs and the others were never pointed
+        anywhere.  A merge given its aggregates by :meth:`pool` is kept,
+        never rolled back.
         """
         parent = self.parent
         for x, y in frame.pairs:
             parent[x] = parent[y] = -1
-        n = self.next_id = frame.next_id_before
-        del parent[n:], self.out[n:], self.label[n:], self.stats[n:]
+        self.next_id = frame.next_id_before
 
     def pool(self, frame: _TrialFrame) -> None:
         """Keep a trial merge: pool its aggregates, drop its dead halves, flatten parents.
@@ -398,10 +421,12 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     pairs, with the merged classes' aggregates pooled; its fresh ids start at
     ``a.next_id``.  Fails (rather than raising) iff determinization runs into
     a pair with conflicting labels.  Unknown or identical state ids, a state
-    id not below ``a.next_id``, and a start state, labeled state or
-    transition endpoint outside the state set are caller errors and raise
-    ValueError, the last three worded as
-    :func:`~flexautomata.automaton.check_integrity` words them.
+    id not below ``a.next_id``, a start state, labeled state or transition
+    endpoint outside the state set, and a transition on a symbol outside the
+    alphabet are caller errors and raise ValueError, the last four worded as
+    :func:`~flexautomata.automaton.check_integrity` words them.  A dangling
+    endpoint is named before any symbol, and among transitions the smallest
+    ``(source, symbol)`` first.
 
     The arena runs over a copy with the states renumbered 0..n-1 in ascending
     order, so the cost follows the state count, not the size of the ids.
@@ -419,13 +444,17 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     for kind, labeled in (("accepting", a.accepting), ("rejecting", a.rejecting)):
         if not labeled <= states.keys():
             raise ValueError(f"{kind} state {min(labeled - states.keys())} not in state set")
-    dangling = [(src, sym, dst) for (src, sym), dst in a.transitions.items()
-                if src not in states or dst not in states]
-    if dangling:
-        src, _, dst = min(dangling)
+    size = len(a.alphabet)
+    bad = [(src, sym, dst) for (src, sym), dst in a.transitions.items()
+           if src not in states or dst not in states or not 0 <= sym < size]
+    if bad:
+        dangling = [t for t in bad if t[0] not in states or t[2] not in states]
+        src, sym, dst = min(dangling or bad)
         if src not in states:
             raise ValueError(f"transition source {src} not in state set")
-        raise ValueError(f"transition target {dst} not in state set")
+        if dst not in states:
+            raise ValueError(f"transition target {dst} not in state set")
+        raise ValueError(f"transition ({src},{sym}) uses symbol outside alphabet")
     dense = {q: i for i, q in enumerate(ids)}
     arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
     outcome, frame = arena.run_merge(dense[q1], dense[q2])

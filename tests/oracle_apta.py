@@ -6,8 +6,10 @@ added up in trace order.  Ids come last, from sorting the prefixes by length
 and then symbol by symbol, which for a prefix-closed set is the breadth-first
 order with children in ascending symbol order.  Errors are raised at the
 same points and with the same messages as ``build_apta`` raises them: a
-symbol outside the alphabet at that symbol, and a word with both labels at
-the end of the trace that gives it its second label.  Values too large to
+symbol outside the alphabet at that symbol, a symbol with attributes but
+not ``attribute_arity`` of them (at an arity above 0) at that symbol, and a
+word with both labels at the end of the trace that gives it its second
+label.  At arity 0, attributes are ignored.  Values too large to
 pool are not refused here; the tests that use it draw none.
 """
 
@@ -30,12 +32,15 @@ def reference_apta(sample: Sample) -> Automaton:
                 "tsum": 0.0, "tsumsq": 0.0, "attrs": [0.0] * arity}
 
     nodes = {(): fresh()}
-    for trace in sample.traces:
+    for n, trace in enumerate(sample.traces, 1):
         prefix = ()
         nodes[prefix]["total"] += 1
-        for inst in trace.symbols:
+        for pos, inst in enumerate(trace.symbols, 1):
             if inst.symbol >= size:
                 raise ValueError(f"symbol {inst.symbol} outside alphabet of size {size}")
+            if arity and inst.attributes and len(inst.attributes) != arity:
+                raise ValueError(f"trace {n}: symbol at position {pos} has "
+                                 f"{len(inst.attributes)} attributes, expected {arity}")
             prefix += (inst.symbol,)
             node = nodes.setdefault(prefix, fresh())
             node["total"] += 1
@@ -43,7 +48,7 @@ def reference_apta(sample: Sample) -> Automaton:
                 node["tcount"] += 1
                 node["tsum"] += inst.target
                 node["tsumsq"] += inst.target * inst.target
-            for i, v in enumerate(inst.attributes):
+            for i, v in enumerate(inst.attributes if arity else ()):
                 node["attrs"][i] += v
         end = nodes[prefix]
         if trace.label is TraceLabel.POSITIVE:

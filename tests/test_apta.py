@@ -290,3 +290,41 @@ class TestAgainstReference:
             build_apta(sample)
         assert str(err.value) == "symbol 4 outside alphabet of size 2"
         assert built(reference_apta, sample) == (ValueError, str(err.value))
+
+
+class TestAttributeCounts:
+    """At an arity above 0, a symbol carries no attributes or exactly that many."""
+
+    @staticmethod
+    def sample(arity, *attribute_lists):
+        """One positive trace of symbol 0, the i-th instance carrying ``attribute_lists[i]``."""
+        symbols = tuple(SymbolInstance(0, tuple(attrs)) for attrs in attribute_lists)
+        other = Trace(TraceLabel.POSITIVE, (SymbolInstance(0, (1.0, 1.0)),))
+        return Sample((other, Trace(TraceLabel.POSITIVE, symbols)), ("a",), arity)
+
+    def test_more_attributes_than_the_arity_are_refused(self):
+        sample = self.sample(2, (1.0, 2.0), (), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError) as err:
+            build_apta(sample)
+        assert str(err.value) == "trace 2: symbol at position 3 has 3 attributes, expected 2"
+        assert built(reference_apta, sample) == (ValueError, str(err.value))
+
+    def test_fewer_attributes_than_the_arity_are_refused(self):
+        sample = self.sample(2, (1.0, 2.0), (5.0,))
+        with pytest.raises(ValueError) as err:
+            build_apta(sample)
+        assert str(err.value) == "trace 2: symbol at position 2 has 1 attributes, expected 2"
+        assert built(reference_apta, sample) == (ValueError, str(err.value))
+
+    def test_a_symbol_without_attributes_adds_none(self):
+        a = build_apta(self.sample(2, (1.0, 2.0), ()))
+        assert a.states[1].attribute_sums == (2.0, 3.0)
+        assert a.states[2].attribute_sums == (0.0, 0.0)
+        assert a == reference_apta(self.sample(2, (1.0, 2.0), ()))
+
+    def test_attributes_are_ignored_at_arity_0(self):
+        sample = self.sample(0, (1.0, 2.0, 3.0), (4.0,))
+        a = build_apta(sample)
+        assert a.attribute_arity == 0
+        assert {g.attribute_sums for g in a.states.values()} == {()}
+        assert a == reference_apta(sample)

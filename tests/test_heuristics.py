@@ -23,6 +23,8 @@ from flexautomata import (
     parse_abbadingo,
     parse_augmented,
 )
+from flexautomata.automaton import squared_error
+from flexautomata.heuristics import MseEvidence
 from flexautomata.merging import MergeArena
 from gen import random_automaton
 
@@ -290,7 +292,39 @@ class TestRefusal:
                 assert outcome.merged_pairs == full
 
 
+def squared_error_fold(ev, tx, ty):
+    """``Mse.fold`` written with ``squared_error`` and ``max(d, 0.0)``, as the arena first used it."""
+    count, total, sumsq = tx[0] + ty[0], tx[1] + ty[1], tx[2] + ty[2]
+    sse = squared_error(count, total, sumsq)
+    ev.sse_delta += max(sse - tx[3] - ty[3], 0.0)
+    if count:
+        ev.targets_touched = True
+    return (count, total, sumsq, sse)
+
+
+# Sums whose float results depend on rounding and sign: 1e16 + 0.1 rounds the
+# 0.1 away, 0.0 - 0.0 and -0.0 - 0.0 differ in sign, and a non-finite value
+# makes the growth nan or infinite.
+MSE_VALUES = st.sampled_from(
+    (0.0, -0.0, 1e16, -1e16, 0.1, -0.1, 1.0, 2.5, math.inf, -math.inf, math.nan)
+) | st.floats(allow_nan=True, allow_infinity=True)
+TARGET_STATS = st.tuples(st.integers(0, 4), MSE_VALUES, MSE_VALUES, MSE_VALUES)
+
+
 class TestMse:
+    @given(TARGET_STATS, TARGET_STATS, MSE_VALUES, st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    @example((1, 0.0, -0.0, 0.0), (0, 0.0, -0.0, 0.0), -0.0, False)  # growth -0.0
+    @example((1, 1e16, 1e32, 0.0), (1, 0.1, 0.01, 0.0), 0.0, False)
+    @example((2, 1.0, math.nan, 0.0), (0, 0.0, 0.0, 0.0), -0.0, True)
+    def test_fold_matches_the_squared_error_form(self, tx, ty, start, touched):
+        got_ev, want_ev = MseEvidence(start, touched), MseEvidence(start, touched)
+        got = Mse().fold(got_ev, tx, ty)
+        want = squared_error_fold(want_ev, tx, ty)
+        assert repr(got) == repr(want)
+        assert repr(got_ev.sse_delta) == repr(want_ev.sse_delta)
+        assert got_ev.targets_touched is want_ev.targets_touched
+
     def test_identical_targets_score_zero_delta(self):
         a = build_apta(parse_augmented("? 1 0/2.0\n? 2 0/2.0 0/2.0\n"))
         child = a.transitions[(0, 0)]

@@ -1,5 +1,6 @@
 """The red-blue loop: consistency, determinism, promotion, the run log."""
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter, deque
@@ -40,7 +41,9 @@ from flexautomata.merging import MergeArena, _TrialFrame
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
+from oracle_merge import reference_score
 from test_heuristics import refused_before_a_conflict, trial_score
+from test_merging import relabel, sparse_names
 
 
 def consistent(model, sample) -> bool:
@@ -501,6 +504,74 @@ class TestRefusingHeuristic:
         assert ends[False, False, False] and ends[False, True, False]
         if label is not unlabeled:
             assert ends[False, False, True] and ends[False, True, True] and ends[True, False, True]
+
+
+CAPACITY_HEURISTICS = [Edsm(), Alergia(0.05), Alergia(0.5), Mse(), Mse(1.0), VisitCap(), VisitCap(cap=3)]
+
+
+class TestArenaCapacity:
+    """An arena sizes its per-class lists once, at twice its base's ``next_id``.
+
+    Each fold joins two roots, and an arena starts with at most ``next_id``
+    of them, so no mix of trials and kept merges mints more ids than that.
+    """
+
+    @given(st.integers(0, 10_000_000), st.sampled_from(CAPACITY_HEURISTICS), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_merges_down_to_one_class_stay_inside(self, seed, heuristic, labeled):
+        rng = random.Random(seed)
+        a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
+        if not labeled:
+            a = dataclasses.replace(a, accepting=frozenset(), rejecting=frozenset())
+        if rng.random() < 0.5:  # ids with holes
+            f, top = sparse_names(rng, a.next_id, 3 * a.next_id)
+            a = relabel(a, f, top)
+        arena = MergeArena(a, heuristic)
+        cap = len(arena.parent)
+        assert cap == 2 * a.next_id
+        model, failed = a, set()  # the pure merges kept so far; the pairs failed since
+        while True:
+            live = sorted(model.states)
+            pairs = [(p, q) for p in live for q in live if p != q and (p, q) not in failed]
+            if not pairs:
+                break
+            r, b = rng.choice(pairs)
+            outcome, frame = arena.run_merge(r, b)
+            assert arena.next_id <= cap
+            assert len(arena.parent) == len(arena.out) == len(arena.label) == cap
+            want = merge(model, r, b)
+            assert outcome.label_conflict is want.label_conflict
+            if not outcome.failed:
+                assert frame.pairs == list(want.merged_pairs)
+            if outcome.failed or rng.random() < 0.3:
+                arena.rollback(frame)
+                if outcome.failed:
+                    failed.add((r, b))
+                assert arena.parent[arena.next_id:] == [-1] * (cap - arena.next_id)
+                continue
+            arena.pool(frame)
+            model, failed = want.result, set()
+            assert arena.extract() == model
+        # every pair left fails; with no labels and no refusal, none is left
+        if not labeled and isinstance(heuristic, (Edsm, Mse)):
+            assert len(live) == 1
+        assert arena.extract() == model
+
+    @given(st.integers(0, 10_000_000), st.sampled_from(CAPACITY_HEURISTICS))
+    @settings(max_examples=100, deadline=None)
+    def test_learn_stays_inside_and_matches_the_oracle(self, seed, heuristic):
+        run_merge = MergeArena.run_merge
+
+        def checked(arena, q1, q2):
+            result = run_merge(arena, q1, q2)
+            assert arena.next_id <= len(arena.parent) == 2 * arena.base.next_id
+            return result
+
+        score = reference_visit_cap if isinstance(heuristic, VisitCap) else reference_score
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MergeArena, "run_merge", checked)
+            assert_learns_like_the_oracle(small_sample(random.Random(seed)), heuristic, 0.0,
+                                          score=score)
 
 
 class CountedScore:

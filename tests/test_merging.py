@@ -186,6 +186,20 @@ class TestCallerErrors:
             merge(a, 0, 1)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("transitions, message", [
+        ({(0, 0): 1, (1, 5): 0}, "transition (1,5) uses symbol outside alphabet"),
+        ({(0, 0): 1, (1, -1): 0, (0, 3): 1}, "transition (0,3) uses symbol outside alphabet"),
+        ({(0, 5): 1, (1, 0): 9}, "transition target 9 not in state set"),
+    ], ids=["one", "smallest-source-first", "endpoint-first"])
+    def test_symbols_outside_the_alphabet_are_refused(self, transitions, message):
+        # worded as check_integrity words it; a dangling endpoint is named
+        # first, then the smallest (source, symbol)
+        a = self.two_states(transitions=transitions)
+        assert message in check_integrity(a)
+        with pytest.raises(ValueError) as err:
+            merge(a, 0, 1)
+        assert str(err.value) == message
+
 
 class TestPurity:
     def test_input_untouched_on_success(self, ref_apta):
@@ -307,21 +321,27 @@ class TestTrialsLeaveNoTrace:
     Out-maps and ALERGIA's count maps are shared between classes rather than
     copied, which is sound only if nothing writes to them after they are
     made; the snapshots below are deep copies, so a write through a shared
-    map would show.  The per-class lists hold one entry per id below
-    ``next_id``, so a trial that left an entry behind would also show there.
+    map would show.  The per-class lists are sized once, at twice the base's
+    ``next_id``; the entries from ``next_id`` up are scratch that nothing
+    reads, but every parent there is a root, so a trial that left a class
+    pointing at a fresh id would show there.
     """
 
     @staticmethod
     def snapshot(arena):
+        n = arena.next_id
         return copy.deepcopy((
-            arena.parent, arena.out, arena.label, arena.stats, arena.agg, arena.next_id,
+            arena.parent[:n], arena.out[:n], arena.label[:n], arena.stats[:n],
+            arena.agg, arena.members, n,
         ))
 
     @staticmethod
-    def assert_one_entry_per_id(arena):
-        n = arena.next_id
-        assert len(arena.parent) == len(arena.out) == len(arena.label) == n
-        assert len(arena.stats) == (n if arena.fold is not None else 0)
+    def assert_sized_once(arena):
+        n, cap = arena.next_id, 2 * arena.base.next_id
+        assert len(arena.parent) == len(arena.out) == len(arena.label) == cap
+        assert len(arena.stats) == (cap if arena.fold is not None else 0)
+        assert n <= cap
+        assert arena.parent[n:] == [-1] * (cap - n)
 
     @staticmethod
     def assert_flat_and_pruned(arena):
@@ -354,16 +374,16 @@ class TestTrialsLeaveNoTrace:
             before = self.snapshot(arena)
             for _ in range(8):
                 trial_score(arena, *rng.sample(live, 2), heuristic)
-                self.assert_one_entry_per_id(arena)
+                self.assert_sized_once(arena)
                 assert self.snapshot(arena) == before
             outcome, frame = arena.run_merge(*rng.sample(live, 2))
             # a merge that failed, by a label conflict or a refused pair, is rolled back
             if outcome.failed:
                 arena.rollback(frame)
-                self.assert_one_entry_per_id(arena)
+                self.assert_sized_once(arena)
                 assert self.snapshot(arena) == before
                 continue
-            self.assert_one_entry_per_id(arena)
+            self.assert_sized_once(arena)
             # every class the merge made, intermediate ones included, carries
             # the statistic of its pooled aggregate
             agg = dict(arena.agg)
@@ -372,7 +392,7 @@ class TestTrialsLeaveNoTrace:
                 if arena.fold is not None:
                     assert arena.stats[z] == heuristic.statistic(agg[z])
             arena.pool(frame)
-            self.assert_one_entry_per_id(arena)
+            self.assert_sized_once(arena)
             self.assert_flat_and_pruned(arena)
             assert arena.agg == {c: agg[c] for c in arena.agg}
             assert check_integrity(arena.extract()) == []
@@ -489,7 +509,7 @@ class TestFrameContract:
     refuses ends the fold there when the arena's automaton lacks accepting
     or rejecting states; otherwise the fold goes on without statistics, and
     a later label conflict still ends it.  Whatever the end, the arena has
-    appended one id per folded pair, and a record is made only by a
+    minted one id per folded pair, and a record is made only by a
     heuristic with an ``evidence`` factory.
     """
 
@@ -524,18 +544,17 @@ class TestFrameContract:
                     if not both_labels:
                         return "refused", pairs
                     refused, fold = True, None
-                stats.append(pooled)
+                stats[arena.next_id + len(pairs)] = pooled
             merged = dict(out[x])
             for sym in sorted(out[y]):
                 if sym in out[x]:
                     queue.append((out[x][sym], out[y][sym]))
                 else:
                     merged[sym] = out[y][sym]
-            z = len(parent)
+            z = arena.next_id + len(pairs)
             parent[x] = parent[y] = z
-            parent.append(-1)
-            out.append(merged)
-            label.append(label[y] if label[x] is None else label[x])
+            out[z] = merged
+            label[z] = label[y] if label[x] is None else label[x]
             pairs.append((x, y))
         return "refused" if refused else "ok", pairs
 
@@ -560,8 +579,10 @@ class TestFrameContract:
                 assert outcome.refused is (end == "refused")
                 assert outcome.failed is (end != "ok")
                 assert frame.pairs == want
-                # the arena appended one id per pair, from next_id_before up
-                assert arena.next_id == len(arena.parent) == start + len(want)
+                # the arena minted one id per pair, from next_id_before up,
+                # inside the lists it sized once
+                assert arena.next_id == start + len(want) <= len(arena.parent)
+                assert len(arena.parent) == 2 * a.next_id
                 ends[end, arena.both_labels] += 1
                 if end != "ok":  # fails its score, and is never pooled
                     assert heuristic.score(outcome).failed
@@ -676,3 +697,16 @@ class TestSparseIds:
         a = random_automaton(random.Random(5), max_states=4)
         with pytest.raises(ValueError, match="negative state id -2"):
             MergeArena(relabel(a, lambda q: q - 2, a.next_id), Edsm())
+
+    @pytest.mark.parametrize("transitions, message", [
+        ({(0, 0): 2}, "transition target 2 not in state set"),
+        ({(0, 0): 1, (3, 0): 1}, "transition source 3 not in state set"),
+    ], ids=["target", "source"])
+    def test_dangling_transitions_rejected(self, transitions, message):
+        # the lists have room for fresh ids past next_id, so an arena that took
+        # a target there would merge a scratch entry instead of failing
+        a = TestCallerErrors.two_states(transitions=transitions)
+        for heuristic in (Edsm(), Alergia(), Mse()):
+            with pytest.raises(ValueError) as err:
+                MergeArena(a, heuristic)
+            assert str(err.value) == message
