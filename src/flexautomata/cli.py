@@ -58,7 +58,6 @@ _DATA_ERRORS = (
     PredictionError,
     GenerationError,
     OSError,
-    UnicodeDecodeError,
 )
 
 
@@ -67,7 +66,18 @@ class _DataError(Exception):
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file as UTF-8 text; a byte that is not UTF-8 is a data error naming its line.
+
+    Newlines are left as they are: every reader splits lines with
+    ``splitlines``, which splits ``\\r\\n`` and ``\\r`` as universal newlines do.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Every byte before the bad one decodes; the "?" stands for the line it starts.
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise _DataError(f"{path}: line {line}: not UTF-8 text") from None
 
 
 def _read_sample(path: str, fmt: str) -> Sample:
@@ -159,18 +169,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_learn(args) -> int:
+    # Every flag value is checked, whichever heuristic runs, before the input is read.
+    heuristics = {"edsm": Edsm(), "alergia": Alergia(args.alpha), "mse": Mse(args.penalty)}
+    cfg = LearnerConfig(heuristic=heuristics[args.heuristic], min_evidence=args.min_evidence)
     sample = _read_sample(args.input, args.format)
-    if args.heuristic == "edsm":
-        heuristic = Edsm()
-    elif args.heuristic == "alergia":
-        heuristic = Alergia(args.alpha)
-    else:
-        heuristic = Mse(args.penalty)
-        # Every MSE trial on such a sample fails, so nothing would merge.
-        if all(s.target is None for t in sample.traces for s in t.symbols):
-            raise _DataError(f"{args.input}: no trace carries a target, "
-                             "which --heuristic mse needs")
-    model, log = learn(sample, LearnerConfig(heuristic=heuristic, min_evidence=args.min_evidence))
+    # Every MSE trial on such a sample fails, so nothing would merge.
+    if args.heuristic == "mse" and all(
+            s.target is None for t in sample.traces for s in t.symbols):
+        raise _DataError(f"{args.input}: no trace carries a target, "
+                         "which --heuristic mse needs")
+    model, log = learn(sample, cfg)
     if args.trace:
         sys.stderr.write(log.text())
     text = save_model(model)

@@ -23,11 +23,9 @@ A heuristic owns its evidence through its members (see
 :class:`~flexautomata.merging.MergeArena`): ``statistic`` reads what a
 trial merge must pool from a state's aggregate, once per original state of
 an arena; ``fold`` pools one merged pair's statistics, or refuses the pair
-by returning None; and ``score`` reads the outcome.  A refusal fails the
-trial, and no fold follows it: the arena stops the trial, or, when a label
-conflict could still follow, walks on for labels and transitions alone, so
-that a later conflict still decides the failure reason.  The outcome says
-which failure it was, ``label_conflict`` or ``refused``.  A heuristic that
+by returning None; and ``score`` reads the outcome.  A refusal ends the
+trial at that pair, as a label conflict does, and the outcome says which
+of the two came first, ``label_conflict`` or ``refused``.  A heuristic that
 sums evidence over the pairs also has an ``evidence`` factory, which makes
 an empty record for each trial; ``fold`` writes each pair's evidence into
 it, and ``score`` reads it as ``outcome.evidence``.  The record is the

@@ -27,10 +27,11 @@ absorbs it in a kept merge, and never tries such a pair: the trial would
 fail.  Only a label conflict, ``MergeOutcome.label_conflict``, counts.
 The other failures can change as classes grow, so they are never kept:
 a pair that the heuristic's fold refused (``MergeOutcome.refused``, from
-ALERGIA's frequency test) and MSE's missing targets.  A refused trial
-folds nothing after the refused pair, but the arena walks on for labels
-whenever it holds both kinds, and a later conflict wins over the refusal,
-so the memo holds exactly the conflicts a trial folding every pair finds.
+ALERGIA's frequency test) and MSE's missing targets.  A trial stops at
+its first failing pair, so a refusal can hide a conflict further on, and
+the memo does not hold it.  The pair is then tried again after the next
+kept merge, and fails again, since the hidden conflict survives the merge:
+the memo only saves trials, it never changes a decision.
 
 Determinism: blue states are visited in ascending id order, score ties are
 broken toward the smallest (red id, blue id) pair, and merged states take

@@ -139,8 +139,7 @@ class MergeArena:
     fold joins two roots into one, and the arena starts with at most
     ``next_id`` roots.  The entries below ``next_id`` are the classes; those
     at or above it are scratch that nothing reads, left by trials that were
-    rolled back, and every parent there is -1.  A refused merge leaves the
-    statistics of the classes after the refusal unwritten.  An out-map or
+    rolled back, and every parent there is -1.  An out-map or
     statistic of None marks an id with no live class: a hole in the
     automaton's ids, or a class that a kept merge joined to another.  Memory
     follows ``next_id``, so :func:`merge` renumbers a model's sparse ids
@@ -178,8 +177,6 @@ class MergeArena:
         if min(a.states, default=0) < 0:
             raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
-        # Labels only join, so a label conflict needs both kinds in the base.
-        self.both_labels = bool(a.accepting) and bool(a.rejecting)
         self.next_id = a.next_id
         # Each fold joins two roots, and the arena starts with at most
         # next_id of them, so no run mints more than next_id fresh ids.
@@ -228,15 +225,11 @@ class MergeArena:
         Each fold writes its fresh class into the lists at its id, which the
         arena sized for it, so a merge allocates no list entry.
 
-        A pair that the heuristic's ``fold`` refuses fails the merge, and no
-        pair is folded after it.  If the arena lacks accepting or rejecting
-        states (``both_labels`` False), no label conflict can follow, so the
-        merge stops there, and the frame lists only the pairs folded before
-        the refused one.  Otherwise the walk goes on, merging labels and
-        transitions alone, so that a later label conflict still wins.  A
-        merge refused with no conflict returns the one refused outcome, and
-        is rolled back, never pooled: the statistics of the classes after
-        the refusal are missing.
+        A merge fails at its first failing pair in fold order: one whose
+        labels conflict, or one whose statistics the heuristic's ``fold``
+        refuses.  It returns the one shared outcome of that failure there,
+        so a refusal can hide a label conflict further on, and the frame
+        lists only the pairs folded before the failing one.
         """
         frame = _TrialFrame(self.next_id)
         pairs = frame.pairs
@@ -263,12 +256,10 @@ class MergeArena:
                 label_matches += 1
             if fold is not None:
                 st = fold(evidence, stats[x], stats[y])
-                if st is None:  # refused: the trial fails, and folds nothing more
-                    fold = None
-                    if not self.both_labels:
-                        break  # no label conflict can follow
-                else:
-                    stats[z] = st
+                if st is None:
+                    self.next_id = z
+                    return _REFUSED, frame
+                stats[z] = st
             ox = oz = out[x]
             oy = out[y]
             if oy:
@@ -286,8 +277,6 @@ class MergeArena:
             pairs.append((x, y))
             z += 1
         self.next_id = z
-        if fold is not self.fold:  # a pair was refused
-            return _REFUSED, frame
         return MergeOutcome(None, tuple(pairs), label_matches, False, evidence), frame
 
     def rollback(self, frame: _TrialFrame) -> None:

@@ -11,11 +11,14 @@ the result is read off the quotient.
 replays a merge's pairs over fully pooled aggregates and applies each stock
 heuristic's rule to them directly.  Its frequency test is
 :func:`hoeffding_compatible`, written here apart from ``Alergia._rejects``.
+:func:`reference_first_failure` finds where a merge first fails, pair by
+pair in fold order: the pair a trial merge must stop at.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import product
 
 from flexautomata import (
@@ -193,14 +196,8 @@ def reference_score(a, merged_pairs, heuristic):
             accepting.add(z)
         if x in rejecting or y in rejecting:
             rejecting.add(z)
-        if isinstance(heuristic, Alergia):
-            n1, n2 = gx.total_count, gy.total_count
-            events = [(gx.end_count, gy.end_count)] + [
-                (gx.out_counts.get(s, 0), gy.out_counts.get(s, 0))
-                for s in gx.out_counts.keys() | gy.out_counts.keys()
-            ]
-            if not all(hoeffding_compatible(f1, n1, f2, n2, heuristic.alpha) for f1, f2 in events):
-                rejected = True
+        if isinstance(heuristic, Alergia) and alergia_refuses(heuristic.alpha)(gx, gy):
+            rejected = True
         sse_delta += max(gz.sse() - gx.sse() - gy.sse(), 0.0)
         touched = touched or gz.target_count > 0
     if isinstance(heuristic, Edsm):
@@ -213,3 +210,61 @@ def reference_score(a, merged_pairs, heuristic):
     if not touched:
         return EvidenceScore.fail(FAIL_NO_TARGETS)
     return EvidenceScore(-sse_delta + heuristic.penalty * len(merged_pairs))
+
+
+def alergia_refuses(alpha: float):
+    """ALERGIA's refusal of one pair of fully pooled aggregates, by :func:`hoeffding_compatible`."""
+
+    def refuses(gx, gy) -> bool:
+        n1, n2 = gx.total_count, gy.total_count
+        events = [(gx.end_count, gy.end_count)] + [
+            (gx.out_counts.get(s, 0), gy.out_counts.get(s, 0))
+            for s in gx.out_counts.keys() | gy.out_counts.keys()
+        ]
+        return not all(hoeffding_compatible(f1, n1, f2, n2, alpha) for f1, f2 in events)
+
+    return refuses
+
+
+def reference_first_failure(a, q1, q2, refuses=None):
+    """How merging q1 and q2 of ``a`` ends, and the pairs it folds until then.
+
+    Returns ``(end, pairs)``, ``end`` being "ok", "conflict" or "refused".
+    Pairs are taken from a ``deque`` drained from the left, seeded with
+    ``(q1, q2)``; each fold forms the class ``a.next_id + i`` and queues the
+    target pairs of the symbols both its classes leave on, in ascending
+    symbol order.  A pair fails if its classes carry opposite labels, else
+    if ``refuses(gx, gy)`` holds for their fully pooled aggregates.  The
+    first failing pair ends the merge, and ``pairs`` lists those before it.
+    """
+    parent: dict = {}
+
+    def find(s):
+        while s in parent:
+            s = parent[s]
+        return s
+
+    out = {q: {} for q in a.states}
+    for (src, sym), dst in a.transitions.items():
+        out[src][sym] = dst
+    labels = {**{q: True for q in a.accepting}, **{q: False for q in a.rejecting}}
+    aggs = dict(a.states)
+    pairs = []
+    queue = deque([(q1, q2)])
+    while queue:
+        x, y = map(find, queue.popleft())
+        if x == y:
+            continue
+        lx, ly = labels.get(x), labels.get(y)
+        if None not in (lx, ly) and lx != ly:
+            return "conflict", pairs
+        if refuses is not None and refuses(aggs[x], aggs[y]):
+            return "refused", pairs
+        z = a.next_id + len(pairs)
+        queue.extend((out[x][sym], out[y][sym]) for sym in sorted(out[x].keys() & out[y].keys()))
+        out[z] = {**out[y], **out[x]}
+        labels[z] = ly if lx is None else lx
+        aggs[z] = merge_aggregates(aggs[x], aggs[y])
+        parent[x] = parent[y] = z
+        pairs.append((x, y))
+    return "ok", pairs

@@ -143,6 +143,23 @@ class TestLearn:
         assert run(["learn", "--input", sample_file, "--min-evidence", "nan"]) == 1
         assert "min_evidence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, word", [
+        (["--alpha", "2"], "alpha"),
+        (["--penalty", "nan"], "penalty"),
+        (["--penalty", "-1"], "penalty"),
+        (["--heuristic", "alergia", "--alpha", "2"], "alpha"),
+        (["--heuristic", "mse", "--alpha", "0"], "alpha"),
+        (["--heuristic", "alergia", "--min-evidence", "nan"], "min_evidence"),
+    ], ids=["edsm-alpha", "edsm-penalty-nan", "edsm-penalty-negative", "alergia-alpha",
+            "mse-alpha", "alergia-min-evidence-nan"])
+    def test_every_flag_value_is_checked_before_the_input(self, sample_file, flags, word,
+                                                          capsys):
+        # whichever heuristic runs, and before a missing input file is noticed
+        for path in (sample_file, "/nonexistent/file"):
+            assert run(["learn", "--input", path, *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and word in err
+
     def test_unknown_flag_exits_1(self, sample_file, capsys):
         assert run(["learn", "--input", sample_file, "--bogus"]) == 1
         capsys.readouterr()
@@ -495,6 +512,49 @@ def _fill(token, paths):
     for name, path in paths.items():
         token = token.replace(name, path)
     return token
+
+
+class TestNotUtf8:
+    """A file holding a byte that is not UTF-8 exits 2, naming the file and the byte's line."""
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--input", ["learn"]),
+        ("--input", ["predict", "--model", "{model}"]),
+        ("--model", ["predict", "--input", "{traces}"]),
+        ("--model", ["generate"]),
+        ("--input", ["eval", "--model", "{model}"]),
+        ("--model", ["eval", "--input", "{traces}"]),
+        ("--model", ["dot"]),
+        ("--input", ["discretize", "--bins", "2", "--window", "1"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_names_the_line(self, tmp_path, model_file, sample_file, flag, argv, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2 0 0\n1 1 0\n0 1 \xff\n1 1 1\n")
+        paths = {"{model}": model_file, "{traces}": sample_file}
+        assert run([*(paths.get(t, t) for t in argv), flag, str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: line 3: not UTF-8 text\n")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff1 1 0\n", 1),
+        (b"1 1 0\n\xff", 2),
+        (b"1 1 0\r\n1 1 1\r\n1 1 \xe2\x82\n", 3),  # a 3-byte character cut short
+        (b"1 1 0\r1 1 1\r\n\n\xc3\xa9 \xc3", 4),  # a 2-byte one, after an \u00e9
+    ], ids=["first-line", "after-the-last-newline", "crlf", "cr-crlf-lf"])
+    def test_lines_are_counted_as_the_parsers_count_them(self, tmp_path, data, line, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        assert run(["learn", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line {line}: not UTF-8 text\n"
+
+    def test_newlines_read_as_before(self, tmp_path, ref_text, capsys):
+        # \r\n and \r line ends learn the model that \n ones do
+        models = []
+        for newline in ("\n", "\r\n", "\r"):
+            p = tmp_path / "traces.txt"
+            p.write_bytes(ref_text.replace("\n", newline).encode("utf-8"))
+            assert run(["learn", "--input", str(p)]) == 0
+            models.append(capsys.readouterr().out)
+        assert models[0] == models[1] == models[2]
 
 
 class TestFuzz:

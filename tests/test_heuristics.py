@@ -233,24 +233,15 @@ def refused_before_a_conflict(positive: str, negative: str):
 
 
 class TestRefusal:
-    """ALERGIA's fold refuses the first pair its test rejects, and the trial folds no more."""
+    """ALERGIA's fold refuses the first pair its test rejects, and the trial ends there."""
 
-    def test_a_conflict_after_the_refused_pair_still_wins(self):
-        a = build_apta(refused_before_a_conflict("1", "0"))
-        arena = MergeArena(a, Alergia(0.05))
-        outcome, frame = arena.run_merge(1, 2)
-        # the walk goes on past the refused pair (3, 4), for labels alone
-        assert outcome.label_conflict and frame.pairs == [(1, 2), (3, 4)]
-        assert not outcome.refused
-        arena.rollback(frame)
-        assert Alergia(0.05).score(outcome).reason == FAIL_LABEL_CONFLICT
-
-    @pytest.mark.parametrize("positive, negative", [("?", "?"), ("1", "?"), ("0", "0")])
-    def test_without_both_labels_the_trial_stops_at_the_refused_pair(self, positive, negative):
+    # ("1", "0") has both labels, and its conflict at (5, 6) comes after the refusal.
+    @pytest.mark.parametrize("positive, negative", [("?", "?"), ("1", "?"), ("0", "0"), ("1", "0")])
+    def test_the_trial_stops_at_the_refused_pair(self, positive, negative):
         a = build_apta(refused_before_a_conflict(positive, negative))
         arena = MergeArena(a, Alergia(0.05))
         outcome, frame = arena.run_merge(1, 2)
-        assert not arena.both_labels and not outcome.label_conflict
+        assert not outcome.label_conflict
         assert outcome.refused and outcome.failed
         assert frame.pairs == [(1, 2)]
         arena.rollback(frame)

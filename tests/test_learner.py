@@ -39,9 +39,11 @@ from flexautomata.cli import run
 from flexautomata.learner import _carry_conflicts
 from flexautomata.merging import MergeArena, _TrialFrame
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
+from golden import cases as golden_cases
+from golden import reparsed
 from oracle_automaton import language_upto
 from oracle_learner import oracle_learn
-from oracle_merge import reference_score
+from oracle_merge import alergia_refuses, reference_first_failure, reference_score
 from test_heuristics import refused_before_a_conflict, trial_score
 from test_merging import relabel, sparse_names
 
@@ -472,6 +474,15 @@ def reference_visit_cap(a, merged_pairs, heuristic):
     return EvidenceScore(float(len(merged_pairs)))
 
 
+def reference_refusal(heuristic):
+    """``heuristic``'s refusal of a pair of fully pooled aggregates, or None if it never refuses."""
+    if isinstance(heuristic, Alergia):
+        return alergia_refuses(heuristic.alpha)
+    if isinstance(heuristic, VisitCap):
+        return lambda gx, gy: gx.total_count + gy.total_count > heuristic.cap
+    return None
+
+
 def unlabeled(sample: Sample) -> Sample:
     """``sample`` with every trace's label dropped, as ``?`` lines read."""
     traces = tuple(Trace(TraceLabel.UNLABELED, t.symbols) for t in sample.traces)
@@ -489,7 +500,7 @@ class TestRefusingHeuristic:
         def counting(arena, q1, q2):
             outcome, frame = run_merge(arena, q1, q2)
             assert outcome.evidence is None
-            ends[outcome.label_conflict, outcome.refused, arena.both_labels] += 1
+            ends[outcome.label_conflict, outcome.refused] += 1
             return outcome, frame
 
         monkeypatch.setattr(MergeArena, "run_merge", counting)
@@ -499,11 +510,10 @@ class TestRefusingHeuristic:
                 model, _ = assert_learns_like_the_oracle(sample, heuristic, 0.0,
                                                          score=reference_visit_cap)
                 assert consistent(model, sample)
-        # some trials pass and some are refused; on labeled samples, some do
-        # either in an arena with both labels, and some conflict
-        assert ends[False, False, False] and ends[False, True, False]
+        # some trials pass and some are refused; on labeled samples, some conflict
+        assert ends[False, False] and ends[False, True]
         if label is not unlabeled:
-            assert ends[False, False, True] and ends[False, True, True] and ends[True, False, True]
+            assert ends[True, False]
 
 
 CAPACITY_HEURISTICS = [Edsm(), Alergia(0.05), Alergia(0.5), Mse(), Mse(1.0), VisitCap(), VisitCap(cap=3)]
@@ -539,10 +549,11 @@ class TestArenaCapacity:
             outcome, frame = arena.run_merge(r, b)
             assert arena.next_id <= cap
             assert len(arena.parent) == len(arena.out) == len(arena.label) == cap
-            want = merge(model, r, b)
-            assert outcome.label_conflict is want.label_conflict
-            if not outcome.failed:
-                assert frame.pairs == list(want.merged_pairs)
+            # the trial stops at the first failing pair, with its reason
+            end, folded = reference_first_failure(model, r, b, reference_refusal(heuristic))
+            assert outcome.label_conflict is (end == "conflict")
+            assert outcome.refused is (end == "refused")
+            assert frame.pairs == folded
             if outcome.failed or rng.random() < 0.3:
                 arena.rollback(frame)
                 if outcome.failed:
@@ -550,7 +561,7 @@ class TestArenaCapacity:
                 assert arena.parent[arena.next_id:] == [-1] * (cap - arena.next_id)
                 continue
             arena.pool(frame)
-            model, failed = want.result, set()
+            model, failed = merge(model, r, b).result, set()
             assert arena.extract() == model
         # every pair left fails; with no labels and no refusal, none is left
         if not labeled and isinstance(heuristic, (Edsm, Mse)):
@@ -697,32 +708,47 @@ class TestCarriedConflicts:
                 learn(sample, LearnerConfig(heuristic=heuristic))
         assert checked["merges"] and checked["entries"] and checked["retired partners"]
 
-    def test_a_conflict_after_a_refused_pair_is_kept(self, monkeypatch):
+    def test_a_conflict_hidden_by_a_refusal_is_not_kept(self, monkeypatch):
         # ALERGIA refuses the merge of prefix-tree states 1 and 2 at its second
-        # pair and their labels conflict at the third.  The trial still ends
-        # in a label conflict, so the learner keeps the pair as known to
-        # conflict, and learns what the naive loop learns.
+        # pair, one pair before their labels conflict.  The trial ends at the
+        # refusal, so the memo never holds (1, 2): after the kept merge it
+        # holds just the conflicts that trials returned, each side mapped to
+        # its current class, and learning matches the naive loop.
         sample = refused_before_a_conflict("1", "0")
+        ends: dict = {}
         conflicting: list[tuple] = []
-        held: list[dict] = []
+        arenas: list[MergeArena] = []
+        carried = []
         run_merge = MergeArena.run_merge
 
         def recording(arena, q1, q2):
+            arenas[:] = [arena]
             outcome, frame = run_merge(arena, q1, q2)
+            ends.setdefault((q1, q2), []).append(
+                "conflict" if outcome.label_conflict else "refused" if outcome.refused else "ok")
             if outcome.label_conflict:
                 conflicting.append((q1, q2))
             return outcome, frame
 
-        def holding(conflicts, created, parent):
-            held.append({c: set(p) for c, p in conflicts.items()})
+        def checking(conflicts, created, parent):
             _carry_conflicts(conflicts, created, parent)
+            find = arenas[0].find
+            want: dict = {}
+            for q1, q2 in conflicting:
+                want.setdefault(find(q1), set()).add(find(q2))
+                want.setdefault(find(q2), set()).add(find(q1))
+            assert conflicts == want
+            carried.append(want)
 
         monkeypatch.setattr(MergeArena, "run_merge", recording)
-        monkeypatch.setattr(learner, "_carry_conflicts", holding)
+        monkeypatch.setattr(learner, "_carry_conflicts", checking)
+        learn(sample, LearnerConfig(heuristic=Alergia(0.05)))
+        monkeypatch.undo()  # the oracle's pure merges run through the arena too
         _, log = assert_learns_like_the_oracle(sample, Alergia(0.05), 0.0)
         assert log.lines()[:2] == ["PROMOTE 1", "PROMOTE 2"]
-        assert conflicting[0] == (1, 2)
-        assert held and held[0][1] >= {2} and held[0][2] >= {1}
+        assert ends[1, 2] == ["refused"]
+        assert conflicting and (1, 2) not in conflicting
+        assert carried and carried[-1]
 
 
 def blue_trees(arena, red) -> dict:
@@ -749,18 +775,23 @@ def blue_trees(arena, red) -> dict:
 
 
 class TestStructuralInvariants:
-    """Two facts about red-blue merging, checked at every step of ``learn``.
+    """Facts about red-blue merging, checked at every step of ``learn``.
 
     Tree shape: each blue class, with the classes reached from it, forms a
     tree of non-red classes, and no class is in two blues' trees.  Fresh
     second class: in every merge ``run_merge(r, b)``, trial or kept, each
     folded pair's second class is a class of b's tree before the merge, and
     none is folded twice, so a merge folds at most one pair per class of
-    b's tree.
+    b's tree.  Dependencies: a trial's verdict depends only on the classes
+    it folded that existed before it, so it holds as long as they do.
     """
 
-    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(0.05), Mse(), MinVisits()], ids=repr)
-    def test_blue_trees_and_fresh_second_classes(self, monkeypatch, ref_sample, heuristic):
+    @staticmethod
+    def step(monkeypatch, runs):
+        """Learn each (sample, config) in ``runs``, checking the first two facts at every step.
+
+        Returns the frontiers, merges and pairs folded that were checked.
+        """
         step: dict = {}
         checked = Counter()
         children, run_merge = learner._children, MergeArena.run_merge
@@ -785,10 +816,83 @@ class TestStructuralInvariants:
 
         monkeypatch.setattr(learner, "_children", stepping_children)
         monkeypatch.setattr(MergeArena, "run_merge", stepping_run_merge)
+        for sample, cfg in runs:
+            learn(sample, cfg)
+        return checked
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(0.05), Mse(), MinVisits()], ids=repr)
+    def test_blue_trees_and_fresh_second_classes(self, monkeypatch, ref_sample, heuristic):
         rng = random.Random(5)
         samples = [ref_sample, refused_before_a_conflict("1", "0"), step_series(2, 120, 2.0),
                    labeled_sample(rng, TargetDfa(rng, 8, 2), 150, 10, with_targets=True)]
         samples += [small_sample(random.Random(seed)) for seed in range(30)]
-        for sample in samples:
-            learn(sample, LearnerConfig(heuristic=heuristic))
+        cfg = LearnerConfig(heuristic=heuristic)
+        checked = self.step(monkeypatch, [(sample, cfg) for sample in samples])
         assert checked["merges"] > checked["frontiers"] > 30 and checked["pairs"]
+
+    # One golden case per family: EDSM words with and without targets,
+    # annotated words, ALERGIA walks at both levels, and MSE steps.
+    @pytest.mark.parametrize("name", [
+        "edsm-dfa-0", "edsm-dfa-targets-0", "edsm-annotated-0",
+        "alergia-0.05-walks-0", "alergia-0.5-walks-0", "mse-0.0-steps-0",
+    ])
+    def test_golden_cases(self, monkeypatch, name):
+        factory, cfg = golden_cases()[name]
+        checked = self.step(monkeypatch, [(reparsed(factory()), cfg)])
+        assert checked["merges"] > checked["frontiers"] > 1 and checked["pairs"]
+
+    @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(0.05), Alergia(0.5), Mse(), Mse(1.0)],
+                             ids=repr)
+    def test_a_verdict_holds_while_its_classes_stand(self, monkeypatch, ref_sample, heuristic):
+        # After each kept merge, every pair whose last trial passed and folded
+        # only classes that are still roots runs again: the same pairs (fresh
+        # ids counted from the trial's first), evidence and score.
+        arenas: list[MergeArena] = []
+        last: dict = {}  # (r, b) -> what its last trial gave, if it passed
+        checked = Counter()
+        run_merge = MergeArena.run_merge
+
+        def verdict(arena, r, b):
+            outcome, frame = run_merge(arena, r, b)
+            first = frame.next_id_before
+            fresh = [tuple(c if c < first else ("fresh", c - first) for c in pair)
+                     for pair in frame.pairs]
+            return outcome, frame, (fresh, outcome.label_matches, repr(outcome.evidence),
+                                    repr(heuristic.score(outcome)))
+
+        def recording(arena, r, b):
+            arenas[:] = [arena]
+            outcome, frame, seen = verdict(arena, r, b)
+            if outcome.failed:
+                last.pop((r, b), None)
+            else:
+                before = {c for pair in frame.pairs for c in pair if c < frame.next_id_before}
+                last[r, b] = before, seen
+            return outcome, frame
+
+        def rerunning(conflicts, created, parent):
+            _carry_conflicts(conflicts, created, parent)
+            arena = arenas[0]
+            for (r, b), (before, seen) in list(last.items()):
+                if any(parent[c] >= 0 for c in before):
+                    del last[r, b]
+                    checked["retired"] += parent[r] < 0 and parent[b] < 0
+                    continue
+                _outcome, frame, again = verdict(arena, r, b)
+                arena.rollback(frame)
+                assert again == seen, (r, b)
+                checked["rerun"] += 1
+
+        monkeypatch.setattr(MergeArena, "run_merge", recording)
+        monkeypatch.setattr(learner, "_carry_conflicts", rerunning)
+        rng = random.Random(5)
+        samples = [ref_sample, step_series(2, 120, 2.0), reparsed(golden_cases()["edsm-dfa-0"][0]()),
+                   labeled_sample(rng, TargetDfa(rng, 8, 2), 150, 10, with_targets=True)]
+        samples += [small_sample(random.Random(seed)) for seed in range(40)]
+        samples += [unlabeled(s) for s in samples[3:]]
+        for sample in samples:
+            last.clear()
+            learn(sample, LearnerConfig(heuristic=heuristic))
+        # some verdicts ran again, and some were dropped for a retired class
+        # deeper than the pair itself
+        assert checked["rerun"] and checked["retired"]

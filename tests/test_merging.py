@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexautomata import (
+    FAIL_DISTRIBUTION,
+    FAIL_LABEL_CONFLICT,
     Alergia,
     Automaton,
     Edsm,
+    EvidenceScore,
     Mse,
     StateAggregate,
     build_apta,
@@ -28,7 +31,14 @@ from flexautomata import (
 from flexautomata.merging import MergeArena
 from gen import TargetDfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
-from oracle_merge import integer_sums, reference_language, reference_merge, reference_score
+from oracle_merge import (
+    alergia_refuses,
+    integer_sums,
+    reference_first_failure,
+    reference_language,
+    reference_merge,
+    reference_score,
+)
 from test_heuristics import trial, trial_score
 
 
@@ -296,7 +306,12 @@ class TestAgainstReference:
 
 
 class TestTrialPath:
-    """Trials pool only what their heuristic reads, yet score like fully pooled merges."""
+    """Trials pool only what their heuristic reads, yet stop and score like fully pooled merges.
+
+    A trial ends at its first failing pair in fold order, a label conflict or
+    a pair its heuristic refuses, and fails with that pair's reason; a trial
+    that passes scores as the merge of fully pooled aggregates does.
+    """
 
     @given(
         st.integers(0, 10_000_000),
@@ -308,11 +323,21 @@ class TestTrialPath:
         a = random_automaton(rng, max_states=12, n_syms=rng.choice((1, 2, 3)))
         ids = sorted(a.states)
         arena = MergeArena(a, heuristic)
+        refuses = alergia_refuses(heuristic.alpha) if isinstance(heuristic, Alergia) else None
         pairs = [(r, b) for r in ids for b in ids if r != b]
         for r, b in rng.sample(pairs, min(len(pairs), 12)):
-            out = merge(a, r, b)
-            expected = reference_score(a, None if out.failed else out.merged_pairs, heuristic)
-            assert trial_score(arena, r, b, heuristic) == expected
+            end, folded = reference_first_failure(a, r, b, refuses)
+            outcome, frame = arena.run_merge(r, b)
+            arena.rollback(frame)
+            assert frame.pairs == folded
+            if end == "conflict":
+                expected = EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+            elif end == "refused":
+                expected = EvidenceScore.fail(FAIL_DISTRIBUTION)
+            else:
+                assert folded == list(merge(a, r, b).merged_pairs)
+                expected = reference_score(a, folded, heuristic)
+            assert heuristic.score(outcome) == expected
 
 
 class TestTrialsLeaveNoTrace:
@@ -505,12 +530,10 @@ class TestFrameContract:
     view that a kept merge reads is derived from the pairs, and the order is
     that of a fold whose work queue is a ``deque`` drained from the left,
     seeded with the requested pair and fed each fold's target pairs in
-    ascending symbol order.  A pair whose statistics the heuristic's fold
-    refuses ends the fold there when the arena's automaton lacks accepting
-    or rejecting states; otherwise the fold goes on without statistics, and
-    a later label conflict still ends it.  Whatever the end, the arena has
-    minted one id per folded pair, and a record is made only by a
-    heuristic with an ``evidence`` factory.
+    ascending symbol order.  The first pair whose labels conflict, or whose
+    statistics the heuristic's fold refuses, ends the fold there.  Whatever
+    the end, the arena has minted one id per folded pair, and a record is
+    made only by a heuristic with an ``evidence`` factory.
     """
 
     @staticmethod
@@ -521,8 +544,6 @@ class TestFrameContract:
         stats, fold = list(arena.stats), heuristic.fold
         make = getattr(heuristic, "evidence", None)
         evidence = make() if make is not None else None
-        both_labels = bool(arena.base.accepting) and bool(arena.base.rejecting)
-        refused = False
 
         def find(s):
             while parent[s] >= 0:
@@ -541,9 +562,7 @@ class TestFrameContract:
             if fold is not None:
                 pooled = fold(evidence, stats[x], stats[y])
                 if pooled is None:
-                    if not both_labels:
-                        return "refused", pairs
-                    refused, fold = True, None
+                    return "refused", pairs
                 stats[arena.next_id + len(pairs)] = pooled
             merged = dict(out[x])
             for sym in sorted(out[y]):
@@ -556,7 +575,7 @@ class TestFrameContract:
             out[z] = merged
             label[z] = label[y] if label[x] is None else label[x]
             pairs.append((x, y))
-        return "refused" if refused else "ok", pairs
+        return "ok", pairs
 
     @pytest.mark.parametrize("heuristic", [Edsm(), Alergia(alpha=0.05), Mse()])
     def test_frame_pairs_fresh_ids_and_order(self, heuristic):
@@ -583,7 +602,7 @@ class TestFrameContract:
                 # inside the lists it sized once
                 assert arena.next_id == start + len(want) <= len(arena.parent)
                 assert len(arena.parent) == 2 * a.next_id
-                ends[end, arena.both_labels] += 1
+                ends[end] += 1
                 if end != "ok":  # fails its score, and is never pooled
                     assert heuristic.score(outcome).failed
                     arena.rollback(frame)
@@ -600,9 +619,9 @@ class TestFrameContract:
                     arena.pool(frame)
                 else:
                     arena.rollback(frame)
-        assert ends["ok", True] and ends["ok", False] and ends["conflict", True]
+        assert ends["ok"] and ends["conflict"]
         if isinstance(heuristic, Alergia):
-            assert ends["refused", True] and ends["refused", False]
+            assert ends["refused"]
 
 
 def relabel(a, f, next_id):
