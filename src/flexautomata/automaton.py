@@ -318,37 +318,47 @@ def check_integrity(a: Automaton) -> list[str]:
     Returns an empty list for a healthy automaton.  Violations are data, not
     exceptions, so loaders and tests can report all of them at once.  The
     order is fixed: the start state, the label sets, then the transitions
-    by ``(source, symbol)`` and the states by id.
+    by ``(source, symbol)`` and the states by id.  :func:`_violations` states the rules once.
 
     Cost: one unsorted pass over the transitions and one over the states.
     A healthy state costs one combined test on its fields, plus one lookup
     per out-count; only a state that fails that test gets the exact checks
     that build its messages, and only offenders are sorted.
     """
-    out: list[str] = []
-    if a.start not in a.states:
-        out.append(f"start state {a.start} not in state set")
-    both = set(a.accepting) & set(a.rejecting)
-    for q in sorted(both):
-        out.append(f"state {q} is both accepting and rejecting")
-    for q in sorted(set(a.accepting) - set(a.states)):
-        out.append(f"accepting state {q} not in state set")
-    for q in sorted(set(a.rejecting) - set(a.states)):
-        out.append(f"rejecting state {q} not in state set")
+    return [message for _, message in _violations(a)]
+
+
+def _violations(a: Automaton, per_state: bool = True) -> list[tuple[tuple, str]]:
+    """Each violation of :func:`check_integrity`, in its order, with its subject.
+
+    A subject is ``("start",)``, ``("state", q)`` or ``("trans", src, sym)``.  With
+    ``per_state`` false, only the start, label-set and transition rules are checked.
+    """
+    out: list[tuple[tuple, str]] = []
     size = len(a.alphabet)
     states, transitions = a.states, a.transitions
+    if a.start not in states:
+        out.append((("start",), f"start state {a.start} not in state set"))
+    for q in sorted(set(a.accepting).intersection(a.rejecting)):
+        out.append((("state", q), f"state {q} is both accepting and rejecting"))
+    for kind, labeled in (("accepting", a.accepting), ("rejecting", a.rejecting)):
+        for q in sorted(q for q in labeled if q not in states):
+            out.append((("state", q), f"{kind} state {q} not in state set"))
     bad_transitions = [
         (src, sym, dst)
         for (src, sym), dst in transitions.items()
         if src not in states or dst not in states or not 0 <= sym < size
     ]
     for src, sym, dst in sorted(bad_transitions):
+        subject = ("trans", src, sym)
         if src not in states:
-            out.append(f"transition source {src} not in state set")
+            out.append((subject, f"transition source {src} not in state set"))
         if dst not in states:
-            out.append(f"transition target {dst} not in state set")
+            out.append((subject, f"transition target {dst} not in state set"))
         if not 0 <= sym < size:
-            out.append(f"transition ({src},{sym}) uses symbol outside alphabet")
+            out.append((subject, f"transition ({src},{sym}) uses symbol outside alphabet"))
+    if not per_state:
+        return out
     next_id, arity = a.next_id, a.attribute_arity
     by_state: dict[StateId, list[str]] = {}
     for q, agg in states.items():
@@ -409,5 +419,5 @@ def check_integrity(a: Automaton) -> list[str]:
         if found:
             by_state[q] = found
     for q in sorted(by_state):
-        out.extend(by_state[q])
+        out.extend((("state", q), message) for message in by_state[q])
     return out

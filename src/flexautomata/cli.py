@@ -8,7 +8,9 @@ fed back into the matching parser.
 
 Exit codes: 0 on success, 1 for usage errors (unknown flags, bad flag
 values), 2 for data errors (unreadable files, malformed input, impossible
-requests).
+requests).  Flag values are checked before any file is read.  A data error
+names its file, and its line where one is at fault: for a model that breaks
+a structural rule (``automaton._violations``), the line of what it concerns.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .sample_io import (
 
 _DATA_ERRORS = (
     SampleFormatError,
-    InconsistentSampleError,
     ModelFormatError,
     PredictionError,
     GenerationError,
@@ -178,7 +179,10 @@ def _cmd_learn(args) -> int:
             s.target is None for t in sample.traces for s in t.symbols):
         raise _DataError(f"{args.input}: no trace carries a target, "
                          "which --heuristic mse needs")
-    model, log = learn(sample, cfg)
+    try:
+        model, log = learn(sample, cfg)
+    except InconsistentSampleError as exc:
+        raise _DataError(f"{args.input}: {exc}") from exc
     if args.trace:
         sys.stderr.write(log.text())
     text = save_model(model)
@@ -237,6 +241,8 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
+    spec = DiscretizationSpec(bins=args.bins, method=BinMethod(args.method),
+                              window=args.window, target=TargetKind(args.target))
     lines = _read_text(args.input).splitlines()
     if args.skip_header and lines:
         lines = lines[1:]
@@ -252,12 +258,6 @@ def _cmd_discretize(args) -> int:
         if not math.isfinite(value):
             raise _DataError(f"{args.input}: line {i}: not a finite number: {ln!r}")
         series.append(value)
-    spec = DiscretizationSpec(
-        bins=args.bins,
-        method=BinMethod(args.method),
-        window=args.window,
-        target=TargetKind(args.target),
-    )
     try:
         sample = discretize(series, spec)
     except ValueError as exc:

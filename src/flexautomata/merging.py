@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import Automaton, StateAggregate, StateId, Symbol, _record
+from .automaton import Automaton, StateAggregate, StateId, Symbol, _record, _violations
 from .heuristics import Edsm, HeuristicId
 
 
@@ -166,14 +166,13 @@ class MergeArena:
     also drops the dead halves and leaves every parent a root.  For that,
     ``members`` maps each root that a kept merge made to the ids below it;
     trials and :meth:`rollback` never touch it.
-    State ids must be non-negative, the two label sets disjoint, as
-    :func:`~flexautomata.automaton.check_integrity` requires, and every
-    transition endpoint a state; the arena raises ValueError otherwise.
+    An automaton that breaks a structural rule (``automaton._violations``)
+    raises :func:`merge`'s ValueError, and so does a negative state id.
     """
 
     def __init__(self, a: Automaton, heuristic: HeuristicId):
-        if not a.accepting.isdisjoint(a.rejecting):
-            raise ValueError("a state is both accepting and rejecting")
+        # A target above the states would read a scratch entry, not fail.
+        _refuse_malformed(a)
         if min(a.states, default=0) < 0:
             raise ValueError(f"negative state id {min(a.states)}")
         self.base = a
@@ -185,16 +184,10 @@ class MergeArena:
         self.fold = heuristic.fold
         self.evidence = getattr(heuristic, "evidence", None)
         self.parent: list[StateId] = [-1] * n
-        states = a.states
         out: list[dict[Symbol, StateId] | None] = [None] * n
-        for q in states:
+        for q in a.states:
             out[q] = {}
         for (src, sym), dst in a.transitions.items():
-            # A target above the states would read a scratch entry, not fail.
-            if src not in states:
-                raise ValueError(f"transition source {src} not in state set")
-            if dst not in states:
-                raise ValueError(f"transition target {dst} not in state set")
             out[src][sym] = dst
         label: list[bool | None] = [None] * n
         for q in a.accepting:
@@ -389,6 +382,13 @@ class MergeArena:
         )
 
 
+def _refuse_malformed(a: Automaton) -> None:
+    """Raise ``a``'s first structural violation, any dangling endpoint before a bad symbol."""
+    found = _violations(a, per_state=False)
+    if found:
+        raise ValueError(min(found, key=lambda v: v[1].endswith("outside alphabet"))[1])
+
+
 def _renamed(a: Automaton, f, next_id: int) -> Automaton:
     """``a`` with every state id ``q`` renamed ``f(q)`` and the given ``next_id``."""
     return replace(
@@ -410,12 +410,11 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     pairs, with the merged classes' aggregates pooled; its fresh ids start at
     ``a.next_id``.  Fails (rather than raising) iff determinization runs into
     a pair with conflicting labels.  Unknown or identical state ids, a state
-    id not below ``a.next_id``, a start state, labeled state or transition
-    endpoint outside the state set, and a transition on a symbol outside the
-    alphabet are caller errors and raise ValueError, the last four worded as
-    :func:`~flexautomata.automaton.check_integrity` words them.  A dangling
-    endpoint is named before any symbol, and among transitions the smallest
-    ``(source, symbol)`` first.
+    id not below ``a.next_id``, and a broken structural rule of
+    :func:`~flexautomata.automaton.check_integrity` (``automaton._violations``)
+    are caller errors and raise ValueError: the first rule broken, in its
+    words and order, but a dangling endpoint before any symbol outside the
+    alphabet.  Unhealthy aggregates alone are no caller error.
 
     The arena runs over a copy with the states renumbered 0..n-1 in ascending
     order, so the cost follows the state count, not the size of the ids.
@@ -427,23 +426,7 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     ids = sorted(a.states)
     if ids[-1] >= a.next_id:
         raise ValueError(f"state {ids[-1]} not below next_id {a.next_id}")
-    states = a.states
-    if a.start not in states:
-        raise ValueError(f"start state {a.start} not in state set")
-    for kind, labeled in (("accepting", a.accepting), ("rejecting", a.rejecting)):
-        if not labeled <= states.keys():
-            raise ValueError(f"{kind} state {min(labeled - states.keys())} not in state set")
-    size = len(a.alphabet)
-    bad = [(src, sym, dst) for (src, sym), dst in a.transitions.items()
-           if src not in states or dst not in states or not 0 <= sym < size]
-    if bad:
-        dangling = [t for t in bad if t[0] not in states or t[2] not in states]
-        src, sym, dst = min(dangling or bad)
-        if src not in states:
-            raise ValueError(f"transition source {src} not in state set")
-        if dst not in states:
-            raise ValueError(f"transition target {dst} not in state set")
-        raise ValueError(f"transition ({src},{sym}) uses symbol outside alphabet")
+    _refuse_malformed(a)
     dense = {q: i for i, q in enumerate(ids)}
     arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
     outcome, frame = arena.run_merge(dense[q1], dense[q2])

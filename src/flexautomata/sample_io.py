@@ -454,13 +454,14 @@ def load_model(text: str) -> Automaton:
     versions, duplicate ``(state, symbol)`` transition lines (determinism
     violation), negative transition counts, an ``attributes`` line after a
     ``state`` line, and anything :func:`check_integrity` complains about
-    after assembly.
+    after assembly (rules stated once, in ``automaton._violations``), naming
+    the ``state``, ``trans`` or ``start`` line of the first violation.
 
     What a line costs: one ``split``; a ``trans`` line then four ``int``
     conversions, a duplicate check and two dict writes; a ``state`` line six
     conversions (plus one per attribute) and one aggregate.  The integrity
     check adds one pass over the transitions and one combined test per
-    healthy state.
+    healthy state; only a failed load looks for a violation's line.
     """
     alphabet: tuple[str, ...] | None = None
     arity = 0
@@ -581,5 +582,10 @@ def load_model(text: str) -> Automaton:
     # Called through its module, where tracers and tests can hook it.
     violations = automaton.check_integrity(a)
     if violations:
-        raise ModelFormatError("; ".join(violations))
+        # The line the load read the first violation's subject from: ``("start",)``,
+        # ``("state", q)`` or ``("trans", src, sym)``.  Its ids convert, and it is unique.
+        kind, *ids = automaton._violations(a)[0][0]
+        no = next(no for no, ln in enumerate(lines, 1) if (tokens := ln.split())[:1] == [kind]
+                  and [int(t) for t in tokens[1:1 + len(ids)]] == ids)
+        raise ModelFormatError("; ".join(violations), no)
     return a

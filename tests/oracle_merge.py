@@ -268,3 +268,30 @@ def reference_first_failure(a, q1, q2, refuses=None):
         parent[x] = parent[y] = z
         pairs.append((x, y))
     return "ok", pairs
+
+
+def reference_caller_error(a) -> str | None:
+    """The ValueError text ``merge`` gives for ``a``'s first broken structural rule, or None.
+
+    Checked one rule at a time, in the priority ``merge`` keeps: the start
+    state, a state in both label sets, a labeled state, then among the
+    transitions a dangling source or target before any symbol outside the
+    alphabet, the smallest ``(source, symbol)`` first within each.
+    """
+    states = a.states
+    if a.start not in states:
+        return f"start state {a.start} not in state set"
+    if a.accepting & a.rejecting:
+        return f"state {min(a.accepting & a.rejecting)} is both accepting and rejecting"
+    for kind, labeled in (("accepting", a.accepting), ("rejecting", a.rejecting)):
+        if set(labeled) - set(states):
+            return f"{kind} state {min(set(labeled) - set(states))} not in state set"
+    for (src, sym), dst in sorted(a.transitions.items()):
+        if src not in states:
+            return f"transition source {src} not in state set"
+        if dst not in states:
+            return f"transition target {dst} not in state set"
+    for (src, sym) in sorted(a.transitions):
+        if not 0 <= sym < len(a.alphabet):
+            return f"transition ({src},{sym}) uses symbol outside alphabet"
+    return None

@@ -124,6 +124,13 @@ class TestLearn:
         assert run(["learn", "--input", str(p)]) == 2
         capsys.readouterr()
 
+    def test_contradictory_sample_names_the_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("contra.txt").write_text("1 2 1 0\n1 1 1\n0 2 1 0\n")
+        assert run(["learn", "--input", "contra.txt"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: contra.txt: word (1, 0) occurs with both labels\n")
+
     def test_bad_alpha_exits_1(self, sample_file, capsys):
         code = run(["learn", "--input", sample_file, "--heuristic", "alergia", "--alpha", "7"])
         assert code == 1
@@ -350,6 +357,21 @@ class TestEval:
         assert run(["eval", "--model", str(broken), "--input", sample_file]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, lines, error", [
+        ("bad.model", ["state 0 acc 1 0.0 0.0 1 0 0", "trans 0 0 7 0"],
+         "line 5: transition target 7 not in state set"),
+        ("bad2.model", ["state 0 acc 1 0.0 0.0 5 7 0"],
+         "line 4: state 0 labeled end counts exceed its trace ends"),
+    ], ids=["dangling-target", "labeled-ends"])
+    def test_integrity_errors_name_their_line(self, sample_file, tmp_path, monkeypatch, capsys,
+                                               name, lines, error):
+        monkeypatch.chdir(tmp_path)
+        header = ["flexautomata-model 1", "alphabet 1 a", "attributes 0"]
+        Path(name).write_text("\n".join([*header, *lines, "start 0"]) + "\n")
+        for argv in (["dot"], ["generate"], ["eval", "--input", sample_file]):
+            assert run([argv[0], "--model", name, *argv[1:]]) == 2
+            assert capsys.readouterr() == ("", f"error: {name}: {error}\n")
+
     @pytest.mark.parametrize("argv, state", [
         (["generate"], f"state 0 acc {10**400} 0.0 0.0 {10**400} 0 0"),
         (["predict", "--input", "{traces}"], f"state 0 unl {10**400} 1.0 1.0 0 0 {10**400}"),
@@ -441,6 +463,11 @@ class TestDiscretize:
         p.write_text("1.0\n2.0\n3.0\n")
         assert run(["discretize", "--input", str(p), "--bins", "70000", "--window", "1"]) == 1
         assert "bins" in capsys.readouterr().err
+
+    def test_bad_flag_value_exits_1_before_the_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert run(["discretize", "--input", missing, "--bins", "0", "--window", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: bins must be in 1..65536, got 0\n")
 
 
 # Each subcommand's required flags, then its optional ones.
@@ -593,6 +620,73 @@ class TestFuzz:
             finally:
                 os.chdir(cwd)
         assert code in (0, 1, 2)
+
+
+# One out-of-range value for each flag of a subcommand that takes one; dot
+# takes none but its model.
+_BAD_FLAG_VALUES = {
+    "learn": [("--alpha", "2"), ("--alpha", "0"), ("--penalty", "nan"), ("--penalty", "-1"),
+              ("--min-evidence", "nan"), ("--heuristic", "ktails"), ("--format", "csv")],
+    "predict": [("--fallback", "zero"), ("--format", "csv")],
+    "generate": [("-n", "-1"), ("--max-len", "-2"), ("--seed", "x")],
+    "eval": [("--format", "csv")],
+    "discretize": [("--bins", "0"), ("--bins", "65537"), ("--window", "0"), ("--window", "-1"),
+                   ("--method", "median"), ("--target", "level")],
+}
+# Values each flag takes that are in range; a file flag names a missing file.
+_GOOD_FLAG_VALUES = {
+    "--input": ["{missing}"], "--model": ["{missing}"],
+    "--output": ["{out}"], "--dot": ["{out}"],
+    "--format": ["abbadingo", "augmented"], "--heuristic": ["edsm", "alergia", "mse"],
+    "--alpha": ["0.05", "0.5"], "--penalty": ["0", "1.5"], "--min-evidence": ["0", "-inf", "2"],
+    "--fallback": ["mean", "last", "error"], "-n": ["0", "3"], "--seed": ["0", "-1"],
+    "--max-len": ["0", "5"], "--bins": ["1", "3"], "--window": ["1", "4"],
+    "--method": ["uniform", "quantile"], "--target": ["delta", "value"],
+    "--trace": [], "--skip-header": [],
+}
+
+
+@st.composite
+def _bad_flag_argv(draw):
+    """A subcommand with its required flags, some optional ones, and one
+    out-of-range value, every input path naming a missing file."""
+    command = draw(st.sampled_from(sorted(_BAD_FLAG_VALUES)))
+    bad, value = draw(st.sampled_from(_BAD_FLAG_VALUES[command]))
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    values = {flag: draw(st.sampled_from(_GOOD_FLAG_VALUES[flag]))
+              for flag in flags if _GOOD_FLAG_VALUES[flag]}
+    values[bad] = value
+    argv = [command]
+    for flag in draw(st.permutations(sorted(set(flags) | {bad}))):
+        if flag not in values:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={values[flag]}")
+        else:
+            argv += [flag, values[flag]]
+    return argv, bad
+
+
+class TestFuzzUsage:
+    """TestFuzz's sibling for exit 1: a flag value out of range exits 1 and
+    names its flag, before any input is read, so a missing file cannot hide it."""
+
+    @given(_bad_flag_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_a_bad_flag_value_exits_1_before_any_read(self, drawn):
+        argv, bad = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"{missing}": os.path.join(tmp, "missing"), "{out}": os.path.join(tmp, "out")}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([_fill(token, paths) for token in argv])
+            assert os.listdir(tmp) == []
+        assert code == 1
+        assert out.getvalue() == ""
+        name = bad.lstrip("-")
+        assert "error" in err.getvalue()
+        assert name in err.getvalue() or name.replace("-", "_") in err.getvalue()
 
 
 class TestPipeline:

@@ -34,6 +34,7 @@ from oracle_automaton import language_upto
 from oracle_merge import (
     alergia_refuses,
     integer_sums,
+    reference_caller_error,
     reference_first_failure,
     reference_language,
     reference_merge,
@@ -244,6 +245,64 @@ class TestPurity:
             merge(ref_apta, -1, 0)
         with pytest.raises(ValueError):
             merge(ref_apta, 3, 3)
+
+
+class TestOneStructuralCheck:
+    """``merge`` and the arena refuse a malformed automaton with check_integrity's words."""
+
+    @staticmethod
+    def broken(rng: random.Random):
+        """A random automaton with some of its structural rules broken."""
+        a = random_automaton(rng, 6, 2)
+        absent = [-3, -1, a.next_id + 1, a.next_id + 4]
+        changes = {}
+        if rng.random() < 0.2:
+            changes["start"] = rng.choice(absent)
+        for field in ("accepting", "rejecting"):
+            labeled = set(getattr(a, field))
+            if rng.random() < 0.2:
+                labeled.add(rng.choice(absent))
+            if rng.random() < 0.2:
+                labeled.add(rng.choice(list(a.states)))
+            changes[field] = frozenset(labeled)
+        transitions = dict(a.transitions)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            src = rng.choice(list(a.states) + absent[:1])
+            sym = rng.choice([-1, 0, 1, 2, 5])
+            transitions[(src, sym)] = rng.choice(list(a.states) + absent)
+        changes["transitions"] = transitions
+        return dataclasses.replace(a, **changes)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_the_first_broken_rule_is_named(self, seed):
+        a = self.broken(random.Random(seed))
+        want = reference_caller_error(a)
+        q1, q2 = sorted(a.states)[:2]
+        if want is None:
+            merge(a, q1, q2)
+            return
+        assert want in check_integrity(a)
+        arenas = [lambda h=h: MergeArena(a, h) for h in (Edsm(), Alergia(), Mse())]
+        for call in (lambda: merge(a, q1, q2), *arenas):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == want
+
+    def test_a_state_in_both_label_sets_is_named(self):
+        a = TestCallerErrors.two_states(accepting=frozenset({1}), rejecting=frozenset({1}))
+        message = "state 1 is both accepting and rejecting"
+        assert check_integrity(a) == [message]
+        for call in (lambda: merge(a, 0, 1), lambda: MergeArena(a, Edsm())):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_unhealthy_aggregates_are_no_caller_error(self):
+        # only the structural rules are the caller's to keep
+        a = TestCallerErrors.two_states(states={0: StateAggregate(-1), 1: StateAggregate(1)})
+        assert check_integrity(a)
+        assert merge(a, 0, 1).result.state_count == 1
 
 
 class TestTargetsThroughMerges:

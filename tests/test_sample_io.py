@@ -433,7 +433,35 @@ class TestModelPersistence:
     def test_impossible_state_aggregates_are_rejected(self, state, message):
         with pytest.raises(ModelFormatError) as err:
             load_model(f"flexautomata-model 1\nalphabet 0\nattributes 0\n{state}\nstart 0\n")
-        assert str(err.value) == message
+        assert str(err.value) == f"line 4: {message}"
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_an_integrity_error_names_the_line_it_concerns(self, seed):
+        # Break one line of a saved model: a dangling target on a trans line,
+        # labeled end counts above the trace ends on a state line, or a start
+        # state that is no state.  The load names that line and that violation.
+        rng = random.Random(seed)
+        a = random_automaton(rng, 10, rng.randint(1, 3))
+        lines = save_model(a).splitlines()
+        i = rng.choice([i for i, ln in enumerate(lines)
+                        if ln.split()[0] in ("trans", "state", "start")])
+        tokens = lines[i].split()
+        absent = rng.choice([-1 - rng.randrange(3), max(a.states) + 1 + rng.randrange(3)])
+        if tokens[0] == "trans":
+            tokens[3] = str(absent)
+            first = f"transition target {absent} not in state set"
+        elif tokens[0] == "state":
+            tokens[6] = str(int(tokens[3]) + rng.randint(1, 3))
+            first = f"state {tokens[1]} labeled end counts exceed its trace ends"
+        else:
+            tokens[1] = str(absent)
+            first = f"start state {absent} not in state set"
+        lines[i] = " ".join(tokens)
+        with pytest.raises(ModelFormatError) as err:
+            load_model("\n".join(lines) + "\n")
+        assert err.value.line == i + 1
+        assert str(err.value).split("; ")[0] == f"line {i + 1}: {first}"
 
     @pytest.mark.parametrize("values", [
         [1e152] * 1000,  # sum * sum overflows; the check must not
@@ -712,11 +740,19 @@ class TestAgainstOracle:
             assert int(value) > 2**53 and int(value) in [int(tokens[i]) for i in where]
             return
         want = _outcome(oracle_io.load_model, text)
+        with mock.patch.object(oracle_io, "check_integrity", lambda a: []):
+            lenient = _outcome(oracle_io.load_model, text)
+        if isinstance(got, tuple) and not isinstance(lenient, tuple):
+            # The text parses, so the loader refused its integrity violations. It names
+            # the line that declares the first one's subject; the rest reads past it.
+            no = int(got[1].split(":")[0].removeprefix("line "))
+            got = got[0], got[1].removeprefix(f"line {no}: ")
+            kind, *ids = self._first_subject(lenient, got[1].split("; ")[0])
+            tokens = text.splitlines()[no - 1].split()
+            assert tokens[0] == kind and [int(t) for t in tokens[1:1 + len(ids)]] == ids
         if isinstance(got, tuple) and got != want:
             # The reference lacks the checks of labeled ends and target sums. Every
             # other violation must agree, and each extra one must hold on its state.
-            with mock.patch.object(oracle_io, "check_integrity", lambda a: []):
-                lenient = oracle_io.load_model(text)
             old = oracle_io.check_integrity(lenient)
             found = got[1].split("; ")
             assert got[0] is ModelFormatError
@@ -731,6 +767,22 @@ class TestAgainstOracle:
             assert got == want
         else:
             assert save_model(got) == save_model(want)
+
+    @staticmethod
+    def _first_subject(a, first: str) -> tuple:
+        """What the first of ``a``'s violations, worded ``first``, concerns.
+
+        A loaded model's labels are its states', so its violations are the
+        start state's, the transitions' by ``(source, symbol)``, then the states'.
+        """
+        if a.start not in a.states:
+            return ("start",)
+        bad = sorted(key for key, dst in a.transitions.items()
+                     if key[0] not in a.states or dst not in a.states
+                     or not 0 <= key[1] < len(a.alphabet))
+        if bad:
+            return ("trans", *bad[0])
+        return ("state", int(first.split()[1]))
 
     _NEW_CHECKS = {
         "labeled end counts exceed its trace ends":
