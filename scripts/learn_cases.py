@@ -12,7 +12,11 @@ The cases:
   levels held 100 steps, noise 1.0), discretized into 4 uniform bins with
   window 5, learned with MSE;
 - ``alergia``: 600 walks (at most 40 symbols) of the ``walk-alergia``
-  machine, seeds 1-6, learned with ALERGIA at alpha 0.05.
+  machine, seeds 1-6, learned with ALERGIA at alpha 0.05;
+- ``alergia-labeled``: ``data/reference_sample.txt`` and 10 labeled samples
+  of random binary ``tests/gen.TargetDfa``s with 8-16 states, seeds 1-10
+  (``tests/gen.labeled_sample``, 600 words of length up to 12), each learned
+  with ALERGIA at alpha 0.05 and then at 0.5: 22 learns.
 
 Each case runs twice.  The first run is timed with ``time.process_time``
 around ``learn`` alone.  The second counts ``MergeArena.run_merge`` calls
@@ -30,6 +34,7 @@ import importlib.util
 import random
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +55,7 @@ from flexautomata import (  # noqa: E402
     Mse,
     discretize,
     learn,
+    parse_abbadingo,
     parse_augmented,
     save_model,
 )
@@ -75,17 +81,27 @@ def alergia_samples(small: bool):
         yield parse_augmented(perfbench_gen.walk_traces(random.Random(seed), machine, 600, 40))
 
 
+def labeled_samples(small: bool):
+    yield parse_abbadingo((ROOT / "data" / "reference_sample.txt").read_text(encoding="utf-8"))
+    for seed in range(1, 3 if small else 11):
+        rng = random.Random(seed)
+        dfa = TargetDfa(rng, rng.randint(8, 16), 2)
+        yield labeled_sample(rng, dfa, 200 if small else 600, 12)
+
+
+# Each case learns every sample under each heuristic in turn.
 CASES = [
-    ("edsm", Edsm(), edsm_samples),
-    ("mse", Mse(), mse_samples),
-    ("alergia", Alergia(alpha=0.05), alergia_samples),
+    ("edsm", [Edsm()], edsm_samples),
+    ("mse", [Mse()], mse_samples),
+    ("alergia", [Alergia(alpha=0.05)], alergia_samples),
+    ("alergia-labeled", [Alergia(alpha=0.05), Alergia(alpha=0.5)], labeled_samples),
 ]
 
 
-def run_case(cfg: LearnerConfig, samples) -> tuple[float, int, str]:
+def run_case(heuristics, samples) -> tuple[float, int, str]:
     """CPU seconds in ``learn``, kept merges, and the digest of every model and log."""
     cpu, merges, digest = 0.0, 0, hashlib.sha256()
-    for sample in samples:
+    for cfg, sample in product(map(LearnerConfig, heuristics), samples):
         t0 = time.process_time()
         model, log = learn(sample, cfg)
         cpu += time.process_time() - t0
@@ -95,7 +111,7 @@ def run_case(cfg: LearnerConfig, samples) -> tuple[float, int, str]:
     return cpu, merges, digest.hexdigest()
 
 
-def count_run_merges(cfg: LearnerConfig, samples) -> tuple[int, int, str]:
+def count_run_merges(heuristics, samples) -> tuple[int, int, str]:
     """``run_merge`` calls, the pairs they folded, and the digest of every model and log."""
     calls = pairs = 0
     run_merge = MergeArena.run_merge
@@ -109,7 +125,7 @@ def count_run_merges(cfg: LearnerConfig, samples) -> tuple[int, int, str]:
 
     MergeArena.run_merge = counting
     try:
-        _cpu, _merges, digest = run_case(cfg, samples)
+        _cpu, _merges, digest = run_case(heuristics, samples)
     finally:
         MergeArena.run_merge = run_merge
     return calls, pairs, digest
@@ -119,15 +135,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Time library learn on the ROADMAP cases.")
     parser.add_argument("--small", action="store_true", help="shrink every case")
     args = parser.parse_args()
-    print(f"{'case':<8} {'cpu_s':>7} {'run_merge':>9} {'pairs':>9} {'merges':>6} sha256")
-    for name, heuristic, samples in CASES:
-        cfg = LearnerConfig(heuristic=heuristic)
-        cpu, merges, digest = run_case(cfg, list(samples(args.small)))
-        calls, pairs, again = count_run_merges(cfg, list(samples(args.small)))
+    print(f"{'case':<15} {'cpu_s':>7} {'run_merge':>9} {'pairs':>9} {'merges':>6} sha256")
+    for name, heuristics, samples in CASES:
+        cpu, merges, digest = run_case(heuristics, list(samples(args.small)))
+        calls, pairs, again = count_run_merges(heuristics, list(samples(args.small)))
         if again != digest:
             print(f"{name}: a second run learned different bytes", file=sys.stderr)
             return 1
-        print(f"{name:<8} {cpu:>7.3f} {calls:>9} {pairs:>9} {merges:>6} {digest}")
+        print(f"{name:<15} {cpu:>7.3f} {calls:>9} {pairs:>9} {merges:>6} {digest}")
     return 0
 
 

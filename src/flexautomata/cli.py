@@ -7,10 +7,11 @@ stdout unless a flag says otherwise, and every subcommand's output can be
 fed back into the matching parser.
 
 Exit codes: 0 on success, 1 for usage errors (unknown flags, bad flag
-values), 2 for data errors (unreadable files, malformed input, impossible
-requests).  Flag values are checked before any file is read.  A data error
-names its file, and its line where one is at fault: for a model that breaks
-a structural rule (``automaton._violations``), the line of what it concerns.
+values), 2 for data errors.  A bad flag value is found before any file is
+read.  Whatever a file's content raises (its read, the library call that
+processes it, its write) names that file, and its line where one is at fault:
+for a model that breaks a structural rule (``automaton._violations``), the
+line of what it concerns.  A write to stdout that fails exits 2 as well.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-from .automaton import Automaton
-from .errors import (
-    GenerationError,
-    InconsistentSampleError,
-    ModelFormatError,
-    PredictionError,
-    SampleFormatError,
-)
 from .heuristics import Alergia, Edsm, Mse
 from .learner import LearnerConfig, learn
 from .predict import (
@@ -53,49 +46,63 @@ from .sample_io import (
     write_sample,
 )
 
-_DATA_ERRORS = (
-    SampleFormatError,
-    ModelFormatError,
-    PredictionError,
-    GenerationError,
-    OSError,
-)
-
 
 class _DataError(Exception):
-    """Wraps a message that should exit with code 2."""
+    """A message that exits with code 2."""
+
+
+class _About:
+    """Any ValueError or OSError raised inside becomes a data error naming ``path``;
+    an OSError gives its ``strerror``.  A class, as ``predict`` enters one per trace."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OSError):
+            raise _DataError(f"{self.path}: {exc.strerror}") from exc
+        if isinstance(exc, ValueError):
+            raise _DataError(f"{self.path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
-    """The file as UTF-8 text; a byte that is not UTF-8 is a data error naming its line.
-
-    Newlines are left as they are: every reader splits lines with
-    ``splitlines``, which splits ``\\r\\n`` and ``\\r`` as universal newlines do.
-    """
+    """The file as UTF-8 text, newlines as they are, since every reader splits lines
+    with ``splitlines``; a byte that is not UTF-8 is a ValueError naming its line."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Every byte before the bad one decodes; the "?" stands for the line it starts.
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        raise _DataError(f"{path}: line {line}: not UTF-8 text") from None
+        raise ValueError(f"line {line}: not UTF-8 text") from None
 
 
 def _read_sample(path: str, fmt: str) -> Sample:
-    text = _read_text(path)
-    try:
-        if fmt == "abbadingo":
-            return parse_abbadingo(text)
-        return parse_augmented(text)
-    except SampleFormatError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
+    parse = parse_abbadingo if fmt == "abbadingo" else parse_augmented
+    return parse(_read_text(path))
 
 
-def _read_model(path: str) -> Automaton:
-    try:
-        return load_model(_read_text(path))
-    except ModelFormatError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
+def _read_series(path: str, skip_header: bool) -> list[float]:
+    """One finite number per line, a trailing comma allowed; blank lines are skipped."""
+    lines = _read_text(path).splitlines()
+    if skip_header and lines:
+        lines = lines[1:]
+    series = []
+    for i, ln in enumerate(lines, start=1 + skip_header):
+        ln = ln.strip().rstrip(",")
+        if not ln:
+            continue
+        try:
+            value = float(ln)
+        except ValueError:
+            raise ValueError(f"line {i}: not a number: {ln!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {i}: not a finite number: {ln!r}")
+        series.append(value)
+    return series
 
 
 def _count(text: str) -> int:
@@ -173,42 +180,46 @@ def _cmd_learn(args) -> int:
     # Every flag value is checked, whichever heuristic runs, before the input is read.
     heuristics = {"edsm": Edsm(), "alergia": Alergia(args.alpha), "mse": Mse(args.penalty)}
     cfg = LearnerConfig(heuristic=heuristics[args.heuristic], min_evidence=args.min_evidence)
-    sample = _read_sample(args.input, args.format)
-    # Every MSE trial on such a sample fails, so nothing would merge.
-    if args.heuristic == "mse" and all(
-            s.target is None for t in sample.traces for s in t.symbols):
-        raise _DataError(f"{args.input}: no trace carries a target, "
-                         "which --heuristic mse needs")
-    try:
+    with _About(args.input):
+        sample = _read_sample(args.input, args.format)
+        # Every MSE trial on such a sample fails, so nothing would merge.
+        if args.heuristic == "mse" and all(
+                s.target is None for t in sample.traces for s in t.symbols):
+            raise ValueError("no trace carries a target, which --heuristic mse needs")
         model, log = learn(sample, cfg)
-    except InconsistentSampleError as exc:
-        raise _DataError(f"{args.input}: {exc}") from exc
     if args.trace:
         sys.stderr.write(log.text())
     text = save_model(model)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with _About(args.output):
+            Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if args.dot:
-        Path(args.dot).write_text(write_dot(model), encoding="utf-8")
+        with _About(args.dot):
+            Path(args.dot).write_text(write_dot(model), encoding="utf-8")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    model = _read_model(args.model)
-    sample = _read_sample(args.input, args.format)
     cfg = PredictionConfig(Fallback(args.fallback))
+    with _About(args.model):
+        model = load_model(_read_text(args.model))
+    with _About(args.input):
+        sample = _read_sample(args.input, args.format)
     for trace in sample.traces:
-        sys.stdout.write(repr(predict_value(model, trace.word, cfg)) + "\n")
+        with _About(args.model):
+            value = predict_value(model, trace.word, cfg)
+        sys.stdout.write(repr(value) + "\n")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    model = _read_model(args.model)
-    # Every word is drawn before the first is written, so a failed draw
-    # leaves stdout empty.
-    words = sample_words(model, args.n, args.seed, args.max_len)
+    with _About(args.model):
+        model = load_model(_read_text(args.model))
+        # Every word is drawn before the first is written, so a failed draw
+        # leaves stdout empty.
+        words = sample_words(model, args.n, args.seed, args.max_len)
     write = sys.stdout.write
     for line in positive_lines(words, len(model.alphabet)):
         write(line)
@@ -216,9 +227,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _read_model(args.model)
-    sample = _read_sample(args.input, args.format)
-    report = evaluate(model, sample)
+    with _About(args.model):
+        model = load_model(_read_text(args.model))
+    with _About(args.input):
+        sample = _read_sample(args.input, args.format)
+    with _About(args.model):
+        report = evaluate(model, sample)
     lines = [
         f"traces {report.traces}",
         f"accepted {report.accepted}",
@@ -235,33 +249,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    model = _read_model(args.model)
-    sys.stdout.write(write_dot(model))
+    with _About(args.model):
+        text = write_dot(load_model(_read_text(args.model)))
+    sys.stdout.write(text)
     return 0
 
 
 def _cmd_discretize(args) -> int:
     spec = DiscretizationSpec(bins=args.bins, method=BinMethod(args.method),
                               window=args.window, target=TargetKind(args.target))
-    lines = _read_text(args.input).splitlines()
-    if args.skip_header and lines:
-        lines = lines[1:]
-    series = []
-    for i, ln in enumerate(lines, start=1 + bool(args.skip_header)):
-        ln = ln.strip().rstrip(",")
-        if not ln:
-            continue
-        try:
-            value = float(ln)
-        except ValueError:
-            raise _DataError(f"{args.input}: line {i}: not a number: {ln!r}") from None
-        if not math.isfinite(value):
-            raise _DataError(f"{args.input}: line {i}: not a finite number: {ln!r}")
-        series.append(value)
-    try:
-        sample = discretize(series, spec)
-    except ValueError as exc:
-        raise _DataError(str(exc)) from exc
+    with _About(args.input):
+        sample = discretize(_read_series(args.input, args.skip_header), spec)
     sys.stdout.write(write_sample(sample))
     return 0
 
@@ -278,19 +276,19 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code instead of exiting."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help; remap to our codes
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (_DataError, *_DATA_ERRORS) as exc:
+    except (_DataError, OSError, UnicodeEncodeError) as exc:
+        # Outside every _About, the last two come from writing to stdout or stderr.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # bad flag values surface as ValueError from config constructors
+        # Only building a flag's configuration, before any read, raises one here.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ Three stock heuristics are provided:
   without a count being read, since no two frequencies differ by more.  The
   first rejecting pair is refused, so the trial pools no more frequencies.
   Its ``fold`` tests a pair and pools the pair's frequencies in one body,
-  unpacking them once; ``_rejects`` asks the test alone, through ``fold``.
+  unpacking them once.
 * :class:`Mse` scores the (negated) growth in squared target error caused by
   pooling, plus a configurable reward per merged pair; it fails distinctly
   when the trial touched no target data at all, since the score would be
@@ -87,10 +87,6 @@ class Alergia:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         # The alpha-only factor of every Hoeffding bound, taken once.
         object.__setattr__(self, "_bound_scale", math.sqrt(0.5 * math.log(2.0 / alpha)))
-
-    def _rejects(self, f1: Frequencies, f2: Frequencies) -> bool:
-        """The Hoeffding test of one merged pair: True iff :meth:`fold` refuses it."""
-        return self.fold(None, f1, f2) is None
 
     def statistic(self, agg: StateAggregate) -> Frequencies:
         """Visit count, per-symbol counts and trace ends: every count the test reads."""

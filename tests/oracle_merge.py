@@ -10,7 +10,8 @@ the result is read off the quotient.
 :func:`reference_score` is the matching oracle for heuristic scores: it
 replays a merge's pairs over fully pooled aggregates and applies each stock
 heuristic's rule to them directly.  Its frequency test is
-:func:`hoeffding_compatible`, written here apart from ``Alergia._rejects``.
+:func:`hoeffding_compatible`, written here apart from ``Alergia.fold``;
+:func:`fold_refuses` asks ``fold`` itself whether it refuses a pair.
 :func:`reference_first_failure` finds where a merge first fails, pair by
 pair in fold order: the pair a trial merge must stop at.
 """
@@ -224,6 +225,12 @@ def alergia_refuses(alpha: float):
         return not all(hoeffding_compatible(f1, n1, f2, n2, alpha) for f1, f2 in events)
 
     return refuses
+
+
+def fold_refuses(heuristic, f1, f2) -> bool:
+    """Whether ``heuristic.fold`` refuses the pair of statistics ``f1`` and ``f2``
+    (ALERGIA's Hoeffding test, for :class:`Alergia`)."""
+    return heuristic.fold(None, f1, f2) is None
 
 
 def reference_first_failure(a, q1, q2, refuses=None):

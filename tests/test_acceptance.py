@@ -38,7 +38,7 @@ from flexautomata import (
 )
 from gen import TargetDfa, complete_sample, even_ones_dfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto, structural_tree_check
-from oracle_merge import reference_language, reference_merge
+from oracle_merge import fold_refuses, reference_language, reference_merge
 
 HEURISTICS = (Edsm(), Alergia(alpha=0.05), Mse(penalty=0.0))
 
@@ -248,8 +248,8 @@ def test_c9_frequency_test_spot_check():
     """ALERGIA's compatibility test matches a direct evaluation of its bound."""
     alergia = Alergia(0.05)
     # Two states visited 10 times each, ending 10 and 0 times, then 3 and 3.
-    assert alergia._rejects((10, {}, 10), (10, {}, 0))
-    assert not alergia._rejects((10, {}, 3), (10, {}, 3))
+    assert fold_refuses(alergia, (10, {}, 10), (10, {}, 0))
+    assert not fold_refuses(alergia, (10, {}, 3), (10, {}, 3))
     direct = math.sqrt(0.5 * math.log(2.0 / 0.05)) * (
         1.0 / math.sqrt(10) + 1.0 / math.sqrt(10)
     )

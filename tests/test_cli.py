@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from flexautomata import (
     Alergia,
     DiscretizationSpec,
     Edsm,
+    InconsistentSampleError,
     LearnerConfig,
     Mse,
     discretize,
@@ -406,6 +408,14 @@ class TestDot:
         assert run(["dot", "--model", str(p)]) == 2
         capsys.readouterr()
 
+    def test_a_symbol_name_stdout_cannot_encode_exits_2(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "m.txt"
+        model = save_model(learn(parse_augmented("1 1 0\n0 1 1\n"))[0])
+        p.write_text(model.replace("alphabet 2 0 1\n", "alphabet 2 é b\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert run(["dot", "--model", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'ascii' codec can't encode")
+
 
 class TestDiscretize:
     def test_series_to_traces(self, tmp_path, capsys):
@@ -484,21 +494,23 @@ _FUZZ_COMMANDS = {
 }
 _FUZZ_ANY_FLAG = sorted({f for req, opt in _FUZZ_COMMANDS.values() for f in req + opt}
                         | {"--help", "--bogus"})
-_FUZZ_FILES = ["{soup}", "{bytes}", "{traces}", "{model}", "{huge}", "{series}", "{missing}"]
+_FUZZ_FILES = ["{soup}", "{bytes}", "{traces}", "{model}", "{huge}", "{series}", "{missing}",
+               "{contra}", "{big}", "{noacc}", "{steep}"]
 _FUZZ_NUMBERS = ["0", "1", "-1", "3", "0.5", "1e9", "nan", "inf", "-inf", "x", ""]
 # The values each flag takes; -n, --max-len, --window and --bins scale the
 # work of one call, so they stay small.
 _FUZZ_SMALL = ["-2", "-1", "0", "1", "2", "3", "6", "x", "nan"]
 _FUZZ_FLAG_VALUES = {
     "--input": _FUZZ_FILES, "--model": _FUZZ_FILES,
-    "--output": ["{out}"], "--dot": ["{out}"],
+    "--output": ["{out}"], "--dot": ["{dot}"],
     "--format": ["abbadingo", "augmented"], "--heuristic": ["edsm", "alergia", "mse"],
     "--fallback": ["mean", "last", "error"], "--method": ["uniform", "quantile"],
     "--target": ["delta", "value"], "--seed": ["0", "1", "7", "-1"],
     "--trace": [], "--skip-header": [], "--help": [], "--bogus": [],
     "-n": _FUZZ_SMALL, "--max-len": _FUZZ_SMALL, "--window": _FUZZ_SMALL, "--bins": _FUZZ_SMALL,
 }
-_FUZZ_ANY_VALUE = sorted({v for vs in _FUZZ_FLAG_VALUES.values() for v in vs if v != "{out}"}
+_FUZZ_ANY_VALUE = sorted({v for vs in _FUZZ_FLAG_VALUES.values() for v in vs
+                          if v not in ("{out}", "{dot}")}
                          | set(_FUZZ_NUMBERS))
 _FUZZ_SOUP = [
     "1", "0", "?", "2", "-1", "7", "65536", "nan", "inf", "1e308", "0.5", "0:1.5/2",
@@ -522,8 +534,8 @@ def _fuzz_argv(draw):
     for flag in draw(st.permutations(flags)):
         fit = _FUZZ_FLAG_VALUES.get(flag, _FUZZ_NUMBERS)
         pick = draw(st.sampled_from(["fit"] * 8 + ["misfit", "none"]))
-        # an output flag always names the temporary directory's file
-        if fit and (fit == ["{out}"] or pick == "fit"):
+        # an output flag always names its file in the temporary directory
+        if fit and (fit in (["{out}"], ["{dot}"]) or pick == "fit"):
             value = draw(st.sampled_from(fit))
         elif pick == "misfit":
             value = draw(st.sampled_from(_FUZZ_ANY_VALUE))
@@ -584,42 +596,150 @@ class TestNotUtf8:
         assert models[0] == models[1] == models[2]
 
 
+_FUZZ_TRACES = "1 2 0 1\n0 1 1\n? 2 0/1.5 1/2.0\n"
+_FUZZ_DRAWS = (
+    _fuzz_argv(),
+    st.lists(st.sampled_from(_FUZZ_SOUP), max_size=40).map(" ".join),
+    st.binary(max_size=80),
+)
+
+
+_FUZZ_MODEL = save_model(learn(parse_augmented(_FUZZ_TRACES))[0])
+# A model with one rejecting state, learned from the word "0" alone
+_FUZZ_NOACC = save_model(learn(parse_augmented("0 1 0\n"))[0])
+
+
+@contextlib.contextmanager
+def _fuzz_run(argv, files):
+    """Run ``argv`` over the fuzz files, each as ``files`` gives it or else as
+    below, in a temporary directory that lasts while the block runs; yields
+    the exit code, stdout, stderr and the argv with every file token replaced
+    by its path."""
+    files = {
+        "{soup}": b"",
+        "{bytes}": b"",
+        "{traces}": _FUZZ_TRACES.encode("utf-8"),
+        "{model}": _FUZZ_MODEL.encode("utf-8"),
+        # counts beyond the float range, which every serving command must refuse
+        "{huge}": (f"flexautomata-model 1\nalphabet 2 0 1\nattributes 0\n"
+                   f"state 0 acc {10**400} 1.0 1.0 {10**400} 0 {10**400}\n"
+                   "start 0\n").encode("utf-8"),
+        "{series}": b"1.0\n2.5\n0.0\n3.0\n2.0\n",
+        # files that parse but fail in the library call that reads them
+        "{contra}": b"1 2 0 1\n0 2 0 1\n",
+        "{big}": b"1 1 0/1e200\n",
+        "{noacc}": _FUZZ_NOACC.encode("utf-8"),
+        "{steep}": b"1\n2\n1e308\n-1e308\n5\n",
+        **files,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name[1:-1]) for name in files}
+        for name, data in files.items():
+            with open(paths[name], "wb") as f:
+                f.write(data)
+        for name in ("{missing}", "{out}", "{dot}"):
+            paths[name] = os.path.join(tmp, name[1:-1])
+        argv = [_fill(token, paths) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # anything written lands in the temporary directory
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+        yield code, out.getvalue(), err.getvalue(), argv
+
+
+def _flag_values(argv, flag):
+    """The values ``flag`` takes in ``argv``, spelled ``flag value`` or ``flag=value``."""
+    values = [after for token, after in zip(argv, argv[1:]) if token == flag]
+    return values + [t[len(flag) + 1:] for t in argv if t.startswith(flag + "=")]
+
+
+# What a data error may say after its file when no line or trace is at
+# fault: the messages that concern a whole file.
+_WHOLE_FILE_ERRORS = [
+    "No such file or directory",  # a missing file
+    "Is a directory",
+    "expected header 'flexautomata-model 1'",  # a model file with no line but blanks
+    "missing alphabet line",
+    "missing start line",
+    r"header declares \d+ traces but file has \d+",
+    r"word \(.*\) occurs with both labels",
+    "no trace carries a target, which --heuristic mse needs",
+    r"model accepts no word of length <= \d+",
+    "model carries no target data",
+    r"word \(.*\) leaves the model's domain",
+    r"series of length \d+ too short for window \d+",
+    r"step from series\[\d+\] to series\[\d+\] overflows: .*",
+    "sampling failed to terminate",
+]
+_FILE_FLAGS = ("--input", "--model", "--output", "--dot")
+
+
 class TestFuzz:
-    @given(
-        _fuzz_argv(),
-        st.lists(st.sampled_from(_FUZZ_SOUP), max_size=40).map(" ".join),
-        st.binary(max_size=80),
-    )
+    @given(*_FUZZ_DRAWS)
     @settings(max_examples=300, deadline=None)
     def test_run_only_returns_an_exit_code(self, argv, soup, raw):
-        traces = "1 2 0 1\n0 1 1\n? 2 0/1.5 1/2.0\n"
-        with tempfile.TemporaryDirectory() as tmp:
-            files = {
-                "{soup}": soup.encode("utf-8"),
-                "{bytes}": raw,
-                "{traces}": traces.encode("utf-8"),
-                "{model}": save_model(learn(parse_augmented(traces))[0]).encode("utf-8"),
-                # counts beyond the float range, which every serving command must refuse
-                "{huge}": (f"flexautomata-model 1\nalphabet 2 0 1\nattributes 0\n"
-                           f"state 0 acc {10**400} 1.0 1.0 {10**400} 0 {10**400}\n"
-                           "start 0\n").encode("utf-8"),
-                "{series}": b"1.0\n2.5\n0.0\n3.0\n2.0\n",
-            }
-            paths = {name: os.path.join(tmp, name[1:-1]) for name in files}
-            for name, data in files.items():
-                with open(paths[name], "wb") as f:
-                    f.write(data)
-            paths["{missing}"] = os.path.join(tmp, "missing")
-            paths["{out}"] = os.path.join(tmp, "out")
-            cwd = os.getcwd()
-            os.chdir(tmp)  # anything written lands in the temporary directory
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = run([_fill(token, paths) for token in argv])
-            finally:
-                os.chdir(cwd)
+        with _fuzz_run(argv, {"{soup}": soup.encode("utf-8"), "{bytes}": raw}) as (code, *_):
+            pass
         assert code in (0, 1, 2)
+
+    @given(*_FUZZ_DRAWS)
+    @settings(max_examples=300, deadline=None)
+    def test_a_data_error_names_its_file_and_its_fault(self, argv, soup, raw):
+        files = {"{soup}": soup.encode("utf-8"), "{bytes}": raw}
+        with _fuzz_run(argv, files) as (code, _out, err, argv):
+            pass
+        if code != 2:
+            return
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        paths = {p for flag in _FILE_FLAGS for p in _flag_values(argv, flag)}
+        named = [p for p in paths if err.startswith(f"error: {p}: ")]
+        assert named, err
+        rest = err[len(f"error: {named[0]}: "):-1]
+        assert (re.match(r"(line|trace) \d+: ", rest)
+                or any(re.fullmatch(m, rest) for m in _WHOLE_FILE_ERRORS)), err
+
+
+class TestDataErrorsNameTheirFile:
+    """Whatever a file's content raises names that file (exit 2), from the
+    library call that reads it as well as from its parser."""
+
+    @pytest.mark.parametrize("name, data, argv, message", [
+        ("big.txt", "1 1 0/1e200\n", ["learn", "--input"],
+         "trace 1: target or attribute values too large to pool"),
+        ("noacc.model", "0 1 0\n", ["generate", "--model"],
+         "model accepts no word of length <= 32"),
+        ("notarget.model", "1 1 0\n0 1 1\n", ["predict", "--input", "{traces}", "--model"],
+         "model carries no target data"),
+        ("overflow.csv", "1\n2\n1e308\n-1e308\n", ["discretize", "--bins", "1",
+                                                    "--window", "1", "--input"],
+         "step from series[2] to series[3] overflows: -1e+308 - 1e+308 is -inf"),
+    ], ids=["learn-huge-target", "generate-no-accepting-state", "predict-no-target-data",
+            "discretize-overflowing-step"])
+    def test_the_file_is_named(self, tmp_path, sample_file, monkeypatch, capsys,
+                               name, data, argv, message):
+        monkeypatch.chdir(tmp_path)
+        if name.endswith(".model"):  # the model learned from the traces given
+            data = save_model(learn(parse_augmented(data))[0])
+        Path(name).write_text(data)
+        argv = [sample_file if t == "{traces}" else t for t in argv]
+        assert run([*argv, name]) == 2
+        assert capsys.readouterr() == ("", f"error: {name}: {message}\n")
+
+    def test_a_missing_file_is_named_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["learn", "--input", "x.txt"]) == 2
+        assert capsys.readouterr() == ("", "error: x.txt: No such file or directory\n")
+
+    @pytest.mark.parametrize("flag", ["--output", "--dot"])
+    def test_an_output_that_cannot_be_written_is_named(self, tmp_path, sample_file,
+                                                       capsys, flag):
+        target = str(tmp_path / "no-such-dir" / "out")
+        assert run(["learn", "--input", sample_file, flag, target]) == 2
+        assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
 
 
 # One out-of-range value for each flag of a subcommand that takes one; dot
@@ -646,6 +766,20 @@ _GOOD_FLAG_VALUES = {
 }
 
 
+def _spell(draw, command, flags, values):
+    """``command`` and ``flags`` in any order, each flag with a value as
+    ``--flag value`` or ``--flag=value``."""
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if flag not in values:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={values[flag]}")
+        else:
+            argv += [flag, values[flag]]
+    return argv
+
+
 @st.composite
 def _bad_flag_argv(draw):
     """A subcommand with its required flags, some optional ones, and one
@@ -657,15 +791,7 @@ def _bad_flag_argv(draw):
     values = {flag: draw(st.sampled_from(_GOOD_FLAG_VALUES[flag]))
               for flag in flags if _GOOD_FLAG_VALUES[flag]}
     values[bad] = value
-    argv = [command]
-    for flag in draw(st.permutations(sorted(set(flags) | {bad}))):
-        if flag not in values:
-            argv.append(flag)
-        elif draw(st.booleans()):
-            argv.append(f"{flag}={values[flag]}")
-        else:
-            argv += [flag, values[flag]]
-    return argv, bad
+    return _spell(draw, command, set(flags) | {bad}, values), bad
 
 
 class TestFuzzUsage:
@@ -687,6 +813,81 @@ class TestFuzzUsage:
         name = bad.lstrip("-")
         assert "error" in err.getvalue()
         assert name in err.getvalue() or name.replace("-", "_") in err.getvalue()
+
+
+# The file each file flag of a run that may succeed names.
+_FITTING_FILES = {"--input": "{traces}", "--model": "{model}", "--output": "{out}",
+                  "--dot": "{dot}"}
+
+
+@st.composite
+def _fitting_argv(draw):
+    """A subcommand that writes an output, with its required flags, some
+    optional ones, every value in range and every file flag naming a file of
+    the kind it reads."""
+    command = draw(st.sampled_from(["learn", "predict", "generate", "dot", "discretize"]))
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4)
+                            if optional else st.just([]))
+    values = {flag: _FITTING_FILES.get(flag) or draw(st.sampled_from(_GOOD_FLAG_VALUES[flag]))
+              for flag in flags if _GOOD_FLAG_VALUES[flag]}
+    if command == "discretize":
+        values["--input"] = "{series}"
+    return _spell(draw, command, flags, values)
+
+
+@st.composite
+def _fitting_files(draw):
+    """A trace file of labeled and unlabeled words, some ending in a target, the
+    model EDSM learns from it (or from the fuzz traces, when its words
+    contradict), and a numeric series."""
+    lines = []
+    for label, word, target in draw(st.lists(st.tuples(
+            st.sampled_from("01?"), st.lists(st.sampled_from("012"), max_size=6),
+            st.none() | st.floats(-1e3, 1e3)), min_size=1, max_size=12)):
+        if word and target is not None:
+            word[-1] += f"/{target!r}"
+        lines.append(" ".join([label, str(len(word)), *word]) + "\n")
+    traces = "".join(lines)
+    try:
+        model = save_model(learn(parse_augmented(traces))[0])
+    except InconsistentSampleError:
+        model = _FUZZ_MODEL
+    series = draw(st.lists(st.floats(-1e6, 1e6), max_size=24))
+    return {"{traces}": traces.encode("utf-8"), "{model}": model.encode("utf-8"),
+            "{series}": "".join(f"{v!r}\n" for v in series).encode("utf-8")}
+
+
+class TestFuzzReadBack:
+    """TestFuzz's sibling for exit 0: whatever a run writes reads back through
+    the package's own reader, as the README promises."""
+
+    @given(_fitting_argv(), _fitting_files())
+    @settings(max_examples=300, deadline=None)
+    def test_every_output_reads_back(self, argv, files):
+        with _fuzz_run(argv, files) as (code, out, _err, argv):
+            if code != 0:
+                return
+            # each flag occurs once in a fitting argv
+            named = {f: v for f in _FILE_FLAGS + ("--format",) for v in _flag_values(argv, f)}
+            command = argv[0]
+            if command == "learn":
+                output, dot = named.get("--output"), named.get("--dot")
+                load_model(Path(output).read_text(encoding="utf-8") if output else out)
+                if dot:
+                    check_dot(Path(dot).read_text(encoding="utf-8"))
+            elif command == "dot":
+                check_dot(out)
+            elif command in ("discretize", "generate"):
+                parse_augmented(out)
+            else:  # predict
+                parse = parse_abbadingo if named.get("--format") == "abbadingo" else parse_augmented
+                text = Path(named["--input"]).read_text(encoding="utf-8")
+                lines = out.splitlines(keepends=True)
+                assert len(lines) == len(parse(text).traces)
+                for line in lines:
+                    assert line.endswith("\n")
+                    float(line)
 
 
 class TestPipeline:

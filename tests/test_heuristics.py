@@ -27,6 +27,7 @@ from flexautomata.automaton import squared_error
 from flexautomata.heuristics import MseEvidence
 from flexautomata.merging import MergeArena
 from gen import random_automaton
+from oracle_merge import fold_refuses
 
 
 def trial_score(arena, q1, q2, h):
@@ -42,13 +43,13 @@ def trial(h, a, q1, q2):
 
 
 def bound(n1, n2, alpha):
-    """The Hoeffding bound ``Alergia._rejects`` tests a pair against."""
+    """The Hoeffding bound ``Alergia.fold`` tests a pair against."""
     return Alergia(alpha)._bound_scale * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
 
 
 def rejects(f1, n1, f2, n2, alpha):
     """Whether ALERGIA's test rejects end frequencies f1/n1 and f2/n2 of two symbol-free states."""
-    return Alergia(alpha)._rejects((n1, {}, f1), (n2, {}, f2))
+    return fold_refuses(Alergia(alpha), (n1, {}, f1), (n2, {}, f2))
 
 
 class TestConfigs:
@@ -125,7 +126,7 @@ class TestHoeffding:
                 abs(out1.get(sym, 0) / n1 - out2.get(sym, 0) / n2) for sym in (0, 1, 2)
             ]
             direct = max(gaps) > bound
-        assert Alergia(alpha)._rejects(f1, f2) == direct
+        assert fold_refuses(Alergia(alpha), f1, f2) == direct
 
     def test_larger_samples_tighten_the_bound(self):
         assert bound(100, 100, 0.05) < bound(10, 10, 0.05)
@@ -270,8 +271,8 @@ class TestRefusal:
             for i, (x, y) in enumerate(full):
                 gx, gy = aggs[x], aggs[y]
                 aggs[a.next_id + i] = merge_aggregates(gx, gy)
-                if h._rejects((gx.total_count, gx.out_counts, gx.end_count),
-                              (gy.total_count, gy.out_counts, gy.end_count)):
+                if fold_refuses(h, (gx.total_count, gx.out_counts, gx.end_count),
+                                (gy.total_count, gy.out_counts, gy.end_count)):
                     refused_at = i
                     break
             outcome, frame = arena.run_merge(r, b)

@@ -48,7 +48,7 @@ def test_golden_manifest_check_matches_and_writes_nothing(tmp_path):
 def test_learn_cases_prints_the_same_hashes_twice(tmp_path):
     runs = [run_script("learn_cases.py", tmp_path, "--small").splitlines() for _ in range(2)]
     rows = [[ln.split() for ln in lines[1:]] for lines in runs]
-    assert [r[0] for r in rows[0]] == ["edsm", "mse", "alergia"]
+    assert [r[0] for r in rows[0]] == ["edsm", "mse", "alergia", "alergia-labeled"]
     # case, CPU seconds, run_merge calls, folded pairs, kept merges, SHA-256
     assert [(r[0], *r[2:]) for r in rows[0]] == [(r[0], *r[2:]) for r in rows[1]]
     assert all(int(r[3]) > 0 and int(r[4]) > 0 and len(r[5]) == 64 for r in rows[0])
