@@ -39,18 +39,18 @@ def build_apta(sample: Sample) -> Automaton:
     Raises :class:`InconsistentSampleError` when one word is both positive
     and negative, :class:`SampleFormatError` when targets or attributes are
     so large that pooling them could overflow, and ValueError for a symbol
-    outside the alphabet.  At ``sample.attribute_arity`` above 0, a symbol
-    may carry no attributes or exactly that many; any other count is a
-    ValueError naming the trace and the symbol's position in it.  At arity
-    0, attributes are ignored.
+    outside the alphabet, a negative one included.  At
+    ``sample.attribute_arity`` above 0, a symbol may carry no attributes or
+    exactly that many; any other count is a ValueError naming the trace and
+    the symbol's position in it.  At arity 0, attributes are ignored.
 
     Cost: one pass over the symbols, then one aggregate per prefix.  The pass
     keeps each node's fields in flat lists indexed by the order the nodes
     are made, so a new prefix appends to each list instead of building an
     object, and a symbol already seen at its node costs one dict lookup and
     its counter updates.  Only a new child is checked against the alphabet,
-    since every existing one passed that check, and a sample without
-    attributes skips their loop.
+    ``0 <= sym < size``, since every existing one passed that check, and a
+    sample without attributes skips their loop.
     """
     arity = sample.attribute_arity
     size = len(sample.alphabet)
@@ -73,7 +73,7 @@ def build_apta(sample: Sample) -> Automaton:
             kids = children[node]
             node = kids.get(sym)
             if node is None:
-                if sym >= size:
+                if not 0 <= sym < size:
                     raise ValueError(f"symbol {sym} outside alphabet of size {size}")
                 node = kids[sym] = len(total)
                 children.append({})

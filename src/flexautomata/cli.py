@@ -7,8 +7,10 @@ stdout unless a flag says otherwise, and every subcommand's output can be
 fed back into the matching parser.
 
 Exit codes: 0 on success, 1 for usage errors (unknown flags, bad flag
-values), 2 for data errors.  A bad flag value is found before any file is
-read.  Whatever a file's content raises (its read, the library call that
+values, an empty file name among them), 2 for data errors.  A bad flag
+value is found before any file is read.  Each subcommand computes what it
+prints before it prints any of it, so a failed computation leaves stdout
+empty.  Whatever a file's content raises (its read, the library call that
 processes it, its write) names that file, and its line where one is at fault:
 for a model that breaks a structural rule (``automaton._violations``), the
 line of what it concerns.  A write to stdout that fails exits 2 as well.
@@ -17,6 +19,7 @@ line of what it concerns.  A write to stdout that fails exits 2 as well.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -51,21 +54,16 @@ class _DataError(Exception):
     """A message that exits with code 2."""
 
 
-class _About:
+@contextlib.contextmanager
+def _about(path: str):
     """Any ValueError or OSError raised inside becomes a data error naming ``path``;
-    an OSError gives its ``strerror``.  A class, as ``predict`` enters one per trace."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, OSError):
-            raise _DataError(f"{self.path}: {exc.strerror}") from exc
-        if isinstance(exc, ValueError):
-            raise _DataError(f"{self.path}: {exc}") from exc
+    an OSError gives its ``strerror``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _DataError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise _DataError(f"{path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -105,6 +103,13 @@ def _read_series(path: str, skip_header: bool) -> list[float]:
     return series
 
 
+def _path(text: str) -> str:
+    """A flag value that names a file: not empty, which would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _count(text: str) -> int:
     """A flag value that counts something: an int, at least 0."""
     try:
@@ -131,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("learn", help="learn a model from a trace file")
-    p.add_argument("--input", required=True, help="trace file")
+    p.add_argument("--input", type=_path, required=True, help="trace file")
     add_format(p)
     p.add_argument("--heuristic", choices=["edsm", "alergia", "mse"], default="edsm")
     p.add_argument("--alpha", type=float, default=0.05, help="alergia rejection level")
@@ -139,34 +144,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-evidence", type=float, default=0.0,
                    help="scores below this are not merged "
                         "(--min-evidence=-inf disables the cutoff)")
-    p.add_argument("--output", help="model file (default: stdout)")
-    p.add_argument("--dot", help="also write a DOT rendering to this file")
+    p.add_argument("--output", type=_path, help="model file (default: stdout)")
+    p.add_argument("--dot", type=_path, help="also write a DOT rendering to this file")
     p.add_argument("--trace", action="store_true",
                    help="log merges and promotions to stderr when learning ends")
 
     p = sub.add_parser("predict", help="predict a target value per trace")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True, help="trace file")
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--input", type=_path, required=True, help="trace file")
     add_format(p)
     p.add_argument("--fallback", choices=[f.value for f in Fallback], default="mean",
                    help="policy for words outside the model's domain")
 
     p = sub.add_parser("generate", help="sample accepted words from a model")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=_path, required=True)
     p.add_argument("-n", type=_count, default=10, help="number of words")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=_count, default=32)
 
     p = sub.add_parser("eval", help="replay a trace file and report accuracy")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True, help="trace file")
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--input", type=_path, required=True, help="trace file")
     add_format(p)
 
     p = sub.add_parser("dot", help="render a model as Graphviz DOT")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=_path, required=True)
 
     p = sub.add_parser("discretize", help="turn a numeric series into trace data")
-    p.add_argument("--input", required=True, help="CSV/text file, one value per line")
+    p.add_argument("--input", type=_path, required=True, help="CSV/text file, one value per line")
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--method", choices=[m.value for m in BinMethod], default="uniform")
     p.add_argument("--window", type=int, required=True)
@@ -180,7 +185,7 @@ def _cmd_learn(args) -> int:
     # Every flag value is checked, whichever heuristic runs, before the input is read.
     heuristics = {"edsm": Edsm(), "alergia": Alergia(args.alpha), "mse": Mse(args.penalty)}
     cfg = LearnerConfig(heuristic=heuristics[args.heuristic], min_evidence=args.min_evidence)
-    with _About(args.input):
+    with _about(args.input):
         sample = _read_sample(args.input, args.format)
         # Every MSE trial on such a sample fails, so nothing would merge.
         if args.heuristic == "mse" and all(
@@ -191,31 +196,32 @@ def _cmd_learn(args) -> int:
         sys.stderr.write(log.text())
     text = save_model(model)
     if args.output:
-        with _About(args.output):
+        with _about(args.output):
             Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if args.dot:
-        with _About(args.dot):
+        with _about(args.dot):
             Path(args.dot).write_text(write_dot(model), encoding="utf-8")
     return 0
 
 
 def _cmd_predict(args) -> int:
     cfg = PredictionConfig(Fallback(args.fallback))
-    with _About(args.model):
+    with _about(args.model):
         model = load_model(_read_text(args.model))
-    with _About(args.input):
+    with _about(args.input):
         sample = _read_sample(args.input, args.format)
-    for trace in sample.traces:
-        with _About(args.model):
-            value = predict_value(model, trace.word, cfg)
-        sys.stdout.write(repr(value) + "\n")
+    # Every value is computed before the first is written, so a failed query
+    # leaves stdout empty.
+    with _about(args.model):
+        lines = [f"{predict_value(model, trace.word, cfg)!r}\n" for trace in sample.traces]
+    sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_generate(args) -> int:
-    with _About(args.model):
+    with _about(args.model):
         model = load_model(_read_text(args.model))
         # Every word is drawn before the first is written, so a failed draw
         # leaves stdout empty.
@@ -227,11 +233,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with _About(args.model):
+    with _about(args.model):
         model = load_model(_read_text(args.model))
-    with _About(args.input):
+    with _about(args.input):
         sample = _read_sample(args.input, args.format)
-    with _About(args.model):
+    with _about(args.model):
         report = evaluate(model, sample)
     lines = [
         f"traces {report.traces}",
@@ -249,7 +255,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    with _About(args.model):
+    with _about(args.model):
         text = write_dot(load_model(_read_text(args.model)))
     sys.stdout.write(text)
     return 0
@@ -258,7 +264,7 @@ def _cmd_dot(args) -> int:
 def _cmd_discretize(args) -> int:
     spec = DiscretizationSpec(bins=args.bins, method=BinMethod(args.method),
                               window=args.window, target=TargetKind(args.target))
-    with _About(args.input):
+    with _about(args.input):
         sample = discretize(_read_series(args.input, args.skip_header), spec)
     sys.stdout.write(write_sample(sample))
     return 0

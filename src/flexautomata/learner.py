@@ -10,12 +10,15 @@ fresh state becomes red, and the blue frontier is recomputed as the
 non-red children of red states.  The run ends when the frontier is empty;
 the machine is then extracted from the arena, once.
 
-Each blue state keeps its best passing score over the reds it has been
-tried against.  A promotion only recolors, so those scores stay valid, and
-the next iteration tries only the new pairs: the new red against each
-remaining blue, and each new blue against every red.  A kept merge can
-change any score, so it drops them all but the known label conflicts.
-Every decision then reads one entry per blue state.
+A trial passes when its outcome did not fail and the heuristic scores it
+at or above the cutoff: an outcome with a label conflict or a refused
+pair fails the trial whatever its score says.  Each blue state keeps its
+best passing score over the reds it has been tried against.  A promotion
+only recolors, so those scores stay valid, and the next iteration tries
+only the new pairs: the new red against each remaining blue, and each new
+blue against every red.  A kept merge can change any score, so it drops
+them all but the known label conflicts.  Every decision then reads one
+entry per blue state.
 
 A label conflict is kept because no later merge can undo it.  Merges only
 coarsen the partition of the prefix tree's states.  If closing a partition
@@ -189,14 +192,14 @@ def learn(sample: Sample, cfg: LearnerConfig = LearnerConfig()) -> tuple[Automat
                 outcome, frame = run_merge(r, b)
                 rollback(frame)
                 value = score(outcome, heuristic).value
-                if value is None:
-                    if outcome.label_conflict:
-                        if known is None:
-                            known = conflicts[b] = set()
-                        known.add(r)
-                        conflicts.setdefault(r, set()).add(b)
+                # A failed outcome fails the trial, whatever its score says.
+                if outcome.label_conflict:
+                    if known is None:
+                        known = conflicts[b] = set()
+                    known.add(r)
+                    conflicts.setdefault(r, set()).add(b)
                     continue
-                if value < min_evidence:
+                if outcome.refused or value is None or value < min_evidence:
                     continue
                 if taker is None or value > taker[0] or (value == taker[0] and r < taker[1]):
                     taker = (value, r)

@@ -418,6 +418,10 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
 
     The arena runs over a copy with the states renumbered 0..n-1 in ascending
     order, so the cost follows the state count, not the size of the ids.
+    The arena's own check is the only structural pass a healthy ``a``
+    gets.  Only when the renaming meets an id outside the states, or the
+    arena refuses the copy, is ``a`` checked again, for a message in its
+    own ids.
     """
     if q1 not in a.states or q2 not in a.states:
         raise ValueError(f"unknown state id in merge request ({q1}, {q2})")
@@ -426,9 +430,12 @@ def merge(a: Automaton, q1: StateId, q2: StateId) -> MergeOutcome:
     ids = sorted(a.states)
     if ids[-1] >= a.next_id:
         raise ValueError(f"state {ids[-1]} not below next_id {a.next_id}")
-    _refuse_malformed(a)
     dense = {q: i for i, q in enumerate(ids)}
-    arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
+    try:
+        arena = MergeArena(_renamed(a, dense.__getitem__, len(ids)), Edsm())
+    except (KeyError, ValueError):  # a dangling id, or another broken rule
+        _refuse_malformed(a)  # in the caller's ids
+        raise
     outcome, frame = arena.run_merge(dense[q1], dense[q2])
     if outcome.label_conflict:
         return outcome

@@ -8,8 +8,8 @@ state actually reached, or a hard error.  The global mean comes from
 table (state -> ``{symbol: target}``, built in one pass over its
 transitions); both are made once per model and kept because models are
 immutable.  So a query costs one table step per symbol, not the model
-size, and builds nothing but its answer, save the path that the LAST_STATE
-fallback reads.
+size, and builds nothing but its answer, save the path that a LAST_STATE
+fallback walks again.
 
 Sampling draws words from the machine by a weighted random walk over the
 recorded transition counts (with an extra stop option at accepting states),
@@ -77,30 +77,26 @@ def predict_value(a: Automaton, word: Word, cfg: PredictionConfig = PredictionCo
     fallback.  A model with no target data at all is an error under every
     policy.
 
-    Only LAST_STATE reads the states walked, so only it builds the path;
-    under the other policies the walk keeps just its current state.  Every
-    answer comes from :func:`_resolve`.
+    One loop walks the successor table under every policy, keeping just
+    its current state, and every answer comes from :func:`_resolve`.
     """
-    fallback = cfg.fallback
-    if fallback is _LAST_STATE:
-        path, complete = walk(a, word)
-        return _resolve(a, path[-1], complete, fallback, word, path)
     table = a._successors
     cur = a.start
     for sym in word:
         nxt = table[cur].get(sym)
         if nxt is None:
-            return _resolve(a, cur, False, fallback, word)
+            return _resolve(a, cur, False, cfg.fallback, word)
         cur = nxt
-    return _resolve(a, cur, True, fallback, word)
+    return _resolve(a, cur, True, cfg.fallback, word)
 
 
 def _resolve(a: Automaton, end: StateId, complete: bool, fallback: Fallback,
-             word: Word = (), path: Sequence[StateId] = ()) -> float:
-    """The prediction from a walk that stopped at ``end``, as :func:`predict_value` defines it.
+             word: Word = ()) -> float:
+    """The prediction for ``word``, whose walk stopped at ``end``, as :func:`predict_value` has it.
 
-    ``word`` is read only for the error under ERROR, ``path``, the states
-    walked, only under LAST_STATE.
+    ``word`` is read only when the answer falls back under ERROR, for its
+    message, or under LAST_STATE, which walks it again with :func:`walk`
+    for the states it passed.
     """
     count, total = a.target_totals
     if count == 0:
@@ -111,7 +107,7 @@ def _resolve(a: Automaton, end: StateId, complete: bool, fallback: Fallback,
     if fallback is _ERROR:
         raise PredictionError(f"word {word} leaves the model's domain")
     if fallback is _LAST_STATE:
-        for q in reversed(path):
+        for q in reversed(walk(a, word)[0]):
             agg = a.states[q]
             if agg.target_count > 0:
                 return agg.target_sum / agg.target_count

@@ -97,9 +97,8 @@ def _finite(token: str) -> float:
     return value
 
 
-def _symbol_part(part: str, token: str, extended: bool, line_no: int
-                 ) -> tuple[Symbol, tuple[float, ...]]:
-    """The symbol and attributes of ``token``, whose text before any ``/target`` is ``part``."""
+def _symbol_part(part: str, token: str, extended: bool, line_no: int) -> SymbolInstance:
+    """The instance, without a target, of ``token``'s text ``part`` before any ``/target``."""
     attrs: tuple[float, ...] = ()
     sym_part = part
     if extended and ":" in part:
@@ -119,7 +118,7 @@ def _symbol_part(part: str, token: str, extended: bool, line_no: int
         raise SampleFormatError(
             f"symbol {sym} exceeds the alphabet bound {MAX_ALPHABET_SIZE}", line_no
         )
-    return sym, attrs
+    return SymbolInstance(sym, attrs)
 
 
 def _valid_data_first_line(tokens: list[str], labels: dict[str, TraceLabel]) -> bool:
@@ -134,15 +133,13 @@ def _parse_sample(text: str, extended: bool) -> Sample:
     traces: list[Trace] = []
     arity: int | None = None
     max_sym = -1
-    # A token without a '/target' part always parses to the same immutable
-    # instance, so each distinct one is parsed once per call and then shared.
+    # Each distinct bare token, and each distinct part before a '/target', to
+    # its immutable instance without a target: parsed once per call, then
+    # shared by every equal bare token and read by every '/target' token.
     shared: dict[str, SymbolInstance] = {}
-    # The symbol and attributes of each distinct part before a '/target',
-    # parsed once per call.
-    heads: dict[str, tuple[Symbol, tuple[float, ...]]] = {}
-    # The (symbol, attributes) first made on the current line: only these
-    # still need the per-sample checks below, since every earlier one passed.
-    fresh: list[tuple[Symbol, tuple[float, ...]]] = []
+    # The instances first made on the current line: only these still need
+    # the per-sample checks below, since every earlier one passed them.
+    fresh: list[SymbolInstance] = []
     for no, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
         if not tokens:
@@ -189,18 +186,18 @@ def _parse_sample(text: str, extended: bool) -> Sample:
                         target = nan  # refused below, like a non-finite value
                     if not isfinite(target):
                         raise SampleFormatError(f"bad target value {tail!r}", no)
-                    parts = heads.get(head)
-                    if parts is None:
-                        parts = heads[head] = _symbol_part(head, token, True, no)
-                        fresh.append(parts)
-                    inst = SymbolInstance(parts[0], parts[1], target)
+                    part = shared.get(head)
+                    if part is None:
+                        part = shared[head] = _symbol_part(head, token, True, no)
+                        fresh.append(part)
+                    inst = SymbolInstance(part.symbol, part.attributes, target)
                 else:
-                    parts = _symbol_part(token, token, extended, no)
-                    fresh.append(parts)
-                    inst = shared[token] = SymbolInstance(*parts)
+                    inst = shared[token] = _symbol_part(token, token, extended, no)
+                    fresh.append(inst)
             symbols.append(inst)
         if fresh:
-            for sym, attrs in fresh:
+            for part in fresh:
+                sym, attrs = part.symbol, part.attributes
                 if attrs:
                     if arity is None:
                         arity = len(attrs)
@@ -247,10 +244,11 @@ def parse_augmented(text: str) -> Sample:
     it has been seen, since equal such tokens share one immutable
     :class:`SymbolInstance` parsed once per call.  A ``sym/target`` or
     ``sym:attrs/target`` token is one ``rpartition``, one lookup of its part
-    before the ``/`` in a per-call table of parts already checked, one
-    ``float`` with its finiteness check, and one record.  The checks that
-    span the sample, attribute arity and alphabet size, run once per
-    distinct bare token or part before a ``/``, when it is first made.
+    before the ``/`` in that same table, one ``float`` with its finiteness
+    check, and one record.  So a part before a ``/`` that also appears as a
+    bare token is parsed once.  The checks that span the sample, attribute
+    arity and alphabet size, run once per distinct bare token or part
+    before a ``/``, when it is first made.
     """
     return _parse_sample(text, extended=True)
 
@@ -275,11 +273,11 @@ def _text_lines(n: int, size: int, rows: Iterable[tuple[TraceLabel, list[str]]]
                 ) -> Iterator[str]:
     """The lines, newline included, of ``n`` traces over ``size`` symbols.
 
-    First the header, skipped in the degenerate shapes where it would itself
-    read as a valid data line; then per ``(label, symbol tokens)`` row its
-    label token, its length and its tokens.
+    First the header, skipped where the readers' own rule,
+    :func:`_valid_data_first_line`, would read it as a data line; then per
+    ``(label, symbol tokens)`` row its label token, its length and its tokens.
     """
-    if not (size == 0 and n <= 1):
+    if not _valid_data_first_line([str(n), str(size)], _EXT_LABELS):
         yield f"{n} {size}\n"
     for label, tokens in rows:
         yield " ".join([_LABEL_TOKENS[label], str(len(tokens)), *tokens]) + "\n"

@@ -16,6 +16,7 @@ from flexautomata import (
     build_apta,
     check_integrity,
     compute,
+    learn,
     parse_abbadingo,
     parse_augmented,
     save_model,
@@ -290,6 +291,14 @@ class TestAgainstReference:
             build_apta(sample)
         assert str(err.value) == "symbol 4 outside alphabet of size 2"
         assert built(reference_apta, sample) == (ValueError, str(err.value))
+
+    def test_negative_symbol_message(self):
+        # below 0 is outside the alphabet too: no model that fails its own load is built
+        sample = Sample((Trace(TraceLabel.POSITIVE, (SymbolInstance(-1),)),), ("a",))
+        for build in (build_apta, lambda s: learn(s)[0]):
+            with pytest.raises(ValueError) as err:
+                build(sample)
+            assert str(err.value) == "symbol -1 outside alphabet of size 1"
 
 
 class TestAttributeCounts:

@@ -214,6 +214,22 @@ class TestPredict:
         assert code == 2
         capsys.readouterr()
 
+    def test_a_late_failing_query_leaves_stdout_empty(self, tmp_path, capsys):
+        # every value is computed before the first is written
+        data = tmp_path / "t.txt"
+        data.write_text("? 1 0/2.0\n")
+        model_path = tmp_path / "m.txt"
+        assert run(["learn", "--input", str(data), "--output", str(model_path),
+                    "--min-evidence", "1e9"]) == 0
+        queries = tmp_path / "q.txt"
+        queries.write_text("? 1 0\n? 3 0 0 0\n")
+        capsys.readouterr()
+        code = run(["predict", "--model", str(model_path), "--input", str(queries),
+                    "--fallback", "error"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {model_path}: word (0, 0, 0) leaves the model's domain\n")
+
     def test_targetless_model_exits_2(self, model_file, sample_file, capsys):
         code = run(["predict", "--model", model_file, "--input", sample_file])
         assert code == 2
@@ -438,6 +454,17 @@ class TestDiscretize:
         ])
         assert code == 0
         assert len(parse_augmented(capsys.readouterr().out).traces) == 2
+
+    @pytest.mark.parametrize("blank", ["\n", "  \n", ",\n"], ids=["empty", "spaces", "comma"])
+    def test_blank_lines_are_skipped(self, tmp_path, capsys, blank):
+        p = tmp_path / "series.csv"
+        argv = ["discretize", "--input", str(p), "--bins", "2", "--window", "2"]
+        p.write_text("1.0\n2.0\n3.0\n4.0\n")
+        assert run(argv) == 0
+        want = capsys.readouterr()
+        p.write_text(f"{blank}1.0\n2.0\n{blank}{blank}3.0\n4.0\n{blank}")
+        assert run(argv) == 0
+        assert capsys.readouterr() == want
 
     @pytest.mark.parametrize("value", ["banana", "nan", "inf", "-inf"])
     def test_non_numeric_line_exits_2(self, tmp_path, capsys, value):
@@ -742,16 +769,18 @@ class TestDataErrorsNameTheirFile:
         assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
 
 
-# One out-of-range value for each flag of a subcommand that takes one; dot
-# takes none but its model.
+# One out-of-range value for each flag of a subcommand that takes one; an
+# empty file name is out of range for every file flag.
 _BAD_FLAG_VALUES = {
     "learn": [("--alpha", "2"), ("--alpha", "0"), ("--penalty", "nan"), ("--penalty", "-1"),
-              ("--min-evidence", "nan"), ("--heuristic", "ktails"), ("--format", "csv")],
-    "predict": [("--fallback", "zero"), ("--format", "csv")],
-    "generate": [("-n", "-1"), ("--max-len", "-2"), ("--seed", "x")],
-    "eval": [("--format", "csv")],
+              ("--min-evidence", "nan"), ("--heuristic", "ktails"), ("--format", "csv"),
+              ("--input", ""), ("--output", ""), ("--dot", "")],
+    "predict": [("--fallback", "zero"), ("--format", "csv"), ("--model", ""), ("--input", "")],
+    "generate": [("-n", "-1"), ("--max-len", "-2"), ("--seed", "x"), ("--model", "")],
+    "eval": [("--format", "csv"), ("--model", ""), ("--input", "")],
+    "dot": [("--model", "")],
     "discretize": [("--bins", "0"), ("--bins", "65537"), ("--window", "0"), ("--window", "-1"),
-                   ("--method", "median"), ("--target", "level")],
+                   ("--method", "median"), ("--target", "level"), ("--input", "")],
 }
 # Values each flag takes that are in range; a file flag names a missing file.
 _GOOD_FLAG_VALUES = {
@@ -787,7 +816,8 @@ def _bad_flag_argv(draw):
     command = draw(st.sampled_from(sorted(_BAD_FLAG_VALUES)))
     bad, value = draw(st.sampled_from(_BAD_FLAG_VALUES[command]))
     required, optional = _FUZZ_COMMANDS[command]
-    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4)
+                            if optional else st.just([]))
     values = {flag: draw(st.sampled_from(_GOOD_FLAG_VALUES[flag]))
               for flag in flags if _GOOD_FLAG_VALUES[flag]}
     values[bad] = value

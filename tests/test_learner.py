@@ -516,6 +516,56 @@ class TestRefusingHeuristic:
             assert ends[True, False]
 
 
+class BlindPairCount:
+    """A heuristic known to the tests alone whose score reads no failure: every
+    outcome, failed or not, scores its merged pair count."""
+
+    statistic = evidence = fold = None
+
+    def score(self, outcome):
+        return EvidenceScore(float(len(outcome.merged_pairs)))
+
+
+def reference_pair_count(a, merged_pairs, heuristic):
+    """BlindPairCount's score, as ``learn`` must read it: a failed merge fails."""
+    if merged_pairs is None:
+        return EvidenceScore.fail(FAIL_LABEL_CONFLICT)
+    return EvidenceScore(float(len(merged_pairs)))
+
+
+class TestFailedOutcomes:
+    """``learn`` keeps no failed trial, whatever the heuristic's score says of it."""
+
+    def test_the_model_reaches_every_state_and_fits_its_sample(self, ref_sample):
+        model, _ = learn(ref_sample, LearnerConfig(heuristic=BlindPairCount()))
+        assert reachable(model) == set(model.states)
+        assert consistent(model, ref_sample)
+
+    def test_it_learns_like_the_naive_loop(self):
+        for seed in range(40):
+            sample = small_sample(random.Random(seed))
+            model, _ = assert_learns_like_the_oracle(sample, BlindPairCount(), 0.0,
+                                                     score=reference_pair_count)
+            assert consistent(model, sample)
+
+    def test_a_conflict_is_never_tried_again(self, ref_sample, monkeypatch):
+        # the pair's ids stay roots, and conflicting, until a kept merge retires one
+        conflicted, repeats = set(), []
+        run_merge = MergeArena.run_merge
+
+        def watching(arena, q1, q2):
+            outcome, frame = run_merge(arena, q1, q2)
+            if (q1, q2) in conflicted:
+                repeats.append((q1, q2))
+            if outcome.label_conflict:
+                conflicted.add((q1, q2))
+            return outcome, frame
+
+        monkeypatch.setattr(MergeArena, "run_merge", watching)
+        learn(ref_sample, LearnerConfig(heuristic=BlindPairCount()))
+        assert conflicted and repeats == []
+
+
 CAPACITY_HEURISTICS = [Edsm(), Alergia(0.05), Alergia(0.5), Mse(), Mse(1.0), VisitCap(), VisitCap(cap=3)]
 
 

@@ -28,6 +28,7 @@ from flexautomata import (
     parse_augmented,
     save_model,
 )
+from flexautomata import merging
 from flexautomata.merging import MergeArena
 from gen import TargetDfa, labeled_sample, random_automaton
 from oracle_automaton import language_upto
@@ -297,6 +298,19 @@ class TestOneStructuralCheck:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message
+
+    def test_a_healthy_merge_checks_the_structure_once(self, ref_apta, monkeypatch):
+        # the arena's own check; merge checks the caller's ids again only to word a failure
+        calls = []
+        violations = merging._violations
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return violations(a, *args, **kwargs)
+
+        monkeypatch.setattr(merging, "_violations", counted)
+        merge(ref_apta, 0, 1)
+        assert len(calls) == 1
 
     def test_unhealthy_aggregates_are_no_caller_error(self):
         # only the structural rules are the caller's to keep

@@ -41,6 +41,7 @@ from flexautomata import (
     shortest_accepted_length,
     write_sample,
 )
+from flexautomata import predict
 from flexautomata.automaton import Outcome, walk
 from gen import complete_sample, even_ones_dfa, random_automaton
 import oracle_automaton
@@ -72,6 +73,15 @@ class TestPredictValue:
         cfg = PredictionConfig(Fallback.LAST_STATE)
         # walk on (0,0,0) dies at the deepest state, which holds {6}
         assert predict_value(model, (0, 0, 0), cfg) == pytest.approx(6.0)
+
+    def test_last_state_walks_a_word_again_only_to_fall_back(self, model, monkeypatch):
+        walks = []
+        monkeypatch.setattr(predict, "walk", lambda a, word: walks.append(word) or walk(a, word))
+        cfg = PredictionConfig(Fallback.LAST_STATE)
+        assert predict_value(model, (0, 0), cfg) == pytest.approx(6.0)
+        assert walks == []
+        assert predict_value(model, (0, 0, 0), cfg) == pytest.approx(6.0)
+        assert walks == [(0, 0, 0)]
 
     def test_last_state_falls_back_to_global_mean_on_bare_path(self):
         a = build_apta(parse_augmented("? 2 0 1/8.0\n"))
@@ -447,6 +457,14 @@ class TestSampleWords:
 
     def test_empty_request_is_empty(self, model):
         assert sample_words(model, 0, seed=0, max_len=5) == []
+
+    @pytest.mark.parametrize("n, max_len, message", [
+        (-1, 5, "n must be >= 0"), (3, -1, "max_len must be >= 0"),
+    ], ids=["n", "max_len"])
+    def test_a_negative_request_is_refused(self, model, n, max_len, message):
+        with pytest.raises(ValueError) as err:
+            sample_words(model, n, seed=0, max_len=max_len)
+        assert str(err.value) == message
 
     @staticmethod
     def _words(sampler, a, n, seed, max_len):

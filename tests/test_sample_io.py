@@ -30,6 +30,7 @@ from flexautomata import (
     write_dot,
     write_sample,
 )
+from flexautomata import sample_io
 from flexautomata.sample_io import MAX_ALPHABET_SIZE
 from dot_check import DotSyntaxError, check_dot
 from gen import even_ones_dfa, labeled_sample, random_automaton
@@ -182,6 +183,16 @@ class TestAugmentedParsing:
         first, second = (t.symbols for t in sample.traces)
         assert first[0] is second[1] and first[1] is second[0]
         assert first == (SymbolInstance(0, (1.5,)), SymbolInstance(1, (2.5,)))
+
+    def test_a_part_before_a_target_shares_the_bare_tokens_instance(self):
+        # "2" is parsed and checked once, whether it comes bare or before a '/'
+        with mock.patch.object(sample_io, "_symbol_part", wraps=sample_io._symbol_part) as part:
+            sample = parse_augmented("? 3 2 2/1.5 2:0.5/2.0\n? 2 2:0.5 2/-1.0\n")
+        assert [c.args[0] for c in part.call_args_list] == ["2", "2:0.5"]
+        first, second = (t.symbols for t in sample.traces)
+        assert first == (SymbolInstance(2), SymbolInstance(2, (), 1.5),
+                         SymbolInstance(2, (0.5,), 2.0))
+        assert second == (SymbolInstance(2, (0.5,)), SymbolInstance(2, (), -1.0))
 
     def test_plain_symbols_among_annotated_are_fine(self):
         sample = parse_augmented("? 2 0 1:2.0\n")
@@ -337,6 +348,13 @@ class TestModelPersistence:
         model, _ = learn(ref_sample)
         text = save_model(model)
         assert save_model(load_model(text)) == text
+
+    @pytest.mark.parametrize("name", ["", "a b", "\t"], ids=["empty", "space", "tab"])
+    def test_an_alphabet_name_that_would_not_load_is_refused(self, ref_apta, name):
+        a = dataclasses.replace(ref_apta, alphabet=(name, *ref_apta.alphabet[1:]))
+        with pytest.raises(ValueError) as err:
+            save_model(a)
+        assert str(err.value) == f"alphabet name {name!r} is empty or contains whitespace"
 
     def test_language_preserved(self, ref_sample):
         model, _ = learn(ref_sample)
