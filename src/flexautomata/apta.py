@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .automaton import Automaton, StateAggregate, StateId, Symbol
 from .errors import InconsistentSampleError, SampleFormatError
-from .sample_io import Sample, TraceLabel
+from .sample_io import Sample, Trace, TraceLabel
 
 # Merging sums squared targets and attributes over states, and a saved model
 # holds only finite sums.  Capping the sample-wide total far below the float
@@ -31,14 +31,28 @@ _MAX_POOLED_MAGNITUDE = 1e300
 _POSITIVE, _NEGATIVE = TraceLabel.POSITIVE, TraceLabel.NEGATIVE
 
 
+def _both_labels(sample: Sample, n: int, trace: Trace) -> InconsistentSampleError:
+    """The error for trace ``n``, which gave its word its second label.  It names
+    the first earlier trace with the other label, found by a scan made only
+    here, so a build that raises nothing does no extra work."""
+    word = trace.word
+    other = _NEGATIVE if trace.label is _POSITIVE else _POSITIVE
+    m = next(i for i, t in enumerate(sample.traces[:n - 1], 1)
+             if t.label is other and t.word == word)
+    return InconsistentSampleError(
+        f"trace {n}: word {word} occurs with both labels (trace {m} has the other)")
+
+
 def build_apta(sample: Sample) -> Automaton:
     """Construct the prefix tree acceptor for ``sample``.
 
     Duplicate traces are allowed and add up in the aggregates.  Empty traces
     end at the root, so the root can itself be accepting or rejecting.
     Raises :class:`InconsistentSampleError` when one word is both positive
-    and negative, :class:`SampleFormatError` when targets or attributes are
-    so large that pooling them could overflow, and ValueError for a symbol
+    and negative, naming the trace that gave it its second label and the
+    first earlier one with the other; :class:`SampleFormatError` when
+    targets or attributes are so large that pooling them could overflow;
+    and ValueError for a symbol
     outside the alphabet, a negative one included.  At
     ``sample.attribute_arity`` above 0, a symbol may carry no attributes or
     exactly that many; any other count is a ValueError naming the trace and
@@ -113,9 +127,7 @@ def build_apta(sample: Sample) -> Automaton:
         elif trace.label is _NEGATIVE:
             end_neg[node] += 1
         if end_pos[node] and end_neg[node]:
-            raise InconsistentSampleError(
-                f"word {trace.word} occurs with both labels"
-            )
+            raise _both_labels(sample, n, trace)
 
     states: dict[StateId, StateAggregate] = {}
     accepting: list[StateId] = []

@@ -156,13 +156,14 @@ class Automaton:
     ``next_id`` is the lowest id never handed out, so merged states can take
     fresh ids without colliding with anything that ever existed in this run.
 
-    :attr:`target_totals`, and the successor table that queries step
+    :attr:`target_totals`, and the successor table that every replay steps
     through (state -> ``{symbol: target}``, one entry per transition), are
     computed on first use and then kept.  That is sound only because an
     automaton, its ``states`` and its ``transitions`` are never edited after
     construction; :func:`dataclasses.replace` makes a new object with its own
-    totals and table.  A step of a query then looks up the state's row and
-    the symbol in it, both keyed by ints, instead of building and hashing a
+    totals and table.  A step of :func:`compute`, a prediction, an
+    evaluation or a sampled word then looks up the state's row and the
+    symbol in it, both keyed by ints, instead of building and hashing a
     ``(state, symbol)`` key.
     """
 

@@ -194,15 +194,17 @@ def _cmd_learn(args) -> int:
         model, log = learn(sample, cfg)
     if args.trace:
         sys.stderr.write(log.text())
+    # Both texts are rendered, and the DOT file written, before the model is,
+    # so a failed --dot leaves stdout empty and --output unwritten.
     text = save_model(model)
+    if args.dot:
+        with _about(args.dot):
+            Path(args.dot).write_text(write_dot(model), encoding="utf-8")
     if args.output:
         with _about(args.output):
             Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if args.dot:
-        with _about(args.dot):
-            Path(args.dot).write_text(write_dot(model), encoding="utf-8")
     return 0
 
 
@@ -290,7 +292,7 @@ def run(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (_DataError, OSError, UnicodeEncodeError) as exc:
-        # Outside every _About, the last two come from writing to stdout or stderr.
+        # Outside every _about, the last two come from writing to stdout or stderr.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -7,9 +7,10 @@ state actually reached, or a hard error.  The global mean comes from
 :attr:`Automaton.target_totals`, and each step from the model's successor
 table (state -> ``{symbol: target}``, built in one pass over its
 transitions); both are made once per model and kept because models are
-immutable.  So a query costs one table step per symbol, not the model
-size, and builds nothing but its answer, save the path that a LAST_STATE
-fallback walks again.
+immutable.  Every replay steps through the successor rows: a query, an
+evaluated trace and a sampled word alike.  So a query costs one table step
+per symbol, not the model size, and builds nothing but its answer, save
+the path that a LAST_STATE fallback walks again.
 
 Sampling draws words from the machine by a weighted random walk over the
 recorded transition counts (with an extra stop option at accepting states),
@@ -375,14 +376,16 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
     Accuracy covers labeled traces only.  The squared error covers traces
     whose last symbol carries a target, predicted as :func:`predict_value`
     does with the global-mean fallback, so every trace gets a number.  Each
-    trace's symbols are walked once, in place: one transition lookup per
-    symbol, with no word tuple and no path built.  The walk reads
-    ``transitions`` itself, not the successor table the queries step
-    through: an evaluation makes one pass over its sample, usually on a
-    freshly loaded model, and on a model with more transitions than the
-    sample has symbols the table's build would cost more than it saves.
+    trace's symbols are walked once, in place, through the model's successor
+    table, as every other replay is: one row and one symbol lookup per
+    symbol, with no word tuple and no path built.  The table's one build
+    costs a pass over the transitions, so it pays where the sample has many
+    symbols per transition (18 to 490 on the benchmark's learn workloads)
+    and costs a little where it has few: on the ``serve`` benchmark's
+    prefix tree, about 1.6 symbols per transition, the build costs more
+    than the rows save.
     """
-    transitions, accepting, start = a.transitions, a.accepting, a.start
+    table, accepting, start = a._successors, a.accepting, a.start
     accepted = 0
     pos_total = pos_acc = neg_total = neg_rej = 0
     sq_err = 0.0
@@ -391,7 +394,7 @@ def evaluate(a: Automaton, sample: Sample) -> EvalReport:
         symbols = trace.symbols
         cur = start
         for inst in symbols:
-            nxt = transitions.get((cur, inst.symbol))
+            nxt = table[cur].get(inst.symbol)
             if nxt is None:
                 complete = False
                 break

@@ -9,8 +9,10 @@ same points and with the same messages as ``build_apta`` raises them: a
 symbol outside the alphabet at that symbol, a symbol with attributes but
 not ``attribute_arity`` of them (at an arity above 0) at that symbol, and a
 word with both labels at the end of the trace that gives it its second
-label.  At arity 0, attributes are ignored.  Values too large to
-pool are not refused here; the tests that use it draw none.
+label, naming the first trace that gave it the other one (each prefix
+records it as the labeled traces arrive).  At arity 0, attributes are
+ignored.  Values too large to pool are not refused here; the tests that use
+it draw none.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def reference_apta(sample: Sample) -> Automaton:
 
     def fresh():
         return {"total": 0, "pos": 0, "neg": 0, "tcount": 0,
-                "tsum": 0.0, "tsumsq": 0.0, "attrs": [0.0] * arity}
+                "tsum": 0.0, "tsumsq": 0.0, "attrs": [0.0] * arity, "first": {}}
 
     nodes = {(): fresh()}
     for n, trace in enumerate(sample.traces, 1):
@@ -55,8 +57,13 @@ def reference_apta(sample: Sample) -> Automaton:
             end["pos"] += 1
         elif trace.label is TraceLabel.NEGATIVE:
             end["neg"] += 1
+        if trace.label is not TraceLabel.UNLABELED:
+            end["first"].setdefault(trace.label, n)
         if end["pos"] and end["neg"]:
-            raise InconsistentSampleError(f"word {trace.word} occurs with both labels")
+            other = (TraceLabel.NEGATIVE if trace.label is TraceLabel.POSITIVE
+                     else TraceLabel.POSITIVE)
+            raise InconsistentSampleError(f"trace {n}: word {trace.word} occurs with both "
+                                          f"labels (trace {end['first'][other]} has the other)")
 
     ids = {p: q for q, p in enumerate(sorted(nodes, key=lambda p: (len(p), p)))}
     states = {}

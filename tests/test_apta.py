@@ -280,7 +280,8 @@ class TestAgainstReference:
         sample = parse_abbadingo("1 2 0 1\n1 1 1\n0 2 0 1\n")
         with pytest.raises(InconsistentSampleError) as err:
             build_apta(sample)
-        assert str(err.value) == "word (0, 1) occurs with both labels"
+        assert str(err.value) == (
+            "trace 3: word (0, 1) occurs with both labels (trace 1 has the other)")
         assert built(reference_apta, sample) == (InconsistentSampleError, str(err.value))
 
     def test_symbol_outside_the_alphabet_message(self):

@@ -389,12 +389,13 @@ class TestSuccessorTable:
 
 
 class TestWideAlphabet:
-    """Generation over a 65 536-symbol alphabet costs out-degree, not alphabet size."""
+    """Replays over a 65 536-symbol alphabet cost out-degree, not alphabet size."""
 
     WIDE = (5, 30_000, 65_535)  # where the narrow model's symbols 0, 1, 2 go
 
-    def test_each_transition_is_read_once(self):
-        narrow = random_automaton(random.Random(6), 20, len(self.WIDE))  # 20 states
+    def _models(self):
+        """A 20-state model over three symbols, and its relabelling onto ``WIDE``."""
+        narrow = random_automaton(random.Random(6), 20, len(self.WIDE))
         wide = dataclasses.replace(
             narrow,
             alphabet=tuple(str(i) for i in range(65_536)),
@@ -404,6 +405,10 @@ class TestWideAlphabet:
             transitions={(q, self.WIDE[s]): dst for (q, s), dst in narrow.transitions.items()},
         )
         assert check_integrity(wide) == []
+        return narrow, wide
+
+    def test_each_transition_is_read_once(self):
+        narrow, wide = self._models()
         counted = _Counting(wide.transitions)
         wide = dataclasses.replace(wide, transitions=counted)
         assert shortest_accepted_length(wide) == shortest_accepted_length(narrow) == 2
@@ -414,6 +419,30 @@ class TestWideAlphabet:
         # An order-keeping relabelling of the symbols draws the same words.
         assert words == [tuple(self.WIDE[s] for s in w) for w in sample_words(narrow, 50, 1, 12)]
         assert sum(map(len, words)) > 50
+        assert counted.passes == 1
+        assert set(counted.reads.values()) == {1}
+
+    def test_evaluate_reads_each_transition_once(self):
+        _, wide = self._models()
+        # Accepted words, each also cut short and run off the model by symbol 7.
+        words = sample_words(wide, 100, seed=2, max_len=12)
+        words += [w[:-1] for w in words] + [w + (7, 5) for w in words]
+        labels = (TraceLabel.POSITIVE, TraceLabel.NEGATIVE, TraceLabel.UNLABELED)
+        sample = Sample(tuple(
+            Trace(labels[i % 3], tuple(SymbolInstance(s) for s in w[:-1])
+                  + tuple(SymbolInstance(s, (), float(i % 5)) for s in w[-1:]))
+            for i, w in enumerate(words)), wide.alphabet)
+        assert sum(map(len, words)) > 10 * len(wide.transitions)
+        want = _reference_evaluate(wide, sample)
+        counted = _Counting(wide.transitions)
+        wide = dataclasses.replace(wide, transitions=counted)
+        assert evaluate(wide, sample) == want
+        # One pass and one read per key: the successor rows' build, not a
+        # lookup per symbol.
+        assert counted.passes == 1
+        assert set(counted.reads) == set(counted._items)
+        assert set(counted.reads.values()) == {1}
+        assert evaluate(wide, sample) == want
         assert counted.passes == 1
         assert set(counted.reads.values()) == {1}
 
